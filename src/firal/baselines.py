@@ -102,13 +102,32 @@ def select_var_ratios(X, theta, budget):
     return np.sort(np.argsort(scores, kind="stable")[:budget])
 
 
+# Candidates scored per stacked eigendecomposition in the greedy.  It
+# amortizes the per-call overhead while bounding the (block, d_tilde,
+# d_tilde) working set, so peak memory does not grow with the pool.
+GREEDY_BLOCK = 256
+
+
 def _clamped_trace_objective(A, Hp0, rel_floor=1e-12):
-    """``<A^{-1}, Hp0>`` with eigenvalues floored, for rank-deficient A."""
-    w, V = np.linalg.eigh(0.5 * (A + A.T))
-    lam_max = max(float(w[-1]), rel_floor)
+    """``<A_n^{-1}, Hp0>`` for each matrix of a stack ``A`` of shape
+    ``(n, d_tilde, d_tilde)``, with each matrix's eigenvalues floored
+    relative to its own largest, for rank-deficient ``A_n``."""
+    w, V = np.linalg.eigh(0.5 * (A + A.transpose(0, 2, 1)))
+    lam_max = np.maximum(w[:, -1:], rel_floor)
     w = np.maximum(w, rel_floor * lam_max)
-    proj = np.einsum("ji,jk,ki->i", V, Hp0, V)
-    return float(np.sum(proj / w))
+    proj = np.einsum("nji,jk,nki->ni", V, Hp0, V)
+    return np.sum(proj / w, axis=1)
+
+
+def _best_update(A, F, idx, Hp0, sign):
+    """The index in ``idx`` whose Fisher matrix, added (``sign=1``) or
+    removed (``sign=-1``), gives the lowest clamped objective; ties go to
+    the earliest position in ``idx``."""
+    values = np.concatenate([
+        _clamped_trace_objective(A + sign * F[idx[s:s + GREEDY_BLOCK]], Hp0)
+        for s in range(0, len(idx), GREEDY_BLOCK)
+    ])
+    return idx[int(np.argmin(values))]
 
 
 def select_greedy_fb(X, theta, shift, budget):
@@ -118,7 +137,8 @@ def select_greedy_fb(X, theta, shift, budget):
     then greedily removes ``budget`` whose removal increases it least.
     The running aggregate is seeded with the labeled-set shift so early
     scores stay finite; remaining rank deficiency is handled by a clamped
-    inverse and reported through a warning.
+    inverse and reported through a warning.  Each step scores all its
+    candidates in blocks of ``GREEDY_BLOCK`` stacked matrices.
     """
     X = np.asarray(X, dtype=float)
     m = len(X)
@@ -139,23 +159,12 @@ def select_greedy_fb(X, theta, shift, budget):
     A = shift.copy()
     in_set = np.zeros(m, dtype=bool)
     for _ in range(2 * budget):
-        best_i, best_val = -1, np.inf
-        for i in range(m):
-            if in_set[i]:
-                continue
-            val = _clamped_trace_objective(A + F[i], Hp0)
-            if val < best_val:
-                best_i, best_val = i, val
+        best_i = _best_update(A, F, np.flatnonzero(~in_set), Hp0, 1.0)
         in_set[best_i] = True
         A = A + F[best_i]
 
     for _ in range(budget):
-        members = np.nonzero(in_set)[0]
-        best_i, best_val = -1, np.inf
-        for i in members:
-            val = _clamped_trace_objective(A - F[i], Hp0)
-            if val < best_val:
-                best_i, best_val = i, val
+        best_i = _best_update(A, F, np.flatnonzero(in_set), Hp0, -1.0)
         in_set[best_i] = False
         A = A - F[best_i]
 

@@ -83,6 +83,9 @@ def tune_eta(etas, factors, budget, mask_selected=True):
     """Pick the rate whose selection maximizes the smallest eigenvalue of
     the summed whitened picks.  Duplicate grid entries keep the first
     occurrence; ties keep the earlier grid position.
+
+    Returns ``(eta, picks, audit)``, the winning rate with the
+    :func:`select_batch` result it was scored on.
     """
     seen, grid = set(), []
     for e in etas:
@@ -91,13 +94,15 @@ def tune_eta(etas, factors, budget, mask_selected=True):
             grid.append(float(e))
     if not grid:
         raise ValueError("eta grid must be nonempty")
-    best_eta, best_val = grid[0], -np.inf
+    best, best_val = None, -np.inf
     for e in grid:
-        _, audit = select_batch(budget, e, factors, mask_selected=mask_selected)
+        picks, audit = select_batch(budget, e, factors, mask_selected=mask_selected)
         val = audit.min_eig_cum[-1]
         if val > best_val:
-            best_eta, best_val = e, val
-    return best_eta
+            best, best_val = (e, picks, audit), val
+        elif best is None:
+            best = (e, picks, audit)
+    return best
 
 
 @dataclass
@@ -200,15 +205,14 @@ def _select(config, X_pool, unlabeled, theta, round_budget, select_ss):
         relaxed = relax_solve(round_budget, Hp0, fishers, n_iter=config.relax_iters)
         factors = whiten_factors(relaxed.z, Xu, theta, shift)
         mask = not config.theory_mode
-        if config.eta is not None:
-            eta_used = float(config.eta)
-        elif config.theory_mode:
-            eta_used = 8.0 * np.sqrt(factors.d_tilde)
+        if config.eta is None and not config.theory_mode:
+            eta_used, local, audit = tune_eta(eta_grid(factors.d_tilde), factors,
+                                              round_budget, mask_selected=mask)
         else:
-            eta_used = tune_eta(eta_grid(factors.d_tilde), factors,
-                                round_budget, mask_selected=mask)
-        local, audit = select_batch(round_budget, eta_used, factors,
-                                    mask_selected=mask)
+            eta_used = (float(config.eta) if config.eta is not None
+                        else 8.0 * np.sqrt(factors.d_tilde))
+            local, audit = select_batch(round_budget, eta_used, factors,
+                                        mask_selected=mask)
         report = regret_audit(audit)
         margin1 = report.worst_min_eig
         if report.worst_trace is not None:
@@ -530,12 +534,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # LinAlgError subclasses ValueError, so it must be caught first.
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -38,7 +38,8 @@ def save_matrix(path, X):
 def load_dataset(path):
     """Read a dataset CSV; returns ``(X, y)`` with ``y`` possibly ``None``.
 
-    The header must be ``x_1,...,x_d`` optionally followed by ``y``.
+    The header must be ``x_1,...,x_d`` optionally followed by ``y``, and
+    every value must be finite.
     """
     with open(path) as fh:
         header = fh.readline().strip()
@@ -55,6 +56,11 @@ def load_dataset(path):
         body = np.loadtxt(fh, delimiter=",", ndmin=2)
     if body.shape[1] != len(cols):
         raise ValueError(f"{path}: row width does not match header")
+    bad_rows = np.flatnonzero(~np.isfinite(body).all(axis=1))
+    if bad_rows.size:
+        raise ValueError(
+            f"{path}: data row {bad_rows[0] + 1} holds a NaN or infinite value"
+        )
     if has_labels:
         X = body[:, :-1]
         y = body[:, -1]

@@ -27,8 +27,12 @@ def _nu_root(lam, d_tilde):
     loss.  The residual is strictly decreasing in ``nu`` on the bracket,
     which runs from just above ``-min(lam)`` (residual diverges) up to
     ``sqrt(d_tilde)`` (residual at most 1 for nonnegative ``lam``).
+    Raises ``FloatingPointError`` for non-finite eigenvalues or a failed
+    upper bracket.
     """
     lam = np.maximum(np.asarray(lam, dtype=float), 0.0)
+    if not np.all(np.isfinite(lam)):
+        raise FloatingPointError("nu root: the cumulative loss has non-finite eigenvalues")
     lam_min = float(lam.min())
 
     def residual(nu):
@@ -38,7 +42,8 @@ def _nu_root(lam, d_tilde):
     hi = float(np.sqrt(d_tilde))
     r_lo = residual(lo)
     r_hi = residual(hi)
-    assert r_hi <= 1e-9, "upper bracket violated for PSD input"
+    if not r_hi <= 1e-9:
+        raise FloatingPointError(f"nu root: upper bracket residual {r_hi:.3e} is not <= 0")
     if r_lo < 0:
         # Only possible within the bracket slack; lo is already the root.
         return lo
@@ -84,12 +89,18 @@ def score_candidate(B_sqrt, B, P_i, eta):
     return float(np.trace(np.linalg.solve(np.eye(k) + eta * T, U)))
 
 
-def _scores(B_sqrt, B, P, eta):
-    """Vectorized :func:`score_candidate` over stacked factors."""
+def _scores(B_sqrt, P, eta):
+    """Vectorized :func:`score_candidate` over stacked factors.
+
+    With ``Y_i = B^{1/2} P_i`` the two small matrices are ``T = P^T Y`` and
+    ``U = Y^T Y = P^T B P``, so every product is a batched GEMM and ``B``
+    itself is never formed.
+    """
     k = P.shape[2]
-    T = np.einsum("iak,ab,ibl->ikl", P, B_sqrt, P)
-    U = np.einsum("iak,ab,ibl->ikl", P, B, P)
-    sol = np.linalg.solve(np.eye(k)[None] + eta * T, U)
+    Y = np.matmul(B_sqrt, P)
+    T = np.matmul(P.transpose(0, 2, 1), Y)
+    U = np.matmul(Y.transpose(0, 2, 1), Y)
+    sol = np.linalg.solve(np.eye(k) + eta * T, U)
     return np.einsum("ikk->i", sol)
 
 
@@ -152,9 +163,8 @@ def select_batch(budget, eta, factors: WhitenedFactors, mask_selected=True):
         A_inv_sqrt = (V * (nu + lam)) @ V.T
         A_sqrt = (V / (nu + lam)) @ V.T
         B_sqrt = inv_psd(A_inv_sqrt + eta * D)
-        B = B_sqrt @ B_sqrt
 
-        scores = _scores(B_sqrt, B, P, eta)
+        scores = _scores(B_sqrt, P, eta)
         tr_gap = float(np.trace(A_sqrt) - np.trace(B_sqrt))
         gain_max[t] = tr_gap + eta * scores.max()
 

@@ -2,18 +2,56 @@
 forward-backward greedy sanity against exhaustive enumeration."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from firal.baselines import (
+    GREEDY_BLOCK,
+    _clamped_trace_objective,
     select_entropy,
     select_greedy_fb,
     select_kmeans,
     select_random,
     select_var_ratios,
 )
-from firal.fisher import f_objective, labeled_shift, pool_hessian, shifted_fishers
+from firal.fisher import (
+    f_objective,
+    labeled_shift,
+    point_fishers,
+    pool_hessian,
+    shifted_fishers,
+)
+
+
+def greedy_fb_reference(X, theta, shift, budget):
+    """Forward-backward greedy scoring one candidate at a time."""
+    Hp0 = pool_hessian(X, theta)
+    F = point_fishers(X, theta)
+
+    def value(A):
+        return _clamped_trace_objective(A[None], Hp0)[0]
+
+    A = np.asarray(shift, dtype=float).copy()
+    in_set = np.zeros(len(X), dtype=bool)
+    for _ in range(2 * budget):
+        best_i, best_val = -1, np.inf
+        for i in np.flatnonzero(~in_set):
+            val = value(A + F[i])
+            if val < best_val:
+                best_i, best_val = i, val
+        in_set[best_i] = True
+        A = A + F[best_i]
+    for _ in range(budget):
+        best_i, best_val = -1, np.inf
+        for i in np.flatnonzero(in_set):
+            val = value(A - F[i])
+            if val < best_val:
+                best_i, best_val = i, val
+        in_set[best_i] = False
+        A = A - F[best_i]
+    return np.flatnonzero(in_set)
 
 
 class TestSelectRandom:
@@ -153,6 +191,31 @@ class TestSelectGreedyFb:
         X, theta, _ = self._instance(12, m=6, d=3)
         with pytest.warns(RuntimeWarning):
             select_greedy_fb(X, theta, np.zeros((3, 3)), 2)
+
+    @pytest.mark.parametrize("rank_deficient", [False, True])
+    def test_blocked_equals_per_candidate_reference(self, rank_deficient):
+        # More than one block, the last one partial.
+        m = GREEDY_BLOCK + GREEDY_BLOCK // 3
+        X, theta, X0 = self._instance(14, m=m, d=3, c=3)
+        b = 3
+        shift = (np.zeros((6, 6)) if rank_deficient
+                 else labeled_shift(X0, theta, b))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            picks = select_greedy_fb(X, theta, shift, b)
+        np.testing.assert_array_equal(picks, greedy_fb_reference(X, theta, shift, b))
+
+    def test_clamp_is_per_matrix(self):
+        # A stacked call must give each matrix the value it gets alone,
+        # even when one matrix in the block is singular.
+        rng = np.random.default_rng(15)
+        R = rng.normal(size=(3, 4, 4))
+        A = R @ R.transpose(0, 2, 1)
+        A[1] = np.outer(R[1, 0], R[1, 0])
+        Hp0 = np.eye(4)
+        stacked = _clamped_trace_objective(A, Hp0)
+        alone = [_clamped_trace_objective(A[i:i + 1], Hp0)[0] for i in range(3)]
+        np.testing.assert_array_equal(stacked, alone)
 
     def test_budget_validation(self):
         X, theta, X0 = self._instance(13, m=6)

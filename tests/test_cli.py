@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from firal import cli
 from firal.cli import (
     CSV_COLUMNS,
     RunConfig,
@@ -140,20 +141,32 @@ class TestLoop:
 class TestTuneEta:
     def test_singleton_grid(self):
         factors = make_factors()
-        assert tune_eta([2.5], factors, 3) == 2.5
+        assert tune_eta([2.5], factors, 3)[0] == 2.5
 
     def test_duplicates_keep_first(self):
         factors = make_factors()
-        assert tune_eta([2.5, 2.5, 2.5], factors, 3) == 2.5
+        assert tune_eta([2.5, 2.5, 2.5], factors, 3)[0] == 2.5
 
     def test_winner_maximizes_min_eigenvalue(self):
         factors = make_factors(seed=1)
         grid = eta_grid(factors.d_tilde)
-        best = tune_eta(grid, factors, 4)
+        best, _, _ = tune_eta(grid, factors, 4)
         _, best_audit = select_batch(4, best, factors)
         for e in grid:
             _, audit = select_batch(4, e, factors)
             assert best_audit.min_eig_cum[-1] >= audit.min_eig_cum[-1] - 1e-12
+
+    @pytest.mark.parametrize("mask", [True, False])
+    def test_returned_selection_equals_fresh_run(self, mask):
+        factors = make_factors(seed=2)
+        eta, picks, audit = tune_eta(eta_grid(factors.d_tilde), factors, 4,
+                                     mask_selected=mask)
+        fresh_picks, fresh = select_batch(4, eta, factors, mask_selected=mask)
+        np.testing.assert_array_equal(picks, fresh_picks)
+        assert audit.eta == fresh.eta
+        for name in ("chosen", "nu", "min_eig_cum", "trace_a_sqrt",
+                     "gain_chosen", "gain_max"):
+            np.testing.assert_array_equal(getattr(audit, name), getattr(fresh, name))
 
 
 class TestEmitResults:
@@ -218,6 +231,23 @@ class TestCliCommands:
 
     def test_missing_file_exit_code(self):
         assert main(["run", "--config", "/nonexistent/x.cfg"]) == 2
+
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, FloatingPointError])
+    def test_numerical_failure_exit_code(self, monkeypatch, capsys, error):
+        def fail(*args, **kwargs):
+            raise error("relaxed aggregate is singular")
+
+        monkeypatch.setattr(cli, "relax_solve", fail)
+        assert main(["run", "--selector", "firal", "--budget", "2", "--rounds", "1",
+                     "--pool-size", "30", "--classes", "2", "--dim", "2"]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_non_finite_dataset_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "pool.csv"
+        path.write_text("x_1,x_2,y\n0.5,1.0,1\n-0.5,inf,2\n1.5,2.0,1\n")
+        assert main(["run", "--data", str(path), "--selector", "random",
+                     "--budget", "1", "--rounds", "1"]) == 2
+        assert "data row 2" in capsys.readouterr().err
 
     def test_module_entry_point(self):
         proc = subprocess.run(

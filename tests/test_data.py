@@ -47,3 +47,15 @@ class TestDatasetRoundTrip:
         path.write_text("x_1,y\n0.5,1.5\n")
         with pytest.raises(ValueError):
             load_dataset(path)
+
+    @pytest.mark.parametrize("text,row", [
+        ("x_1,x_2,y\n0.5,1.0,1\n2.0,3.0,2\n1.0,nan,1\n", 3),
+        ("x_1,x_2,y\n0.5,inf,1\n", 1),
+        ("x_1,x_2\n0.5,1.0\n-inf,2.0\n", 2),
+        ("x_1,y\n0.5,1\n0.7,inf\n", 2),
+    ], ids=["nan", "inf", "matrix", "label"])
+    def test_non_finite_values_rejected_with_row(self, tmp_path, text, row):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"data row {row} "):
+            load_dataset(path)

@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from firal.fisher import (
     f_objective,
@@ -17,6 +19,8 @@ from firal.fisher import (
 from firal.relax import relax_solve
 from firal.sparsify import (
     SelectionAudit,
+    _nu_root,
+    _scores,
     ftrl_action,
     regret_audit,
     score_candidate,
@@ -73,7 +77,31 @@ class TestFtrlAction:
             assert abs(np.trace(A) - 1.0) < 1e-8
 
 
+class TestNuRoot:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_eigenvalue_raises(self, bad):
+        with pytest.raises(FloatingPointError):
+            _nu_root(np.array([0.5, bad, 2.0]), 3)
+
+
 class TestScoreCandidate:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 3),
+        d=st.integers(1, 5),
+        m=st.integers(1, 12),
+        eta=st.floats(0.01, 100.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batched_scores_equal_scalar_oracle(self, k, d, m, eta, seed):
+        rng = np.random.default_rng(seed)
+        dt = k * d
+        B_sqrt = np.linalg.inv(random_psd(rng, dt) + 0.1 * np.eye(dt))
+        B_sqrt = 0.5 * (B_sqrt + B_sqrt.T)
+        P = rng.normal(size=(m, dt, k)) * rng.uniform(0.1, 10.0)
+        expected = [score_candidate(B_sqrt, B_sqrt @ B_sqrt, P[i], eta) for i in range(m)]
+        np.testing.assert_allclose(_scores(B_sqrt, P, eta), expected, rtol=1e-12)
+
     def test_zero_factor(self):
         B_sqrt = np.eye(3)
         assert score_candidate(B_sqrt, B_sqrt @ B_sqrt, np.zeros((3, 2)), 1.0) == 0.0
