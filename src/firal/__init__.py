@@ -10,7 +10,7 @@ Library layout:
 - :mod:`firal.synth` -- synthetic protocols and Monte-Carlo risk
 - :mod:`firal.embed` -- k-NN normalized-Laplacian spectral embedding
 - :mod:`firal.bounds` -- computable quantities from the risk analysis
-- :mod:`firal.cli` -- experiment harness and command line
+- :mod:`firal.cli` -- ``select_firal`` (one round), harness and command line
 """
 
 from .bounds import (

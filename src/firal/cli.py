@@ -18,9 +18,9 @@ import numpy as np
 
 from . import baselines, data, embed, synth
 from .fisher import fir, labeled_shift, pool_hessian, shifted_fishers, sigma_max, whiten_factors
-from .model import class_probabilities, fit_erm
+from .model import accuracy, class_probabilities, fit_erm
 from .relax import relax_solve
-from .sparsify import regret_audit, select_batch
+from .sparsify import AuditReport, regret_audit, select_batch
 
 SELECTORS = ("firal", "random", "kmeans", "entropy", "var_ratios", "greedy_fb")
 
@@ -44,7 +44,6 @@ class RunConfig:
     eta: float | None = None       # fixed FTRL rate; None means grid search
     theory_mode: bool = False
     ridge: float = 1e-6
-    relax_iters: int = 200
     risk_points: int = 50_000
     risk_labels: int = 100
     exact_risk: bool = True
@@ -103,6 +102,40 @@ def tune_eta(etas, factors, budget, mask_selected=True):
         elif best is None:
             best = (e, picks, audit)
     return best
+
+
+@dataclass
+class Diagnostics:
+    """What a FIRAL round reports besides its picks."""
+
+    eta: float                 # the rounding rate used
+    report: AuditReport        # regret-guarantee margins of the rounding
+
+
+def select_firal(X_pool, labeled, candidates, theta, budget, *, eta=None,
+                 repeats=False):
+    """One FIRAL round: labeled shift, pool Hessian, candidate Fishers,
+    relaxation, whitening, then FTRL rounding of ``budget`` picks.
+
+    ``labeled`` and ``candidates`` index ``X_pool`` (labeled rows are
+    summed in ascending order); ``picks`` are ``X_pool`` indices.  With
+    ``repeats`` a candidate may be picked again.  ``eta=None`` tunes the
+    rate over :func:`eta_grid`, or uses ``8 sqrt(d_tilde)`` with repeats.
+    """
+    X_pool = np.asarray(X_pool, dtype=float)
+    candidates = np.asarray(candidates, dtype=int)
+    Xc = X_pool[candidates]
+    shift = labeled_shift(X_pool[np.sort(labeled)], theta, budget)
+    relaxed = relax_solve(budget, pool_hessian(X_pool, theta),
+                          shifted_fishers(Xc, theta, shift))
+    factors = whiten_factors(relaxed.z, Xc, theta, shift)
+    if eta is None and not repeats:
+        eta, local, audit = tune_eta(eta_grid(factors.d_tilde), factors, budget)
+    else:
+        if eta is None:
+            eta = 8.0 * np.sqrt(factors.d_tilde)
+        local, audit = select_batch(budget, eta, factors, mask_selected=not repeats)
+    return candidates[local], Diagnostics(float(eta), regret_audit(audit))
 
 
 @dataclass
@@ -173,11 +206,10 @@ def _stratified_init(y_hidden, n_classes, per_class, rng):
 
 
 def _pool_accuracy(X, theta, theta_star=None, y_true=None):
-    P = class_probabilities(X, theta)
-    pred = np.argmax(P, axis=1)
     if y_true is not None:
-        return float(np.mean(pred + 1 == y_true))
+        return accuracy(X, y_true, theta)
     # Expected accuracy under the true conditional label law.
+    pred = np.argmax(class_probabilities(X, theta), axis=1)
     P_star = class_probabilities(X, theta_star)
     return float(np.mean(P_star[np.arange(len(X)), pred]))
 
@@ -191,33 +223,16 @@ def _spectral_diagnostics(X_pool, X_labeled, theta):
         return float("inf"), float("inf")
 
 
-def _select(config, X_pool, unlabeled, theta, round_budget, select_ss):
-    """Run the configured selector; returns global indices and audit info."""
-    Xu = X_pool[unlabeled]
-    eta_used, margin1, margin2 = float("nan"), float("nan"), float("nan")
-
+def _select(config, X_pool, labeled_idx, theta, round_budget, select_ss):
+    """Run the configured selector; returns global indices and, for
+    ``firal`` only, its :class:`Diagnostics`."""
+    labeled = np.sort(labeled_idx)
+    unlabeled = np.setdiff1d(np.arange(len(X_pool)), labeled)
     if config.selector == "firal":
-        shift = labeled_shift(
-            X_pool[~np.isin(np.arange(len(X_pool)), unlabeled)], theta, round_budget
-        )
-        Hp0 = pool_hessian(X_pool, theta)
-        fishers = shifted_fishers(Xu, theta, shift)
-        relaxed = relax_solve(round_budget, Hp0, fishers, n_iter=config.relax_iters)
-        factors = whiten_factors(relaxed.z, Xu, theta, shift)
-        mask = not config.theory_mode
-        if config.eta is None and not config.theory_mode:
-            eta_used, local, audit = tune_eta(eta_grid(factors.d_tilde), factors,
-                                              round_budget, mask_selected=mask)
-        else:
-            eta_used = (float(config.eta) if config.eta is not None
-                        else 8.0 * np.sqrt(factors.d_tilde))
-            local, audit = select_batch(round_budget, eta_used, factors,
-                                        mask_selected=mask)
-        report = regret_audit(audit)
-        margin1 = report.worst_min_eig
-        if report.worst_trace is not None:
-            margin2 = report.worst_trace
-    elif config.selector == "random":
+        return select_firal(X_pool, labeled, unlabeled, theta, round_budget,
+                            eta=config.eta, repeats=config.theory_mode)
+    Xu = X_pool[unlabeled]
+    if config.selector == "random":
         local = baselines.select_random(Xu, round_budget, select_ss)
     elif config.selector == "kmeans":
         local = baselines.select_kmeans(Xu, round_budget, select_ss)
@@ -226,12 +241,10 @@ def _select(config, X_pool, unlabeled, theta, round_budget, select_ss):
     elif config.selector == "var_ratios":
         local = baselines.select_var_ratios(Xu, theta, round_budget)
     else:  # greedy_fb
-        shift = labeled_shift(
-            X_pool[~np.isin(np.arange(len(X_pool)), unlabeled)], theta, round_budget
-        )
+        shift = labeled_shift(X_pool[labeled], theta, round_budget)
         local = baselines.select_greedy_fb(Xu, theta, shift, round_budget)
 
-    return unlabeled[np.asarray(local, dtype=int)], eta_used, margin1, margin2
+    return unlabeled[np.asarray(local, dtype=int)], None
 
 
 def active_learning_loop(config: RunConfig):
@@ -281,16 +294,17 @@ def active_learning_loop(config: RunConfig):
         picked = ()
 
         if rnd > 0:
-            unlabeled = np.setdiff1d(np.arange(len(X_pool)), labeled_idx)
             try:
-                picks, eta_used, margin1, margin2 = _select(
-                    config, X_pool, unlabeled, theta, round_budget,
-                    select_streams[rnd],
-                )
+                picks, diag = _select(config, X_pool, labeled_idx, theta,
+                                      round_budget, select_streams[rnd])
             except (ValueError, np.linalg.LinAlgError, FloatingPointError) as exc:
                 raise type(exc)(
                     f"selector {config.selector!r} failed in round {rnd}: {exc}"
                 ) from exc
+            if diag is not None:
+                eta_used, margin1 = diag.eta, diag.report.worst_min_eig
+                if diag.report.worst_trace is not None:
+                    margin2 = diag.report.worst_trace
             if oracle is not None:
                 new_y = oracle.query(X_pool[picks], rnd)
             else:
@@ -454,16 +468,12 @@ def _cmd_audit(args):
     theta0 = fit_erm(X[init_idx], hidden[init_idx], args.classes,
                      ridge=1e-6).theta
 
-    shift = labeled_shift(X[init_idx], theta0, args.budget)
-    Hp0 = pool_hessian(X, theta0)
-    fishers = shifted_fishers(X, theta0, shift)
-    relaxed = relax_solve(args.budget, Hp0, fishers, n_iter=200)
-    factors = whiten_factors(relaxed.z, X, theta0, shift)
-    eta = args.eta if args.eta is not None else 8.0 * np.sqrt(factors.d_tilde)
-    _, audit = select_batch(args.budget, eta, factors, mask_selected=False)
-    report = regret_audit(audit)
+    _, diag = select_firal(X, init_idx, np.arange(len(X)), theta0, args.budget,
+                           eta=args.eta, repeats=True)
+    report = diag.report
 
-    print(f"eta={eta:.6g} budget={args.budget} d_tilde={factors.d_tilde}")
+    print(f"eta={diag.eta:.6g} budget={args.budget} "
+          f"d_tilde={args.dim * (args.classes - 1)}")
     print(f"worst_min_eig_margin={report.worst_min_eig:.6e}")
     print(f"worst_trace_margin={report.worst_trace:.6e}")
     ok = report.holds()

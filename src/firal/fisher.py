@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .model import _as_theta, _batch_weight_matrices, class_probabilities
+from .model import _as_theta, _batch_weight_matrices, _mean_fisher, class_probabilities
 
 # Eigenvalues below EIG_FLOOR_REL times the largest are clamped to that
 # floor before inversion; the clamp event is surfaced to callers.
@@ -80,11 +80,7 @@ def pool_hessian(X, theta):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or len(X) < 1:
         raise ValueError("pool must be a nonempty (m, d) array")
-    theta = _as_theta(theta)
-    W = _batch_weight_matrices(class_probabilities(X, theta))
-    k, d = theta.shape
-    H = np.einsum("iab,ip,iq->apbq", W, X, X).reshape(k * d, k * d)
-    H /= len(X)
+    H = _mean_fisher(X, theta)
     return 0.5 * (H + H.T)
 
 
@@ -216,8 +212,7 @@ def whiten_factors(z, X, theta, shift):
     wW, VW = np.linalg.eigh(W)
     Q = VW * np.sqrt(np.maximum(wW, 0.0))[:, None, :]  # (m, k, k)
 
-    F = np.einsum("iab,ip,iq->iapbq", W, X, X).reshape(len(X), dt, dt)
-    sigma = np.einsum("i,ijk->jk", z, F) + z.sum() * shift
+    sigma = np.einsum("i,ijk->jk", z, point_fishers(X, theta)) + z.sum() * shift
     sigma = 0.5 * (sigma + sigma.T)
     S, clamped = inv_sqrt_psd(sigma)
 

@@ -146,20 +146,18 @@ def empirical_gradient(X, y, theta, ridge=0.0):
     return g
 
 
-def empirical_hessian(X, theta, ridge=0.0):
-    """Hessian of :func:`empirical_loss` over vectorized parameters.
+def _mean_fisher(X, theta):
+    """Mean per-point Fisher information ``(1/n) sum_i W_i kron x_i x_i^T``.
 
-    Size ``d(c-1) x d(c-1)``; label independent.
+    This is the Hessian of the unregularized :func:`empirical_loss` over
+    vectorized parameters, size ``d(c-1) x d(c-1)``; label independent.
     """
     theta = _as_theta(theta)
     X = np.asarray(X, dtype=float)
-    P = class_probabilities(X, theta)
-    W = _batch_weight_matrices(P)
+    W = _batch_weight_matrices(class_probabilities(X, theta))
     k, d = theta.shape
     H = np.einsum("iab,ip,iq->apbq", W, X, X).reshape(k * d, k * d)
     H /= len(X)
-    if ridge > 0:
-        H = H + ridge * np.eye(k * d)
     return H
 
 
@@ -212,7 +210,7 @@ def fit_erm(X, y, n_classes, ridge=1e-8, tol=1e-8, max_iter=100):
     for n_iter in range(1, max_iter + 1):
         if gnorm <= tol:
             return FitResult(theta, True, n_iter - 1, gnorm, loss, history)
-        H = empirical_hessian(X, theta, ridge)
+        H = _mean_fisher(X, theta) + ridge * np.eye(k * d)
         step = _newton_step(H, grad.ravel()).reshape(k, d)
 
         # Armijo backtracking; reject any step that fails to decrease.

@@ -63,8 +63,9 @@ def ftrl_action(cum_loss, eta):
     """Compute the action root ``A_t^{-1/2}`` for a cumulative loss.
 
     Eigendecomposes ``eta * cum_loss``, finds the trace-normalizing shift
-    ``nu`` by bisection, and returns ``(A_inv_sqrt, nu)`` where
-    ``A_inv_sqrt = V (nu I + Lambda) V^T``.  All shifted eigenvalues are
+    ``nu`` by bisection, and returns ``(A_inv_sqrt, nu, trace_a_sqrt)``
+    where ``A_inv_sqrt = V (nu I + Lambda) V^T`` and ``trace_a_sqrt =
+    Tr A_t^{1/2} = sum_j 1 / (nu + lam_j)``.  All shifted eigenvalues are
     positive, so the implied action is PD with unit trace.
     """
     cum_loss = np.asarray(cum_loss, dtype=float)
@@ -73,7 +74,7 @@ def ftrl_action(cum_loss, eta):
     lam = np.maximum(lam, 0.0)
     nu = _nu_root(lam, d_tilde)
     A_inv_sqrt = (V * (nu + lam)) @ V.T
-    return 0.5 * (A_inv_sqrt + A_inv_sqrt.T), nu
+    return 0.5 * (A_inv_sqrt + A_inv_sqrt.T), nu, float(np.sum(1.0 / (nu + lam)))
 
 
 def score_candidate(B_sqrt, B, P_i, eta):
@@ -157,15 +158,11 @@ def select_batch(budget, eta, factors: WhitenedFactors, mask_selected=True):
     masked = np.zeros(m, dtype=bool)
 
     for t in range(budget):
-        lam, V = np.linalg.eigh(0.5 * eta * (cum + cum.T))
-        lam = np.maximum(lam, 0.0)
-        nu = _nu_root(lam, dt)
-        A_inv_sqrt = (V * (nu + lam)) @ V.T
-        A_sqrt = (V / (nu + lam)) @ V.T
+        A_inv_sqrt, nu_hist[t], tr_a_sqrt[t] = ftrl_action(cum, eta)
         B_sqrt = inv_psd(A_inv_sqrt + eta * D)
 
         scores = _scores(B_sqrt, P, eta)
-        tr_gap = float(np.trace(A_sqrt) - np.trace(B_sqrt))
+        tr_gap = tr_a_sqrt[t] - float(np.trace(B_sqrt))
         gain_max[t] = tr_gap + eta * scores.max()
 
         cand = scores.copy()
@@ -175,8 +172,6 @@ def select_batch(budget, eta, factors: WhitenedFactors, mask_selected=True):
         chosen[t] = i_t
         masked[i_t] = True
 
-        nu_hist[t] = nu
-        tr_a_sqrt[t] = float(np.trace(A_sqrt))
         gain_chosen[t] = tr_gap + eta * scores[i_t]
 
         cum = cum + D + P[i_t] @ P[i_t].T

@@ -194,7 +194,7 @@ class TestCriterion5WoodburyEquivalence:
             )
             eta = float(rng.uniform(0.5, 20.0))
             cum = _spd(rng, factors.d_tilde, jitter=0.0) * rng.uniform(0.05, 1.0)
-            A_inv_sqrt, _ = ftrl_action(cum, eta)
+            A_inv_sqrt, _, _ = ftrl_action(cum, eta)
             B_sqrt = np.linalg.inv(A_inv_sqrt + eta * factors.shift_w)
             B = B_sqrt @ B_sqrt
             scores = [

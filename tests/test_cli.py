@@ -1,6 +1,8 @@
 """Harness tests: config parsing and validation, loop bookkeeping, rate
 tuning, output format, CLI exit codes, and determinism."""
 
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -16,18 +18,19 @@ from firal.cli import (
     eta_grid,
     load_config,
     main,
+    select_firal,
     tune_eta,
 )
 from firal.data import save_dataset
 from firal.fisher import labeled_shift, pool_hessian, shifted_fishers, whiten_factors
 from firal.relax import relax_solve
-from firal.sparsify import select_batch
+from firal.sparsify import regret_audit, select_batch
 
 
 def small_config(**overrides):
     base = dict(
         seed=3, selector="random", budget=6, rounds=2, classes=2, dim=3,
-        pool_size=80, risk_points=1500, relax_iters=80,
+        pool_size=80, risk_points=1500,
     )
     base.update(overrides)
     return RunConfig(**base)
@@ -169,6 +172,64 @@ class TestTuneEta:
             np.testing.assert_array_equal(getattr(audit, name), getattr(fresh, name))
 
 
+def firal_problem(seed=4, m=30, c=3, d=2):
+    """A small pool, parameters, and a labeled set given out of order."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(m, d)) * 2.0
+    theta = rng.normal(size=(c - 1, d))
+    labeled = np.array([17, 3, 25, 9, 0])
+    return X, theta, labeled
+
+
+def hand_chain(X, labeled, candidates, theta, budget, eta, repeats):
+    """The FIRAL round composed by hand from the layer functions."""
+    shift = labeled_shift(X[np.sort(labeled)], theta, budget)
+    Xc = X[candidates]
+    relaxed = relax_solve(budget, pool_hessian(X, theta),
+                          shifted_fishers(Xc, theta, shift))
+    factors = whiten_factors(relaxed.z, Xc, theta, shift)
+    if eta is None and not repeats:
+        eta, local, audit = tune_eta(eta_grid(factors.d_tilde), factors, budget)
+    else:
+        eta = 8.0 * np.sqrt(factors.d_tilde) if eta is None else eta
+        local, audit = select_batch(budget, eta, factors, mask_selected=not repeats)
+    return candidates[local], eta, regret_audit(audit)
+
+
+class TestSelectFiral:
+    @pytest.mark.parametrize("case", ["tuned_masked", "fixed_eta_repeats", "whole_pool"])
+    def test_equals_hand_composed_chain(self, case):
+        X, theta, labeled = firal_problem()
+        unlabeled = np.setdiff1d(np.arange(len(X)), labeled)
+        candidates, eta, repeats, budget = {
+            "tuned_masked": (unlabeled, None, False, 4),
+            "fixed_eta_repeats": (unlabeled, 3.0, True, 6),
+            "whole_pool": (np.arange(len(X)), None, True, 8),
+        }[case]
+        picks, diag = select_firal(X, labeled, candidates, theta, budget,
+                                   eta=eta, repeats=repeats)
+        want_picks, want_eta, want = hand_chain(X, labeled, candidates, theta,
+                                                budget, eta, repeats)
+        np.testing.assert_array_equal(picks, want_picks)
+        assert diag.eta == want_eta
+        np.testing.assert_array_equal(diag.report.margin_min_eig, want.margin_min_eig)
+        if repeats:
+            np.testing.assert_array_equal(diag.report.margin_trace, want.margin_trace)
+        else:
+            assert diag.report.margin_trace is None
+            assert not set(picks.tolist()) & set(labeled.tolist())
+
+    def test_labeled_order_does_not_matter(self):
+        X, theta, labeled = firal_problem(seed=5)
+        unlabeled = np.setdiff1d(np.arange(len(X)), labeled)
+        picks, diag = select_firal(X, labeled, unlabeled, theta, 4)
+        sorted_picks, sorted_diag = select_firal(X, np.sort(labeled), unlabeled, theta, 4)
+        np.testing.assert_array_equal(picks, sorted_picks)
+        assert diag.eta == sorted_diag.eta
+        np.testing.assert_array_equal(diag.report.margin_min_eig,
+                                      sorted_diag.report.margin_min_eig)
+
+
 class TestEmitResults:
     def test_column_order_and_precision(self, tmp_path):
         recs = active_learning_loop(small_config(budget=4, rounds=1,
@@ -250,11 +311,14 @@ class TestCliCommands:
         assert "data row 2" in capsys.readouterr().err
 
     def test_module_entry_point(self):
+        # The subprocess imports the same firal as this test, installed or not.
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "firal", "run", "--seed", "1",
              "--selector", "random", "--budget", "2", "--rounds", "1",
              "--pool-size", "30", "--classes", "2", "--dim", "2"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         assert "round=1" in proc.stdout

@@ -53,14 +53,14 @@ def dense_trace_objective(A_inv_sqrt, candidate, eta):
 
 class TestFtrlAction:
     def test_zero_history(self):
-        A_inv_sqrt, nu = ftrl_action(np.zeros((3, 3)), eta=2.0)
+        A_inv_sqrt, nu, _ = ftrl_action(np.zeros((3, 3)), eta=2.0)
         assert nu == pytest.approx(np.sqrt(3), abs=1e-12)
         np.testing.assert_allclose(A_inv_sqrt, np.sqrt(3) * np.eye(3), atol=1e-12)
 
     def test_scalar_root(self):
         # One dimension, eigenvalue 2, rate 1: (nu + 2)^{-2} = 1 with
         # nu + 2 > 0 forces nu = -1.
-        A_inv_sqrt, nu = ftrl_action(np.array([[2.0]]), eta=1.0)
+        A_inv_sqrt, nu, _ = ftrl_action(np.array([[2.0]]), eta=1.0)
         assert nu == pytest.approx(-1.0, abs=1e-12)
         assert A_inv_sqrt[0, 0] == pytest.approx(1.0, abs=1e-12)
 
@@ -69,12 +69,14 @@ class TestFtrlAction:
         for _ in range(10):
             cum = random_psd(rng, 3)
             eta = float(rng.uniform(0.5, 10.0))
-            A_inv_sqrt, nu = ftrl_action(cum, eta)
+            A_inv_sqrt, nu, trace_a_sqrt = ftrl_action(cum, eta)
             lam = np.linalg.eigvalsh(eta * cum)
             assert abs(np.sum((nu + lam) ** -2) - 1.0) < 1e-12
             assert np.all(nu + lam > 0)
             A = np.linalg.inv(A_inv_sqrt @ A_inv_sqrt)
             assert abs(np.trace(A) - 1.0) < 1e-8
+            assert trace_a_sqrt == pytest.approx(np.trace(np.linalg.inv(A_inv_sqrt)),
+                                                 rel=1e-12)
 
 
 class TestNuRoot:
@@ -117,7 +119,7 @@ class TestScoreCandidate:
             factors, _, _, _ = make_factors(seed + 300, c=c, d=d, m=m)
             eta = float(rng.uniform(0.5, 20.0))
             cum = random_psd(rng, factors.d_tilde) * rng.uniform(0.1, 2.0)
-            A_inv_sqrt, _ = ftrl_action(cum, eta)
+            A_inv_sqrt, _, _ = ftrl_action(cum, eta)
             B_sqrt = np.linalg.inv(A_inv_sqrt + eta * factors.shift_w)
             B = B_sqrt @ B_sqrt
 
@@ -135,7 +137,7 @@ class TestScoreCandidate:
         factors, _, _, _ = make_factors(17, c=2, d=3, m=6)
         assert factors.factors.shape[2] == 1
         eta = 4.0
-        A_inv_sqrt, _ = ftrl_action(np.zeros((factors.d_tilde,) * 2), eta)
+        A_inv_sqrt, _, _ = ftrl_action(np.zeros((factors.d_tilde,) * 2), eta)
         B_sqrt = np.linalg.inv(A_inv_sqrt + eta * factors.shift_w)
         B = B_sqrt @ B_sqrt
         for i in range(6):
