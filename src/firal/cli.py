@@ -71,6 +71,10 @@ class RunConfig:
 
 
 DEFAULT_ETA_GRID_POWERS = range(-2, 6)
+# Two rates that pick the same set in a different order score equally in
+# exact arithmetic, so a later rate must beat the best score by more than
+# this relative margin; otherwise summation order would choose the rate.
+ETA_TIE_REL = 1e-12
 
 
 def eta_grid(d_tilde):
@@ -81,7 +85,8 @@ def eta_grid(d_tilde):
 def tune_eta(etas, factors, budget, mask_selected=True):
     """Pick the rate whose selection maximizes the smallest eigenvalue of
     the summed whitened picks.  Duplicate grid entries keep the first
-    occurrence; ties keep the earlier grid position.
+    occurrence; ties, scores within a relative :data:`ETA_TIE_REL`, keep
+    the earlier grid position.
 
     Returns ``(eta, picks, audit)``, the winning rate with the
     :func:`select_batch` result it was scored on.
@@ -93,14 +98,12 @@ def tune_eta(etas, factors, budget, mask_selected=True):
             grid.append(float(e))
     if not grid:
         raise ValueError("eta grid must be nonempty")
-    best, best_val = None, -np.inf
+    best = best_val = None
     for e in grid:
         picks, audit = select_batch(budget, e, factors, mask_selected=mask_selected)
         val = audit.min_eig_cum[-1]
-        if val > best_val:
+        if best is None or val > best_val + ETA_TIE_REL * abs(best_val):
             best, best_val = (e, picks, audit), val
-        elif best is None:
-            best = (e, picks, audit)
     return best
 
 

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -170,6 +171,19 @@ class TestTuneEta:
         for name in ("chosen", "nu", "min_eig_cum", "trace_a_sqrt",
                      "gain_chosen", "gain_max"):
             np.testing.assert_array_equal(getattr(audit, name), getattr(fresh, name))
+
+    @pytest.mark.parametrize("rel, winner", [(1e-15, 1.0), (1e-9, 2.0)])
+    def test_near_tie_keeps_earlier_rate(self, monkeypatch, rel, winner):
+        v = 0.37
+        scores = {1.0: v, 2.0: v * (1 + rel)}
+
+        def scored(budget, eta, factors, mask_selected=True):
+            return np.array([int(eta)]), SimpleNamespace(min_eig_cum=np.array([scores[eta]]))
+
+        monkeypatch.setattr(cli, "select_batch", scored)
+        eta, picks, _ = tune_eta([1.0, 2.0], None, 1)
+        assert eta == winner
+        assert picks.tolist() == [int(winner)]
 
 
 def firal_problem(seed=4, m=30, c=3, d=2):
