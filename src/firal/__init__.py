@@ -33,6 +33,7 @@ from .fisher import (
 )
 from .model import (
     FitResult,
+    KronFishers,
     fit_erm,
     loss_gradient,
     nll_loss,
@@ -60,6 +61,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DesignSpec",
     "FitResult",
+    "KronFishers",
     "RelaxResult",
     "SelectionAudit",
     "f_objective",

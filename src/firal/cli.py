@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import baselines, data, embed, synth
-from .fisher import fir, labeled_shift, pool_hessian, shifted_fishers, sigma_max, whiten_factors
-from .model import accuracy, class_probabilities, fit_erm
+from .fisher import fir, labeled_shift, pool_hessian, sigma_max, whiten_factors
+from .model import KronFishers, accuracy, class_probabilities, fit_erm
 from .relax import relax_solve
 from .sparsify import AuditReport, regret_audit, select_batch
 
@@ -71,9 +71,8 @@ class RunConfig:
 
 
 DEFAULT_ETA_GRID_POWERS = range(-2, 6)
-# Two rates that pick the same set in a different order score equally in
-# exact arithmetic, so a later rate must beat the best score by more than
-# this relative margin; otherwise summation order would choose the rate.
+# Rates that pick one set in different orders score equally in exact
+# arithmetic; a later rate must win by this relative margin, not by rounding.
 ETA_TIE_REL = 1e-12
 
 
@@ -127,11 +126,10 @@ def select_firal(X_pool, labeled, candidates, theta, budget, *, eta=None,
     """
     X_pool = np.asarray(X_pool, dtype=float)
     candidates = np.asarray(candidates, dtype=int)
-    Xc = X_pool[candidates]
     shift = labeled_shift(X_pool[np.sort(labeled)], theta, budget)
-    relaxed = relax_solve(budget, pool_hessian(X_pool, theta),
-                          shifted_fishers(Xc, theta, shift))
-    factors = whiten_factors(relaxed.z, Xc, theta, shift)
+    fishers = KronFishers.at(X_pool[candidates], theta, shift)
+    relaxed = relax_solve(budget, pool_hessian(X_pool, theta), fishers)
+    factors = whiten_factors(relaxed.z, fishers)
     if eta is None and not repeats:
         eta, local, audit = tune_eta(eta_grid(factors.d_tilde), factors, budget)
     else:

@@ -1,8 +1,9 @@
 """Fisher information aggregation and the inverse-trace design objective.
 
 All matrices here live in the vectorized parameter space of dimension
-``d_tilde = d(c-1)``.  Dense forms are used throughout; pools in scope are
-a few thousand points and ``d_tilde`` stays well below a few hundred.
+``d_tilde = d(c-1)``.  The selection round reads the candidates through
+:class:`~firal.model.KronFishers`; the dense stacks here are oracles for
+tests and for ``greedy_fb``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .model import _as_theta, _batch_weight_matrices, _mean_fisher, class_probabilities
+from .model import KronFishers, _as_theta, point_fisher
 
 # Eigenvalues below EIG_FLOOR_REL times the largest are clamped to that
 # floor before inversion; the clamp event is surfaced to callers.
@@ -66,13 +67,8 @@ def inv_psd(A):
 
 def point_fishers(X, theta):
     """Stack of per-point Fisher matrices, shape ``(m, d_tilde, d_tilde)``."""
-    theta = _as_theta(theta)
-    X = np.asarray(X, dtype=float)
-    W = _batch_weight_matrices(class_probabilities(X, theta))
-    k, d = theta.shape
-    m = len(X)
-    F = np.einsum("iab,ip,iq->iapbq", W, X, X).reshape(m, k * d, k * d)
-    return F
+    f = KronFishers.at(X, theta)
+    return np.einsum("iab,ip,iq->iapbq", f.W, f.X, f.X).reshape(f.shape)
 
 
 def pool_hessian(X, theta):
@@ -80,8 +76,7 @@ def pool_hessian(X, theta):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or len(X) < 1:
         raise ValueError("pool must be a nonempty (m, d) array")
-    H = _mean_fisher(X, theta)
-    return 0.5 * (H + H.T)
+    return KronFishers.at(X, theta).aggregate(np.full(len(X), 1.0 / len(X)))
 
 
 def labeled_shift(X0, theta, budget):
@@ -90,17 +85,12 @@ def labeled_shift(X0, theta, budget):
     An empty labeled set yields the zero matrix.
     """
     theta = _as_theta(theta)
-    k, d = theta.shape
-    X0 = np.asarray(X0, dtype=float).reshape(-1, d)
-    if len(X0) == 0:
-        return np.zeros((k * d, k * d))
-    return pool_hessian(X0, theta) * (len(X0) / float(budget))
+    X0 = np.asarray(X0, dtype=float).reshape(-1, theta.shape[1])
+    return KronFishers.at(X0, theta).aggregate(np.full(len(X0), 1.0 / budget))
 
 
 def shifted_fisher(x, theta, shift):
     """Candidate information matrix: per-point Fisher plus the shared shift."""
-    from .model import point_fisher
-
     F = point_fisher(x, theta)
     shift = np.asarray(shift, dtype=float)
     if shift.shape != F.shape:
@@ -168,9 +158,7 @@ class WhitenedFactors:
 
     shift_w: np.ndarray        # (d_tilde, d_tilde) shared PSD part
     factors: np.ndarray        # (m, d_tilde, c-1) tall per-point factors
-    sigma: np.ndarray          # aggregate sum_i z_i H(x_i)
     inv_sqrt_sigma: np.ndarray
-    weights: np.ndarray        # the whitening weights z
     identity_residual: float
     clamped: bool
 
@@ -178,57 +166,35 @@ class WhitenedFactors:
     def d_tilde(self):
         return self.shift_w.shape[0]
 
-    @property
-    def n_candidates(self):
-        return self.factors.shape[0]
-
     def candidate(self, i):
         """Dense whitened candidate matrix for index ``i``."""
         P = self.factors[i]
         return self.shift_w + P @ P.T
 
 
-def whiten_factors(z, X, theta, shift):
+def whiten_factors(z, fishers):
     """Whiten the candidate matrices by the weighted aggregate.
 
-    Given weights ``z`` (summing to the budget), forms
-    ``sigma = sum_i z_i (F_i + shift)`` and returns the shared shift and
-    per-point tall factors conjugated by ``sigma^{-1/2}``.  The per-point
-    factor is ``sigma^{-1/2} (Q_i kron x_i)`` where ``Q_i Q_i^T``
-    reproduces the ``(c-1, c-1)`` curvature factor at ``x_i``.
+    Given weights ``z`` (summing to the budget) and the candidates as a
+    :class:`~firal.model.KronFishers`, forms ``sigma = sum_i z_i F_i`` and
+    returns the shared shift and per-point tall factors ``Q_i kron x_i``
+    conjugated by ``sigma^{-1/2}``.
     """
-    theta = _as_theta(theta)
-    X = np.asarray(X, dtype=float)
     z = np.asarray(z, dtype=float)
-    if z.shape != (len(X),):
+    if z.shape != fishers.shape[:1]:
         raise ValueError("one weight per pool point required")
-    k, d = theta.shape
-    dt = k * d
-    shift = np.asarray(shift, dtype=float)
-    if shift.shape != (dt, dt):
-        raise ValueError(f"shift must be ({dt}, {dt})")
-
-    W = _batch_weight_matrices(class_probabilities(X, theta))
-    wW, VW = np.linalg.eigh(W)
-    Q = VW * np.sqrt(np.maximum(wW, 0.0))[:, None, :]  # (m, k, k)
-
-    sigma = np.einsum("i,ijk->jk", z, point_fishers(X, theta)) + z.sum() * shift
-    sigma = 0.5 * (sigma + sigma.T)
+    sigma = fishers.aggregate(z)
     S, clamped = inv_sqrt_psd(sigma)
 
-    shift_w = S @ shift @ S
+    shift_w = S @ fishers.shift @ S
     shift_w = 0.5 * (shift_w + shift_w.T)
-    # (Q_i kron x_i) has rows indexed class-major to match theta.ravel().
-    raw = np.einsum("iab,ip->iapb", Q, X).reshape(len(X), dt, k)
-    factors = np.einsum("st,itk->isk", S, raw)
+    factors = np.einsum("st,itk->isk", S, fishers.factors())
 
-    resid = float(np.abs(S @ sigma @ S - np.eye(dt)).max())
+    resid = float(np.abs(S @ sigma @ S - np.eye(len(S))).max())
     return WhitenedFactors(
         shift_w=shift_w,
         factors=factors,
-        sigma=sigma,
         inv_sqrt_sigma=S,
-        weights=z,
         identity_residual=resid,
         clamped=clamped,
     )

@@ -95,30 +95,14 @@ def loss_gradient(x, y, theta):
     return np.outer(beta, x)
 
 
-def point_weight_matrix(x, theta):
-    """The ``(c-1, c-1)`` curvature factor ``diag(h) - h h^T`` at ``x``."""
-    h = predict_proba(x, theta)[:-1]
-    return np.diag(h) - np.outer(h, h)
-
-
 def point_fisher(x, theta):
     """Per-point Fisher information, a PSD matrix of size ``d(c-1)``.
 
     Equals ``(diag(h) - h h^T) kron (x x^T)``; independent of any label.
     """
     x = np.asarray(x, dtype=float)
-    w = point_weight_matrix(x, theta)
-    return np.kron(w, np.outer(x, x))
-
-
-def _batch_weight_matrices(P):
-    """``diag(h) - h h^T`` for every row of a probability matrix ``P``."""
-    h = P[:, :-1]
-    k = h.shape[1]
-    W = -np.einsum("ia,ib->iab", h, h)
-    idx = np.arange(k)
-    W[:, idx, idx] += h
-    return W
+    h = predict_proba(x, theta)[:-1]
+    return np.kron(np.diag(h) - np.outer(h, h), np.outer(x, x))
 
 
 def empirical_loss(X, y, theta, ridge=0.0):
@@ -146,19 +130,63 @@ def empirical_gradient(X, y, theta, ridge=0.0):
     return g
 
 
-def _mean_fisher(X, theta):
-    """Mean per-point Fisher information ``(1/n) sum_i W_i kron x_i x_i^T``.
-
-    This is the Hessian of the unregularized :func:`empirical_loss` over
-    vectorized parameters, size ``d(c-1) x d(c-1)``; label independent.
+@dataclass(frozen=True)
+class KronFishers:
+    """Per-point information ``F_i = W_i kron x_i x_i^T + shift`` held as
+    ``X (m, d)``, ``W (m, c-1, c-1)`` and ``shift (d_tilde, d_tilde)``,
+    without building the ``(m, d_tilde, d_tilde)`` stack.
     """
-    theta = _as_theta(theta)
-    X = np.asarray(X, dtype=float)
-    W = _batch_weight_matrices(class_probabilities(X, theta))
-    k, d = theta.shape
-    H = np.einsum("iab,ip,iq->apbq", W, X, X).reshape(k * d, k * d)
-    H /= len(X)
-    return H
+
+    X: np.ndarray
+    W: np.ndarray
+    shift: np.ndarray
+
+    @classmethod
+    def at(cls, X, theta, shift=None):
+        """``W_i = diag(h_i) - h_i h_i^T`` at ``theta``; zero shift by default."""
+        dt = np.size(theta)
+        h = class_probabilities(X, theta)[:, :-1, None]
+        W = h * np.eye(h.shape[1]) - h * h.transpose(0, 2, 1)
+        shift = np.zeros((dt, dt)) if shift is None else np.asarray(shift, dtype=float)
+        if shift.shape != (dt, dt):
+            raise ValueError(f"shift shape {shift.shape} != fisher shape {(dt, dt)}")
+        return cls(np.asarray(X, dtype=float), W, shift)
+
+    @property
+    def shape(self):
+        """``(m, d_tilde, d_tilde)``, the shape of the dense stack."""
+        return (len(self.X),) + self.shift.shape
+
+    def aggregate(self, z):
+        """``sum_i z_i F_i``, exactly symmetric, from one ``(d, d)`` GEMM
+        per pair of classes."""
+        z = np.asarray(z, dtype=float)
+        (_, k, _), d = self.W.shape, self.X.shape[1]
+        H = np.empty((k, d, k, d))
+        for a in range(k):
+            for b in range(a, k):
+                # W is symmetric, so block (b, a) equals block (a, b).
+                H[a, :, b, :] = H[b, :, a, :] = (self.X.T * (z * self.W[:, a, b])) @ self.X
+        H = H.reshape(self.shift.shape) + z.sum() * self.shift
+        return 0.5 * (H + H.T)
+
+    def inner(self, M):
+        """``<F_i, M>`` for every ``i``: one ``X @ M`` GEMM, then a
+        contraction over ``(m, c-1, c-1)``."""
+        (m, k, _), d = self.W.shape, self.X.shape[1]
+        # Y[i, a, b, q] = sum_p x_ip M[(a, p), (b, q)]
+        M4 = np.asarray(M, dtype=float).reshape(k, d, k, d)
+        Y = (self.X @ M4.transpose(1, 0, 2, 3).reshape(d, -1)).reshape(m, k, k, d)
+        T = np.einsum("iabq,iq->iab", Y, self.X)
+        return np.einsum("iab,iab->i", self.W, T) + np.sum(self.shift * M)
+
+    def factors(self):
+        """Tall ``G_i = Q_i kron x_i``, ``(m, d_tilde, c-1)``, with
+        ``G_i G_i^T = W_i kron x_i x_i^T`` (no shift)."""
+        wW, VW = np.linalg.eigh(self.W)
+        Q = VW * np.sqrt(np.maximum(wW, 0.0))[:, None, :]
+        # Rows are indexed class-major to match theta.ravel().
+        return np.einsum("iab,ip->iapb", Q, self.X).reshape(self.shape[:2] + Q.shape[2:])
 
 
 @dataclass
@@ -210,8 +238,8 @@ def fit_erm(X, y, n_classes, ridge=1e-8, tol=1e-8, max_iter=100):
     for n_iter in range(1, max_iter + 1):
         if gnorm <= tol:
             return FitResult(theta, True, n_iter - 1, gnorm, loss, history)
-        H = _mean_fisher(X, theta) + ridge * np.eye(k * d)
-        step = _newton_step(H, grad.ravel()).reshape(k, d)
+        H = KronFishers.at(X, theta).aggregate(np.full(len(X), 1 / len(X)))
+        step = _newton_step(H + ridge * np.eye(k * d), grad.ravel()).reshape(k, d)
 
         # Armijo backtracking; reject any step that fails to decrease.
         slope = float(np.sum(grad * step))

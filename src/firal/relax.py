@@ -15,6 +15,10 @@ import numpy as np
 import scipy.linalg
 
 KAPPA_FLOOR = 1e-300
+STEP_SCALE = 1.0   # multiplier of the mirror-descent step size
+# A stall window that improves the best objective by no more than this
+# fraction of it ends the solve.
+STALL_TOL = 1e-7
 
 
 def _sigma_parts(kappa, fishers, Hp0):
@@ -24,8 +28,7 @@ def _sigma_parts(kappa, fishers, Hp0):
     positive definite; the Cholesky factorization itself is the
     singularity test.
     """
-    sigma = np.einsum("i,ijk->jk", kappa, fishers)
-    sigma = 0.5 * (sigma + sigma.T)
+    sigma = fishers.aggregate(kappa)
     try:
         c, low = scipy.linalg.cho_factor(sigma)
     except scipy.linalg.LinAlgError:
@@ -42,10 +45,8 @@ def relax_gradient(kappa, fishers, Hp0):
 
     Entry ``i`` equals ``-<H_i, sigma^{-1} Hp0 sigma^{-1}>``.
     """
-    kappa = np.asarray(kappa, dtype=float)
-    fishers = np.asarray(fishers, dtype=float)
     _, M = _sigma_parts(kappa, fishers, Hp0)
-    return -np.einsum("ijk,jk->i", fishers, M)
+    return -fishers.inner(M)
 
 
 @dataclass
@@ -62,21 +63,19 @@ class RelaxResult:
     objective_history: list  # f at each simplex iterate, unscaled by budget
 
 
-def relax_solve(budget, Hp0, fishers, n_iter=200, step_scale=1.0,
-                stall_tol=1e-7, stall_window=20):
+def relax_solve(budget, Hp0, fishers, n_iter=200, stall_window=20):
     """Minimize the relaxed design objective by entropic mirror descent.
 
     Starts from the uniform simplex point and applies the multiplicative
     update ``kappa_i <- kappa_i * exp(-beta_t g_i)`` with step size
-    ``beta_t = step_scale * sqrt(log m / t) / L_t``, where ``L_t`` is the
+    ``beta_t = STEP_SCALE * sqrt(log m / t) / L_t``, where ``L_t`` is the
     sup-norm of the centered gradient (only deviations from the mean move
     a renormalized simplex point, and this keeps the exponent bounded in
-    saturated regimes where raw gradients reach 1e10).  Returns the best
-    iterate encountered, scaled by the budget.
+    saturated regimes where raw gradients reach 1e10).  ``fishers`` is a
+    :class:`~firal.model.KronFishers`; returns the best iterate, scaled by the budget.
     """
-    fishers = np.asarray(fishers, dtype=float)
     Hp0 = np.asarray(Hp0, dtype=float)
-    m = len(fishers)
+    m = fishers.shape[0]
     if m < 1:
         raise ValueError("need at least one candidate")
     if budget <= 0:
@@ -103,15 +102,15 @@ def relax_solve(budget, Hp0, fishers, n_iter=200, step_scale=1.0,
 
         # Stall check on the best objective over a trailing window.
         if t % stall_window == 0:
-            if last_improvement_f - best_f <= stall_tol * max(abs(best_f), 1.0):
+            if last_improvement_f - best_f <= STALL_TOL * max(abs(best_f), 1.0):
                 break
             last_improvement_f = best_f
 
-        g = -np.einsum("ijk,jk->i", fishers, M)
+        g = -fishers.inner(M)
         if not np.all(np.isfinite(g)):
             raise FloatingPointError("non-finite mirror descent gradient")
         grad_scale = max(float(np.abs(g - g.mean()).max()), 1e-300)
-        beta = step_scale * np.sqrt(log_m / t) / grad_scale
+        beta = STEP_SCALE * np.sqrt(log_m / t) / grad_scale
         # Shifting the gradient is free after renormalization and keeps
         # the exponentials bounded.
         kappa = kappa * np.exp(-beta * (g - g.min()))

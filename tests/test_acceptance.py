@@ -22,7 +22,7 @@ from firal.fisher import (
     shifted_fishers,
     whiten_factors,
 )
-from firal.model import loss_gradient, nll_loss, point_fisher, predict_proba
+from firal.model import KronFishers, loss_gradient, nll_loss, point_fisher, predict_proba
 from firal.relax import relax_solve
 from firal.sparsify import ftrl_action, regret_audit, score_candidate, select_batch
 from firal.synth import gaussian_design, risk_ratio_sweep, sample_pool
@@ -47,8 +47,9 @@ def _pipeline_factors(seed, c, d, m, budget, scale=2.0, relax_iters=300):
     shift = labeled_shift(X0, theta, budget)
     Hp0 = pool_hessian(X, theta)
     fishers = shifted_fishers(X, theta, shift)
-    relaxed = relax_solve(budget, Hp0, fishers, n_iter=relax_iters)
-    return whiten_factors(relaxed.z, X, theta, shift), fishers, Hp0, relaxed
+    kron = KronFishers.at(X, theta, shift)
+    relaxed = relax_solve(budget, Hp0, kron, n_iter=relax_iters)
+    return whiten_factors(relaxed.z, kron), fishers, Hp0, relaxed
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +175,8 @@ class TestCriterion4RelaxationLowerBound:
                 f_objective(np.array(s, dtype=int), fishers, Hp0)
                 for s in itertools.combinations(range(m), b)
             )
-            res = relax_solve(b, Hp0, fishers, n_iter=2000, stall_window=10**9)
+            kron = KronFishers(np.ones((m, 1)), fishers, np.zeros((dt, dt)))
+            res = relax_solve(b, Hp0, kron, n_iter=2000, stall_window=10**9)
             worst = max(worst, res.objective - f_star)
         _report(4, "relaxation lower bound", worst <= 1e-6,
                 f"worst gap over 20 instances {worst:.3e}")

@@ -23,7 +23,8 @@ from firal.cli import (
     tune_eta,
 )
 from firal.data import save_dataset
-from firal.fisher import labeled_shift, pool_hessian, shifted_fishers, whiten_factors
+from firal.fisher import labeled_shift, pool_hessian, whiten_factors
+from firal.model import KronFishers
 from firal.relax import relax_solve
 from firal.sparsify import regret_audit, select_batch
 
@@ -43,9 +44,9 @@ def make_factors(seed=0, m=10, budget=4):
     X = rng.normal(size=(m, 2)) * 2
     X0 = rng.normal(size=(3, 2)) * 2
     shift = labeled_shift(X0, theta, budget)
-    relaxed = relax_solve(budget, pool_hessian(X, theta),
-                          shifted_fishers(X, theta, shift), n_iter=150)
-    return whiten_factors(relaxed.z, X, theta, shift)
+    fishers = KronFishers.at(X, theta, shift)
+    relaxed = relax_solve(budget, pool_hessian(X, theta), fishers, n_iter=150)
+    return whiten_factors(relaxed.z, fishers)
 
 
 class TestConfig:
@@ -198,10 +199,9 @@ def firal_problem(seed=4, m=30, c=3, d=2):
 def hand_chain(X, labeled, candidates, theta, budget, eta, repeats):
     """The FIRAL round composed by hand from the layer functions."""
     shift = labeled_shift(X[np.sort(labeled)], theta, budget)
-    Xc = X[candidates]
-    relaxed = relax_solve(budget, pool_hessian(X, theta),
-                          shifted_fishers(Xc, theta, shift))
-    factors = whiten_factors(relaxed.z, Xc, theta, shift)
+    fishers = KronFishers.at(X[candidates], theta, shift)
+    relaxed = relax_solve(budget, pool_hessian(X, theta), fishers)
+    factors = whiten_factors(relaxed.z, fishers)
     if eta is None and not repeats:
         eta, local, audit = tune_eta(eta_grid(factors.d_tilde), factors, budget)
     else:

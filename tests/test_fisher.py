@@ -5,6 +5,8 @@ inequalities used by the selection analysis."""
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from firal.fisher import (
     eigh_clamped,
@@ -19,7 +21,7 @@ from firal.fisher import (
     sigma_max,
     whiten_factors,
 )
-from firal.model import point_fisher
+from firal.model import KronFishers, point_fisher
 
 
 def random_spd(rng, n, jitter=0.1):
@@ -98,6 +100,82 @@ class TestShiftedFisher:
         stacked = shifted_fishers(X, theta, shift)
         for i, x in enumerate(X):
             np.testing.assert_allclose(stacked[i], shifted_fisher(x, theta, shift))
+
+
+def kron_instance(seed, c, m=7, d=3, empty=False):
+    """Candidates with two rows pushed to logits of magnitude 700, and a
+    nonzero shift."""
+    rng = np.random.default_rng(seed)
+    theta = rng.normal(size=(c - 1, d))
+    X = rng.normal(size=(0 if empty else m, d))
+    for i, sign in zip(range(min(2, len(X))), (1.0, -1.0)):
+        logits = theta @ X[i]
+        X[i] *= 700.0 / logits[np.argmax(sign * logits)]
+    shift = random_psd(rng, (c - 1) * d)
+    return X, theta, shift
+
+
+def near(got, want):
+    """Relative 1e-12 of the largest reference entry, so that entries
+    that cancel to near zero are compared on the reference's scale."""
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(initial=1.0))
+
+
+class TestKronFishers:
+    @pytest.mark.parametrize("c", [2, 3, 5])
+    def test_aggregate_and_inner_match_dense_stack(self, c):
+        X, theta, shift = kron_instance(30 + c, c)
+        kf = KronFishers.at(X, theta, shift)
+        dense = shifted_fishers(X, theta, shift)
+        assert kf.shape == dense.shape
+        z = np.random.default_rng(c).random(len(X))
+        near(kf.aggregate(z), np.einsum("i,ijk->jk", z, dense))
+        M = random_psd(np.random.default_rng(c + 1), kf.shape[1])
+        near(kf.inner(M), np.einsum("ijk,jk->i", dense, M))
+
+    @pytest.mark.parametrize("c", [2, 3, 5])
+    def test_factors_reproduce_point_fisher(self, c):
+        X, theta, shift = kron_instance(40 + c, c)
+        G = KronFishers.at(X, theta, shift).factors()
+        assert G.shape == (len(X), (c - 1) * X.shape[1], c - 1)
+        for i, x in enumerate(X):
+            near(G[i] @ G[i].T, point_fisher(x, theta))
+
+    def test_empty_candidate_set(self):
+        X, theta, shift = kron_instance(50, 3, empty=True)
+        kf = KronFishers.at(X, theta, shift)
+        dt = shift.shape[0]
+        assert kf.shape == (0, dt, dt)
+        np.testing.assert_array_equal(kf.aggregate(np.zeros(0)), np.zeros((dt, dt)))
+        assert kf.inner(np.eye(dt)).shape == (0,)
+        assert kf.factors().shape == (0, dt, 2)
+
+    def test_default_shift_is_zero(self):
+        X, theta, _ = kron_instance(51, 3)
+        near(KronFishers.at(X, theta).aggregate(np.ones(len(X))),
+             point_fishers(X, theta).sum(axis=0))
+
+    def test_rejects_misshaped_shift(self):
+        X, theta, _ = kron_instance(52, 3)
+        with pytest.raises(ValueError):
+            KronFishers.at(X, theta, np.eye(3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(1, 9),
+        d=st.integers(1, 5),
+        k=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_inner_equals_dense_contraction(self, m, d, k, seed):
+        rng = np.random.default_rng(seed)
+        R = rng.normal(size=(m, k, k))
+        W = R + R.transpose(0, 2, 1)
+        X = rng.normal(size=(m, d))
+        shift = random_psd(rng, k * d)
+        M = rng.normal(size=(k * d, k * d))
+        dense = np.einsum("iab,ip,iq->iapbq", W, X, X).reshape(m, k * d, k * d) + shift
+        near(KronFishers(X, W, shift).inner(M), np.einsum("ijk,jk->i", dense, M))
 
 
 class TestFir:
@@ -189,7 +267,7 @@ class TestWhitenFactors:
 
     def test_reconstruction(self):
         z, X, theta, shift = self._instance(17)
-        wf = whiten_factors(z, X, theta, shift)
+        wf = whiten_factors(z, KronFishers.at(X, theta, shift))
         S = wf.inv_sqrt_sigma
         fishers = shifted_fishers(X, theta, shift)
         for i in range(len(X)):
@@ -199,7 +277,7 @@ class TestWhitenFactors:
 
     def test_identity(self):
         z, X, theta, shift = self._instance(18)
-        wf = whiten_factors(z, X, theta, shift)
+        wf = whiten_factors(z, KronFishers.at(X, theta, shift))
         total = wf.shift_w * z.sum() + np.einsum(
             "i,iak,ibk->ab", z, wf.factors, wf.factors
         )
@@ -208,7 +286,7 @@ class TestWhitenFactors:
 
     def test_binary_single_column(self):
         z, X, theta, shift = self._instance(19, c=2, d=3)
-        wf = whiten_factors(z, X, theta, shift)
+        wf = whiten_factors(z, KronFishers.at(X, theta, shift))
         assert wf.factors.shape == (len(X), 3, 1)
 
 

@@ -7,8 +7,9 @@ import itertools
 import numpy as np
 import pytest
 
-from firal.fisher import f_objective, fir
-from firal.relax import relax_gradient, relax_solve
+from firal.fisher import f_objective, fir, pool_hessian, shifted_fishers
+from firal.model import KronFishers
+from firal.relax import _sigma_parts, relax_gradient, relax_solve
 
 
 def random_spd(rng, n, jitter=0.3):
@@ -23,6 +24,12 @@ def random_instance(seed, m=6, dim=3):
     return fishers, Hp0
 
 
+def kron(fishers):
+    """A dense stack as Kronecker factors: ``W_i kron [1] = W_i``."""
+    m, dt, _ = fishers.shape
+    return KronFishers(np.ones((m, 1)), fishers, np.zeros((dt, dt)))
+
+
 def f_of_kappa(kappa, fishers, Hp0):
     sigma = np.einsum("i,ijk->jk", kappa, fishers)
     return fir(sigma, Hp0)
@@ -34,7 +41,7 @@ class TestRelaxGradient:
         H = random_spd(rng, 3)
         fishers = np.stack([H] * 4)
         Hp0 = random_spd(rng, 3)
-        g = relax_gradient(np.full(4, 0.25), fishers, Hp0)
+        g = relax_gradient(np.full(4, 0.25), kron(fishers), Hp0)
         np.testing.assert_allclose(g, g[0], rtol=1e-12)
 
     def test_matches_finite_differences(self):
@@ -42,7 +49,7 @@ class TestRelaxGradient:
         rng = np.random.default_rng(2)
         kappa = rng.random(len(fishers))
         kappa /= kappa.sum()
-        g = relax_gradient(kappa, fishers, Hp0)
+        g = relax_gradient(kappa, kron(fishers), Hp0)
         h = 1e-6
         for i in range(len(kappa)):
             kp, km = kappa.copy(), kappa.copy()
@@ -56,9 +63,26 @@ class TestRelaxGradient:
         rng = np.random.default_rng(3)
         H = random_spd(rng, 3)
         Hp0 = random_spd(rng, 3)
-        g = relax_gradient(np.array([1.0]), H[None], Hp0)
+        g = relax_gradient(np.array([1.0]), kron(H[None]), Hp0)
         f1 = f_of_kappa(np.array([1.0]), H[None], Hp0)
         assert g[0] == pytest.approx(-f1, rel=1e-10)
+
+
+class TestSigmaParts:
+    def test_factored_equals_dense_formula(self):
+        rng = np.random.default_rng(11)
+        theta = rng.normal(size=(2, 3))
+        X = rng.normal(size=(9, 3)) * 2.0
+        shift = 0.1 * random_spd(rng, 6)
+        Hp0 = pool_hessian(X, theta)
+        kappa = rng.random(len(X))
+        kappa /= kappa.sum()
+        f, M = _sigma_parts(kappa, KronFishers.at(X, theta, shift), Hp0)
+        dense = shifted_fishers(X, theta, shift)
+        sigma_inv = np.linalg.inv(np.einsum("i,ijk->jk", kappa, dense))
+        assert f == pytest.approx(np.trace(sigma_inv @ Hp0), rel=1e-10)
+        np.testing.assert_allclose(M, sigma_inv @ Hp0 @ sigma_inv,
+                                   rtol=1e-9, atol=1e-12 * np.abs(M).max())
 
 
 class TestRelaxSolve:
@@ -67,12 +91,12 @@ class TestRelaxSolve:
         H = random_spd(rng, 3)
         fishers = np.stack([H] * 5)
         Hp0 = random_spd(rng, 3)
-        res = relax_solve(3, Hp0, fishers, n_iter=50)
+        res = relax_solve(3, Hp0, kron(fishers), n_iter=50)
         np.testing.assert_allclose(res.z, 0.6, rtol=1e-12)
 
     def test_two_candidate_golden_section_oracle(self):
         fishers, Hp0 = random_instance(5, m=2, dim=2)
-        res = relax_solve(1, Hp0, fishers, n_iter=2000)
+        res = relax_solve(1, Hp0, kron(fishers), n_iter=2000)
 
         def f1(k1):
             return f_of_kappa(np.array([k1, 1 - k1]), fishers, Hp0)
@@ -98,26 +122,26 @@ class TestRelaxSolve:
         fishers, Hp0 = random_instance(6)
         m = len(fishers)
         uniform_f = f_of_kappa(np.full(m, 1.0 / m), fishers, Hp0)
-        res = relax_solve(2, Hp0, fishers, n_iter=100)
+        res = relax_solve(2, Hp0, kron(fishers), n_iter=100)
         assert res.objective * res.budget <= uniform_f + 1e-12
 
     def test_simplex_invariants(self):
         fishers, Hp0 = random_instance(7)
-        res = relax_solve(2, Hp0, fishers, n_iter=150)
+        res = relax_solve(2, Hp0, kron(fishers), n_iter=150)
         assert np.all(res.kappa > 0)
         assert abs(res.kappa.sum() - 1.0) < 1e-12
         assert abs(res.z.sum() - res.budget) < 1e-9
 
     def test_best_so_far_nonincreasing(self):
         fishers, Hp0 = random_instance(8)
-        res = relax_solve(2, Hp0, fishers, n_iter=150)
+        res = relax_solve(2, Hp0, kron(fishers), n_iter=150)
         best = np.minimum.accumulate(res.objective_history)
         assert np.all(np.diff(best) <= 0)
 
     def test_longer_runs_do_not_lose_ground(self):
         fishers, Hp0 = random_instance(9)
-        short = relax_solve(2, Hp0, fishers, n_iter=100, stall_window=10**9)
-        long = relax_solve(2, Hp0, fishers, n_iter=400, stall_window=10**9)
+        short = relax_solve(2, Hp0, kron(fishers), n_iter=100, stall_window=10**9)
+        long = relax_solve(2, Hp0, kron(fishers), n_iter=400, stall_window=10**9)
         assert long.objective <= short.objective + 1e-15
 
     def test_lower_bounds_exhaustive_optimum(self):
@@ -132,9 +156,9 @@ class TestRelaxSolve:
                 f_objective(np.array(subset, dtype=int), fishers, Hp0)
                 for subset in itertools.combinations(range(m), b)
             )
-            res = relax_solve(b, Hp0, fishers, n_iter=2000)
+            res = relax_solve(b, Hp0, kron(fishers), n_iter=2000)
             assert res.objective <= f_star + 1e-6
 
     def test_rejects_empty_pool(self):
         with pytest.raises(ValueError):
-            relax_solve(1, np.eye(2), np.empty((0, 2, 2)))
+            relax_solve(1, np.eye(2), kron(np.empty((0, 2, 2))))

@@ -16,6 +16,7 @@ from firal.fisher import (
     shifted_fishers,
     whiten_factors,
 )
+from firal.model import KronFishers
 from firal.relax import relax_solve
 from firal.sparsify import (
     SelectionAudit,
@@ -42,8 +43,9 @@ def make_factors(seed, c=2, d=2, m=8, n_labeled=3, budget=4):
     shift = labeled_shift(X0, theta, budget)
     Hp0 = pool_hessian(X, theta)
     fishers = shifted_fishers(X, theta, shift)
-    relaxed = relax_solve(budget, Hp0, fishers, n_iter=300)
-    factors = whiten_factors(relaxed.z, X, theta, shift)
+    kron = KronFishers.at(X, theta, shift)
+    relaxed = relax_solve(budget, Hp0, kron, n_iter=300)
+    factors = whiten_factors(relaxed.z, kron)
     return factors, fishers, Hp0, relaxed
 
 
