@@ -11,8 +11,9 @@ import warnings
 
 import numpy as np
 
-from .fisher import pool_hessian, point_fishers
-from .model import class_probabilities
+from .fisher import EIG_FLOOR_REL, pool_hessian
+from .model import KronFishers, class_probabilities
+from .sparsify import trace_solve
 
 
 def _check_budget(budget, m):
@@ -102,13 +103,13 @@ def select_var_ratios(X, theta, budget):
     return np.sort(np.argsort(scores, kind="stable")[:budget])
 
 
-# Candidates scored per stacked eigendecomposition in the greedy.  It
-# amortizes the per-call overhead while bounding the (block, d_tilde,
+# Candidates scored per stacked eigendecomposition on the clamped path.
+# It amortizes the per-call overhead while bounding the (block, d_tilde,
 # d_tilde) working set, so peak memory does not grow with the pool.
 GREEDY_BLOCK = 256
 
 
-def _clamped_trace_objective(A, Hp0, rel_floor=1e-12):
+def _clamped_trace_objective(A, Hp0, rel_floor=EIG_FLOOR_REL):
     """``<A_n^{-1}, Hp0>`` for each matrix of a stack ``A`` of shape
     ``(n, d_tilde, d_tilde)``, with each matrix's eigenvalues floored
     relative to its own largest, for rank-deficient ``A_n``."""
@@ -119,14 +120,54 @@ def _clamped_trace_objective(A, Hp0, rel_floor=1e-12):
     return np.sum(proj / w, axis=1)
 
 
-def _best_update(A, F, idx, Hp0, sign):
+def _woodbury_objective(A, G, Hp0, sign):
+    """``<(A + sign G_i G_i^T)^{-1}, Hp0>`` for each tall factor ``G_i`` of
+    ``G (n, d_tilde, k)`` by the Woodbury identity, and the mask of the
+    ``i`` for which the clamp of :func:`_clamped_trace_objective` cannot
+    fire, so that both compute the same quantity (the Woodbury value
+    rounds less when ``A +- G_i G_i^T`` is ill conditioned).  Values
+    outside the mask are left at zero.
+
+    With ``T_i = G_i^T A^{-1} G_i`` and ``U_i = G_i^T A^{-1} Hp0 A^{-1} G_i``
+    the value is ``tr(A^{-1} Hp0) -+ tr((I +- T_i)^{-1} U_i)``.  By Weyl an
+    add keeps every eigenvalue above the floor when ``lam_min(A) >=
+    floor * (lam_max(A) + ||G_i||_F^2)``; a removal does when
+    ``lam_min(A) * min(1, lam_min(I - T_i)) >= floor * lam_max(A)``,
+    since ``A - G_i G_i^T = A^{1/2} (I - A^{-1/2} G_i G_i^T A^{-1/2})
+    A^{1/2}`` and the nonzero spectrum of the middle term is that of
+    ``T_i``.
+    """
+    n, _, k = G.shape
+    values = np.zeros(n)
+    w, V = np.linalg.eigh(0.5 * (A + A.T))
+    lam_min, lam_max = w[0], w[-1]
+    if lam_min < EIG_FLOOR_REL * max(lam_max, EIG_FLOOR_REL):
+        return values, np.zeros(n, dtype=bool)
+    A_inv = (V / w) @ V.T
+    Y = np.matmul(A_inv, G)
+    M = np.eye(k) + sign * np.matmul(G.transpose(0, 2, 1), Y)
+    if sign > 0:
+        reach = lam_max + np.einsum("ijk,ijk->i", G, G)
+        exact = lam_min >= EIG_FLOOR_REL * np.maximum(reach, EIG_FLOOR_REL)
+    else:
+        shrink = np.minimum(1.0, np.linalg.eigvalsh(M)[:, 0])
+        exact = lam_min * shrink >= EIG_FLOOR_REL * max(lam_max, EIG_FLOOR_REL)
+    Y, M = Y[exact], M[exact]
+    U = np.matmul(Y.transpose(0, 2, 1), np.matmul(Hp0, Y))
+    values[exact] = np.sum(A_inv * Hp0) - sign * trace_solve(M, U)
+    return values, exact
+
+
+def _best_update(A, fishers, G, idx, Hp0, sign):
     """The index in ``idx`` whose Fisher matrix, added (``sign=1``) or
     removed (``sign=-1``), gives the lowest clamped objective; ties go to
-    the earliest position in ``idx``."""
-    values = np.concatenate([
-        _clamped_trace_objective(A + sign * F[idx[s:s + GREEDY_BLOCK]], Hp0)
-        for s in range(0, len(idx), GREEDY_BLOCK)
-    ])
+    the earliest position in ``idx``.  Candidates the Woodbury path cannot
+    score exactly are scored on their dense matrices, in blocks."""
+    values, exact = _woodbury_objective(A, G[idx], Hp0, sign)
+    slow = np.flatnonzero(~exact)
+    for s in range(0, len(slow), GREEDY_BLOCK):
+        pos = slow[s:s + GREEDY_BLOCK]
+        values[pos] = _clamped_trace_objective(A + sign * fishers.dense(idx[pos]), Hp0)
     return idx[int(np.argmin(values))]
 
 
@@ -137,15 +178,18 @@ def select_greedy_fb(X, theta, shift, budget):
     then greedily removes ``budget`` whose removal increases it least.
     The running aggregate is seeded with the labeled-set shift so early
     scores stay finite; remaining rank deficiency is handled by a clamped
-    inverse and reported through a warning.  Each step scores all its
-    candidates in blocks of ``GREEDY_BLOCK`` stacked matrices.
+    inverse and reported through a warning.  Each step scores its
+    candidates by rank-``(c-1)`` Woodbury updates of one factored
+    aggregate, and falls back to a clamped eigendecomposition of the
+    dense candidate matrices only where the clamp could change a value.
     """
     X = np.asarray(X, dtype=float)
     m = len(X)
     if not 1 <= budget <= m // 2:
         raise ValueError(f"budget {budget} outside 1..{m // 2}")
     Hp0 = pool_hessian(X, theta)
-    F = point_fishers(X, theta)
+    fishers = KronFishers.at(X, theta)
+    G = fishers.factors()
     shift = np.asarray(shift, dtype=float)
 
     w0 = np.linalg.eigvalsh(shift)
@@ -159,13 +203,13 @@ def select_greedy_fb(X, theta, shift, budget):
     A = shift.copy()
     in_set = np.zeros(m, dtype=bool)
     for _ in range(2 * budget):
-        best_i = _best_update(A, F, np.flatnonzero(~in_set), Hp0, 1.0)
+        best_i = _best_update(A, fishers, G, np.flatnonzero(~in_set), Hp0, 1.0)
         in_set[best_i] = True
-        A = A + F[best_i]
+        A = A + fishers.dense([best_i])[0]
 
     for _ in range(budget):
-        best_i = _best_update(A, F, np.flatnonzero(in_set), Hp0, -1.0)
+        best_i = _best_update(A, fishers, G, np.flatnonzero(in_set), Hp0, -1.0)
         in_set[best_i] = False
-        A = A - F[best_i]
+        A = A - fishers.dense([best_i])[0]
 
     return np.nonzero(in_set)[0]

@@ -1,9 +1,12 @@
 """Fisher information aggregation and the inverse-trace design objective.
 
 All matrices here live in the vectorized parameter space of dimension
-``d_tilde = d(c-1)``.  The selection round reads the candidates through
-:class:`~firal.model.KronFishers`; the dense stacks here are oracles for
-tests and for ``greedy_fb``.
+``d_tilde = d(c-1)``.  Both search selectors, the FIRAL round and the
+forward-backward greedy, read the candidates through
+:class:`~firal.model.KronFishers`.  The dense ``(m, d_tilde, d_tilde)``
+stacks of :func:`point_fishers` and :func:`shifted_fishers`, and
+:func:`f_objective` on such a stack, are kept as references; only the
+tests call them.
 """
 
 from __future__ import annotations
@@ -67,8 +70,7 @@ def inv_psd(A):
 
 def point_fishers(X, theta):
     """Stack of per-point Fisher matrices, shape ``(m, d_tilde, d_tilde)``."""
-    f = KronFishers.at(X, theta)
-    return np.einsum("iab,ip,iq->iapbq", f.W, f.X, f.X).reshape(f.shape)
+    return KronFishers.at(X, theta).dense()
 
 
 def pool_hessian(X, theta):
@@ -188,7 +190,7 @@ def whiten_factors(z, fishers):
 
     shift_w = S @ fishers.shift @ S
     shift_w = 0.5 * (shift_w + shift_w.T)
-    factors = np.einsum("st,itk->isk", S, fishers.factors())
+    factors = S @ fishers.factors()
 
     resid = float(np.abs(S @ sigma @ S - np.eye(len(S))).max())
     return WhitenedFactors(

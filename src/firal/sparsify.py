@@ -101,8 +101,13 @@ def _scores(B_sqrt, P, eta):
     Y = np.matmul(B_sqrt, P)
     T = np.matmul(P.transpose(0, 2, 1), Y)
     U = np.matmul(Y.transpose(0, 2, 1), Y)
-    sol = np.linalg.solve(np.eye(k) + eta * T, U)
-    return np.einsum("ikk->i", sol)
+    return trace_solve(np.eye(k) + eta * T, U)
+
+
+def trace_solve(M, U):
+    """``tr(M_i^{-1} U_i)`` for stacks of small square matrices: the last
+    step of every Woodbury-reduced score."""
+    return np.einsum("ikk->i", np.linalg.solve(M, U))
 
 
 @dataclass

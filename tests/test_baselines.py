@@ -7,9 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
+from firal import baselines
 from firal.baselines import (
     GREEDY_BLOCK,
     _clamped_trace_objective,
+    _woodbury_objective,
     select_entropy,
     select_greedy_fb,
     select_kmeans,
@@ -23,6 +25,7 @@ from firal.fisher import (
     pool_hessian,
     shifted_fishers,
 )
+from firal.model import KronFishers
 
 
 def greedy_fb_reference(X, theta, shift, budget):
@@ -216,6 +219,69 @@ class TestSelectGreedyFb:
         stacked = _clamped_trace_objective(A, Hp0)
         alone = [_clamped_trace_objective(A[i:i + 1], Hp0)[0] for i in range(3)]
         np.testing.assert_array_equal(stacked, alone)
+
+    def _spy_paths(self, monkeypatch):
+        """Record ``(sign, admitted mask)`` of every Woodbury scoring call."""
+        calls = []
+        inner = baselines._woodbury_objective
+
+        def spy(A, G, Hp0, sign):
+            values, exact = inner(A, G, Hp0, sign)
+            calls.append((sign, exact))
+            return values, exact
+
+        monkeypatch.setattr(baselines, "_woodbury_objective", spy)
+        return calls
+
+    def test_backward_step_mixes_both_paths(self, monkeypatch):
+        # Only pool point 7 and no labeled point spans the last feature, so
+        # the first add is clamped, and in the backward steps removing
+        # point 7 would make the aggregate singular while removing any
+        # other point is scored by Woodbury.
+        X, theta, X0 = self._instance(16, m=30, d=3, c=3)
+        X[:, -1] = 0.0
+        X[7, -1] = 3.0
+        X0[:, -1] = 0.0
+        b = 2
+        shift = labeled_shift(X0, theta, b)
+        calls = self._spy_paths(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            picks = select_greedy_fb(X, theta, shift, b)
+        np.testing.assert_array_equal(picks, greedy_fb_reference(X, theta, shift, b))
+        assert 7 in picks
+        assert not calls[0][1].any()
+        backward = [exact for sign, exact in calls if sign < 0]
+        assert len(backward) == b
+        assert all(exact.any() and not exact.all() for exact in backward)
+
+    def test_rank_deficient_run_takes_clamped_path_only(self, monkeypatch):
+        # d_tilde = 10 and four rank-2 adds: the aggregate never reaches
+        # full rank, so no candidate of any step is scored by Woodbury.
+        m = GREEDY_BLOCK + GREEDY_BLOCK // 3
+        X, theta, _ = self._instance(17, m=m, d=5, c=3)
+        b = 2
+        shift = np.zeros((10, 10))
+        calls = self._spy_paths(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            picks = select_greedy_fb(X, theta, shift, b)
+        np.testing.assert_array_equal(picks, greedy_fb_reference(X, theta, shift, b))
+        assert len(calls) == 3 * b
+        assert not any(exact.any() for _, exact in calls)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_woodbury_equals_clamped_objective_where_admitted(self, seed):
+        X, theta, X0 = self._instance(seed, m=40, d=3, c=3)
+        fishers = KronFishers.at(X, theta)
+        G, F = fishers.factors(), fishers.dense()
+        Hp0 = pool_hessian(X, theta)
+        A = labeled_shift(X0, theta, 3) + F[:4].sum(axis=0)
+        for sign, idx in ((1.0, np.arange(4, 40)), (-1.0, np.arange(4))):
+            values, exact = _woodbury_objective(A, G[idx], Hp0, sign)
+            assert exact.any()
+            expected = _clamped_trace_objective(A + sign * F[idx[exact]], Hp0)
+            np.testing.assert_allclose(values[exact], expected, rtol=1e-12)
 
     def test_budget_validation(self):
         X, theta, X0 = self._instance(13, m=6)
