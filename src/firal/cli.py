@@ -114,13 +114,14 @@ class Diagnostics:
     report: AuditReport        # regret-guarantee margins of the rounding
 
 
-def select_firal(X_pool, labeled, candidates, theta, budget, *, eta=None,
+def select_firal(X_pool, labeled, candidates, theta, Hp, budget, *, eta=None,
                  repeats=False):
-    """One FIRAL round: labeled shift, pool Hessian, candidate Fishers,
-    relaxation, whitening, then FTRL rounding of ``budget`` picks.
+    """One FIRAL round: labeled shift, candidate Fishers, relaxation,
+    whitening, then FTRL rounding of ``budget`` picks.
 
-    ``labeled`` and ``candidates`` index ``X_pool`` (labeled rows are
-    summed in ascending order); ``picks`` are ``X_pool`` indices.  With
+    ``Hp`` is ``pool_hessian(X_pool, theta)``, which the caller usually
+    has already.  ``labeled`` and ``candidates`` index ``X_pool`` (labeled
+    rows are summed in ascending order); ``picks`` are ``X_pool`` indices.  With
     ``repeats`` a candidate may be picked again.  ``eta=None`` tunes the
     rate over :func:`eta_grid`, or uses ``8 sqrt(d_tilde)`` with repeats.
     """
@@ -128,7 +129,7 @@ def select_firal(X_pool, labeled, candidates, theta, budget, *, eta=None,
     candidates = np.asarray(candidates, dtype=int)
     shift = labeled_shift(X_pool[np.sort(labeled)], theta, budget)
     fishers = KronFishers.at(X_pool[candidates], theta, shift)
-    relaxed = relax_solve(budget, pool_hessian(X_pool, theta), fishers)
+    relaxed = relax_solve(budget, Hp, fishers)
     factors = whiten_factors(relaxed.z, fishers)
     if eta is None and not repeats:
         eta, local, audit = tune_eta(eta_grid(factors.d_tilde), factors, budget)
@@ -215,8 +216,7 @@ def _pool_accuracy(X, theta, theta_star=None, y_true=None):
     return float(np.mean(P_star[np.arange(len(X)), pred]))
 
 
-def _spectral_diagnostics(X_pool, X_labeled, theta):
-    Hp = pool_hessian(X_pool, theta)
+def _spectral_diagnostics(Hp, X_labeled, theta):
     Hq = pool_hessian(X_labeled, theta)
     try:
         return fir(Hq, Hp), sigma_max(Hq, Hp)
@@ -224,13 +224,14 @@ def _spectral_diagnostics(X_pool, X_labeled, theta):
         return float("inf"), float("inf")
 
 
-def _select(config, X_pool, labeled_idx, theta, round_budget, select_ss):
+def _select(config, X_pool, labeled_idx, theta, Hp, round_budget, select_ss):
     """Run the configured selector; returns global indices and, for
-    ``firal`` only, its :class:`Diagnostics`."""
+    ``firal`` only, its :class:`Diagnostics`.  ``Hp`` is the pool Hessian
+    at ``theta``."""
     labeled = np.sort(labeled_idx)
     unlabeled = np.setdiff1d(np.arange(len(X_pool)), labeled)
     if config.selector == "firal":
-        return select_firal(X_pool, labeled, unlabeled, theta, round_budget,
+        return select_firal(X_pool, labeled, unlabeled, theta, Hp, round_budget,
                             eta=config.eta, repeats=config.theory_mode)
     Xu = X_pool[unlabeled]
     if config.selector == "random":
@@ -287,7 +288,7 @@ def active_learning_loop(config: RunConfig):
     select_streams = rounds_ss.spawn(config.rounds + 1)
     round_budget = config.budget // config.rounds if config.rounds else 0
     records = []
-    theta = None
+    theta = Hp = None
 
     for rnd in range(config.rounds + 1):
         t0 = time.perf_counter()
@@ -296,7 +297,7 @@ def active_learning_loop(config: RunConfig):
 
         if rnd > 0:
             try:
-                picks, diag = _select(config, X_pool, labeled_idx, theta,
+                picks, diag = _select(config, X_pool, labeled_idx, theta, Hp,
                                       round_budget, select_streams[rnd])
             except (ValueError, np.linalg.LinAlgError, FloatingPointError) as exc:
                 raise type(exc)(
@@ -317,8 +318,10 @@ def active_learning_loop(config: RunConfig):
         result = fit_erm(X_pool[labeled_idx], labeled_y, n_classes,
                          ridge=config.ridge)
         theta = result.theta
+        # The next round's selection reads this same pool Hessian.
+        Hp = pool_hessian(X_pool, theta)
 
-        fir_val, sigma_val = _spectral_diagnostics(X_pool, X_pool[labeled_idx], theta)
+        fir_val, sigma_val = _spectral_diagnostics(Hp, X_pool[labeled_idx], theta)
         acc = _pool_accuracy(X_pool, theta, theta_star=theta_star, y_true=y_true)
         if spec_p is not None:
             risk, risk_se = synth.mc_excess_risk(
@@ -469,7 +472,8 @@ def _cmd_audit(args):
     theta0 = fit_erm(X[init_idx], hidden[init_idx], args.classes,
                      ridge=1e-6).theta
 
-    _, diag = select_firal(X, init_idx, np.arange(len(X)), theta0, args.budget,
+    _, diag = select_firal(X, init_idx, np.arange(len(X)), theta0,
+                           pool_hessian(X, theta0), args.budget,
                            eta=args.eta, repeats=True)
     report = diag.report
 

@@ -220,7 +220,8 @@ class TestSelectFiral:
             "fixed_eta_repeats": (unlabeled, 3.0, True, 6),
             "whole_pool": (np.arange(len(X)), None, True, 8),
         }[case]
-        picks, diag = select_firal(X, labeled, candidates, theta, budget,
+        picks, diag = select_firal(X, labeled, candidates, theta,
+                                   pool_hessian(X, theta), budget,
                                    eta=eta, repeats=repeats)
         want_picks, want_eta, want = hand_chain(X, labeled, candidates, theta,
                                                 budget, eta, repeats)
@@ -236,8 +237,9 @@ class TestSelectFiral:
     def test_labeled_order_does_not_matter(self):
         X, theta, labeled = firal_problem(seed=5)
         unlabeled = np.setdiff1d(np.arange(len(X)), labeled)
-        picks, diag = select_firal(X, labeled, unlabeled, theta, 4)
-        sorted_picks, sorted_diag = select_firal(X, np.sort(labeled), unlabeled, theta, 4)
+        Hp = pool_hessian(X, theta)
+        picks, diag = select_firal(X, labeled, unlabeled, theta, Hp, 4)
+        sorted_picks, sorted_diag = select_firal(X, np.sort(labeled), unlabeled, theta, Hp, 4)
         np.testing.assert_array_equal(picks, sorted_picks)
         assert diag.eta == sorted_diag.eta
         np.testing.assert_array_equal(diag.report.margin_min_eig,
