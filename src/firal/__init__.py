@@ -4,7 +4,7 @@ Library layout:
 
 - :mod:`firal.model` -- the classifier, its derivatives, and Newton ERM
 - :mod:`firal.fisher` -- information aggregation and the design objective
-- :mod:`firal.relax` -- entropic mirror descent for the relaxed design
+- :mod:`firal.relax` -- the relaxed design, solved to a certificate
 - :mod:`firal.sparsify` -- regret-minimization rounding with audits
 - :mod:`firal.baselines` -- comparison selectors
 - :mod:`firal.synth` -- synthetic protocols and Monte-Carlo risk

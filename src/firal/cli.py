@@ -112,6 +112,7 @@ class Diagnostics:
 
     eta: float                 # the rounding rate used
     report: AuditReport        # regret-guarantee margins of the rounding
+    relax_gap: float           # Frank-Wolfe gap of the relaxation / its objective
 
 
 def select_firal(X_pool, labeled, candidates, theta, Hp, budget, *, eta=None,
@@ -120,10 +121,11 @@ def select_firal(X_pool, labeled, candidates, theta, Hp, budget, *, eta=None,
     whitening, then FTRL rounding of ``budget`` picks.
 
     ``Hp`` is ``pool_hessian(X_pool, theta)``, which the caller usually
-    has already.  ``labeled`` and ``candidates`` index ``X_pool`` (labeled
-    rows are summed in ascending order); ``picks`` are ``X_pool`` indices.  With
-    ``repeats`` a candidate may be picked again.  ``eta=None`` tunes the
-    rate over :func:`eta_grid`, or uses ``8 sqrt(d_tilde)`` with repeats.
+    has already.  ``labeled`` and ``candidates`` index ``X_pool``
+    (labeled rows are summed in ascending order); ``picks`` are
+    ``X_pool`` indices.  With ``repeats`` a candidate may be picked again.
+    ``eta=None`` tunes the rate over :func:`eta_grid`, or uses
+    ``8 sqrt(d_tilde)`` with repeats.
     """
     X_pool = np.asarray(X_pool, dtype=float)
     candidates = np.asarray(candidates, dtype=int)
@@ -137,7 +139,8 @@ def select_firal(X_pool, labeled, candidates, theta, Hp, budget, *, eta=None,
         if eta is None:
             eta = 8.0 * np.sqrt(factors.d_tilde)
         local, audit = select_batch(budget, eta, factors, mask_selected=not repeats)
-    return candidates[local], Diagnostics(float(eta), regret_audit(audit))
+    return candidates[local], Diagnostics(float(eta), regret_audit(audit),
+                                          relaxed.gap / relaxed.objective)
 
 
 @dataclass
@@ -216,6 +219,24 @@ def _pool_accuracy(X, theta, theta_star=None, y_true=None):
     return float(np.mean(P_star[np.arange(len(X)), pred]))
 
 
+def _feature_span(X):
+    """``X`` in coordinates of its numerical row space, from one SVD, when
+    its rank is below ``d``; a full-rank ``X`` is returned as it is.
+
+    Zero, duplicated or jointly constant feature columns would otherwise
+    leave every Fisher matrix singular along the same directions.
+    """
+    _, s, Vt = np.linalg.svd(X, full_matrices=False)
+    rank = int(np.sum(s > s.max(initial=0.0) * max(X.shape) * np.finfo(float).eps))
+    if rank == X.shape[1]:
+        return X
+    if rank == 0:
+        raise ValueError("every feature column is zero")
+    print(f"note: features have numerical rank {rank}; "
+          f"dropped {X.shape[1] - rank} of {X.shape[1]} dimensions", file=sys.stderr)
+    return X @ Vt[:rank].T
+
+
 def _spectral_diagnostics(Hp, X_labeled, theta):
     Hq = pool_hessian(X_labeled, theta)
     try:
@@ -272,6 +293,7 @@ def active_learning_loop(config: RunConfig):
         X_pool, y_all = data.load_dataset(config.data)
         if y_all is None:
             raise ValueError("active learning on CSV data needs a label column")
+        X_pool = _feature_span(X_pool)
         n_classes = int(y_all.max())
         theta_star, spec_p = None, None
         hidden = y_all
@@ -481,6 +503,7 @@ def _cmd_audit(args):
           f"d_tilde={args.dim * (args.classes - 1)}")
     print(f"worst_min_eig_margin={report.worst_min_eig:.6e}")
     print(f"worst_trace_margin={report.worst_trace:.6e}")
+    print(f"worst_relax_gap={diag.relax_gap:.6e}")
     ok = report.holds()
     print("guarantees hold" if ok else "GUARANTEE VIOLATED")
     return 0 if ok else 3

@@ -39,7 +39,7 @@ def _spd(rng, n, jitter=0.3):
     return R @ R.T + jitter * np.eye(n)
 
 
-def _pipeline_factors(seed, c, d, m, budget, scale=2.0, relax_iters=300):
+def _pipeline_factors(seed, c, d, m, budget, scale=2.0):
     rng = np.random.default_rng(seed)
     theta = rng.normal(size=(c - 1, d))
     X = rng.normal(size=(m, d)) * scale
@@ -48,7 +48,7 @@ def _pipeline_factors(seed, c, d, m, budget, scale=2.0, relax_iters=300):
     Hp0 = pool_hessian(X, theta)
     fishers = shifted_fishers(X, theta, shift)
     kron = KronFishers.at(X, theta, shift)
-    relaxed = relax_solve(budget, Hp0, kron, n_iter=relax_iters)
+    relaxed = relax_solve(budget, Hp0, kron)
     return whiten_factors(relaxed.z, kron), fishers, Hp0, relaxed
 
 
@@ -176,7 +176,7 @@ class TestCriterion4RelaxationLowerBound:
                 for s in itertools.combinations(range(m), b)
             )
             kron = KronFishers(np.ones((m, 1)), fishers, np.zeros((dt, dt)))
-            res = relax_solve(b, Hp0, kron, n_iter=2000, stall_window=10**9)
+            res = relax_solve(b, Hp0, kron)
             worst = max(worst, res.objective - f_star)
         _report(4, "relaxation lower bound", worst <= 1e-6,
                 f"worst gap over 20 instances {worst:.3e}")
@@ -192,7 +192,6 @@ class TestCriterion5WoodburyEquivalence:
             c, d = shapes[int(rng.integers(len(shapes)))]
             factors, _, _, _ = _pipeline_factors(
                 int(rng.integers(10_000)), c, d, m=20, budget=4,
-                relax_iters=60,
             )
             eta = float(rng.uniform(0.5, 20.0))
             cum = _spd(rng, factors.d_tilde, jitter=0.0) * rng.uniform(0.05, 1.0)
@@ -232,7 +231,7 @@ class TestCriterion7NearOptimality:
     def test_factor_two_of_relaxed_optimum(self):
         # epsilon = 1: budget 96 exceeds 32*2 + 16*sqrt(2), rate 8*sqrt(2).
         factors, fishers, Hp0, relaxed = _pipeline_factors(
-            77, c=2, d=2, m=50, budget=96, relax_iters=400,
+            77, c=2, d=2, m=50, budget=96,
         )
         eta = 8.0 * np.sqrt(2.0)
         picks, _ = select_batch(96, eta, factors, mask_selected=False)

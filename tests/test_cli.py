@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from firal import cli
+from firal import cli, relax
 from firal.cli import (
     CSV_COLUMNS,
     RunConfig,
@@ -45,7 +45,7 @@ def make_factors(seed=0, m=10, budget=4):
     X0 = rng.normal(size=(3, 2)) * 2
     shift = labeled_shift(X0, theta, budget)
     fishers = KronFishers.at(X, theta, shift)
-    relaxed = relax_solve(budget, pool_hessian(X, theta), fishers, n_iter=150)
+    relaxed = relax_solve(budget, pool_hessian(X, theta), fishers)
     return whiten_factors(relaxed.z, fishers)
 
 
@@ -141,6 +141,34 @@ class TestLoop:
         assert len(recs) == 3
         assert np.isnan(recs[0].excess_risk)
         assert recs[-1].accuracy > 0.5
+
+    @pytest.mark.parametrize("case", ["zero", "duplicate", "two_constants"])
+    def test_rank_deficient_csv_runs_firal(self, tmp_path, capsys, case):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(60, 3))
+        X = {
+            "zero": np.column_stack([X, np.zeros(60)]),
+            "duplicate": np.column_stack([X, X[:, 1]]),
+            "two_constants": np.column_stack([X, np.ones(60), np.full(60, 2.0)]),
+        }[case]
+        y = 1 + (X[:, 0] > 0).astype(int) + (X[:, 1] > 0.5).astype(int)
+        path = tmp_path / "pool.csv"
+        save_dataset(path, X, y)
+        assert main(["run", "--data", str(path), "--selector", "firal",
+                     "--budget", "4", "--rounds", "2"]) == 0
+        assert f"dropped 1 of {X.shape[1]} dimensions" in capsys.readouterr().err
+
+    def test_all_zero_features_config_error(self, tmp_path, capsys):
+        path = tmp_path / "pool.csv"
+        save_dataset(path, np.zeros((10, 2)), np.arange(10) % 2 + 1)
+        assert main(["run", "--data", str(path), "--selector", "firal",
+                     "--budget", "2", "--rounds", "1"]) == 2
+        assert "every feature column is zero" in capsys.readouterr().err
+
+    def test_intercept_column_is_kept_as_is(self):
+        rng = np.random.default_rng(7)
+        X = np.column_stack([rng.normal(size=(40, 3)), np.ones(40)])
+        assert cli._feature_span(X) is X
 
 
 class TestTuneEta:
@@ -318,6 +346,12 @@ class TestCliCommands:
         assert main(["run", "--selector", "firal", "--budget", "2", "--rounds", "1",
                      "--pool-size", "30", "--classes", "2", "--dim", "2"]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_uncertified_relaxation_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(relax, "MAX_NEWTON_STEPS", 1)
+        assert main(["run", "--selector", "firal", "--budget", "2", "--rounds", "1",
+                     "--pool-size", "30", "--classes", "2", "--dim", "2"]) == 3
+        assert "not certified" in capsys.readouterr().err
 
     def test_non_finite_dataset_exit_code(self, tmp_path, capsys):
         path = tmp_path / "pool.csv"

@@ -45,7 +45,7 @@ def make_factors(seed, c=2, d=2, m=8, n_labeled=3, budget=4):
     Hp0 = pool_hessian(X, theta)
     fishers = shifted_fishers(X, theta, shift)
     kron = KronFishers.at(X, theta, shift)
-    relaxed = relax_solve(budget, Hp0, kron, n_iter=300)
+    relaxed = relax_solve(budget, Hp0, kron)
     factors = whiten_factors(relaxed.z, kron)
     return factors, fishers, Hp0, relaxed
 
