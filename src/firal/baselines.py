@@ -189,7 +189,7 @@ def select_greedy_fb(X, theta, shift, budget):
         raise ValueError(f"budget {budget} outside 1..{m // 2}")
     Hp0 = pool_hessian(X, theta)
     fishers = KronFishers.at(X, theta)
-    G = fishers.factors()
+    G = fishers.factors
     shift = np.asarray(shift, dtype=float)
 
     w0 = np.linalg.eigvalsh(shift)

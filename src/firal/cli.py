@@ -172,6 +172,8 @@ CSV_COLUMNS = (
 
 
 def _fmt(value):
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, tuple):
@@ -179,12 +181,17 @@ def _fmt(value):
     return f"{float(value):.17g}"
 
 
+def _write_csv(fh, records, columns):
+    """Write dataclass records as CSV, one column per named attribute."""
+    fh.write(",".join(columns) + "\n")
+    for rec in records:
+        fh.write(",".join(_fmt(getattr(rec, col)) for col in columns) + "\n")
+
+
 def emit_results(records, path):
     """Write records as CSV with the documented fixed column order."""
     with open(path, "w") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for rec in records:
-            fh.write(",".join(_fmt(getattr(rec, col)) for col in CSV_COLUMNS) + "\n")
+        _write_csv(fh, records, CSV_COLUMNS)
 
 
 class _SyntheticOracle:
@@ -349,7 +356,7 @@ def active_learning_loop(config: RunConfig):
             risk, risk_se = synth.mc_excess_risk(
                 theta, theta_star, spec_p, n_points=config.risk_points,
                 n_labels=config.risk_labels, seed=risk_streams[rnd],
-                exact_labels=config.exact_risk, with_stderr=True,
+                exact_labels=config.exact_risk,
             )
         else:
             risk, risk_se = float("nan"), float("nan")
@@ -400,30 +407,23 @@ def _config_from_strings(values):
 
 
 def _coerce(field_info, raw):
-    name, text = field_info.name, str(raw)
-    if name in ("eta", "out"):
-        return None if text.lower() in ("none", "") else (
-            float(text) if name == "eta" else text
-        )
-    if name in ("theory_mode", "exact_risk"):
+    """Parse ``raw`` as the field's annotated type (``none`` or empty is
+    None where the type allows it)."""
+    kind, text = field_info.type, str(raw)
+    if kind.endswith(" | None"):
+        if text.lower() in ("none", ""):
+            return None
+        kind = kind.removesuffix(" | None")
+    if kind == "bool":
         return text.lower() in ("1", "true", "yes", "on")
-    if field_info.type in ("int", int):
-        return int(text)
-    if field_info.type in ("float", float):
-        return float(text)
-    return text
+    return {"int": int, "float": float}.get(kind, str)(text)
 
 
 def _cmd_run(args):
     config = load_config(args.config) if args.config else RunConfig()
-    overrides = {}
-    for key in ("seed", "selector", "budget", "rounds", "out", "eta", "data",
-                "pool_size", "classes", "dim", "ridge"):
-        val = getattr(args, key, None)
-        if val is not None:
-            overrides[key] = val
-    if args.theory_mode:
-        overrides["theory_mode"] = True
+    # Every flag left unset is None, so the file's value or the default stays.
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+                 if getattr(args, f.name, None) is not None}
     config = replace(config, **overrides).validate()
 
     records = active_learning_loop(config)
@@ -449,21 +449,12 @@ def _cmd_sweep(args):
         mode=args.mode, theta_seed=args.seed, risk_points=args.risk_points,
         n_mc=args.n_mc,
     )
-    header = ("mode,target_fir,scale_param,realized_fir,sigma,n,seed,"
-              "excess_risk,risk_stderr")
-    lines = [header]
-    for p in points:
-        lines.append(",".join([
-            p.mode, f"{p.target_fir:.17g}", f"{p.scale_param:.17g}",
-            f"{p.realized_fir:.17g}", f"{p.sigma:.17g}", str(p.n), str(p.seed),
-            f"{p.excess_risk:.17g}", f"{p.risk_stderr:.17g}",
-        ]))
-    text = "\n".join(lines) + "\n"
+    columns = tuple(f.name for f in fields(synth.SweepPoint))
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            _write_csv(fh, points, columns)
     else:
-        sys.stdout.write(text)
+        _write_csv(sys.stdout, points, columns)
     return 0
 
 
@@ -524,7 +515,8 @@ def build_parser():
     run.add_argument("--rounds", type=int)
     run.add_argument("--out")
     run.add_argument("--eta", type=float)
-    run.add_argument("--theory-mode", action="store_true", dest="theory_mode")
+    run.add_argument("--theory-mode", action="store_true", default=None,
+                     dest="theory_mode")
     run.add_argument("--data")
     run.add_argument("--pool-size", type=int, dest="pool_size")
     run.add_argument("--classes", type=int)

@@ -190,7 +190,7 @@ def whiten_factors(z, fishers):
 
     shift_w = S @ fishers.shift @ S
     shift_w = 0.5 * (shift_w + shift_w.T)
-    factors = S @ fishers.factors()
+    factors = S @ fishers.factors
 
     resid = float(np.abs(S @ sigma @ S - np.eye(len(S))).max())
     return WhitenedFactors(

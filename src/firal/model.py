@@ -15,6 +15,7 @@ first ``c - 1`` class probabilities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -187,9 +188,11 @@ class KronFishers:
         W, X = self.W[rows], self.X[rows]
         return np.einsum("iab,ip,iq->iapbq", W, X, X).reshape((len(X),) + self.shift.shape)
 
+    @cached_property
     def factors(self):
         """Tall ``G_i = Q_i kron x_i``, ``(m, d_tilde, c-1)``, with
-        ``G_i G_i^T = W_i kron x_i x_i^T`` (no shift)."""
+        ``G_i G_i^T = W_i kron x_i x_i^T`` (no shift); computed on first
+        use and kept, since the relaxation and the whitening both read it."""
         wW, VW = np.linalg.eigh(self.W)
         Q = VW * np.sqrt(np.maximum(wW, 0.0))[:, None, :]
         # Rows are indexed class-major to match theta.ravel().

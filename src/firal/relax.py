@@ -228,7 +228,7 @@ def relax_solve(budget, Hp0, fishers):
     f, M = _sigma_parts(np.full(m, 1.0 / m), fishers, Hp0)
     g = _gradient(fishers, M)
     history = []
-    G = fishers.factors()
+    G = fishers.factors
     _, dt, k = G.shape
     order = np.argsort(g, kind="stable")
     size = min(m, max(2 * -(-dt // k), SUPPORT_BLOCK))

@@ -4,8 +4,9 @@ label sampling, and Monte-Carlo excess risk.
 The reference design is an isotropic Gaussian with variance 100 per
 coordinate.  A sampling distribution is derived from it either by scaling
 the covariance (dilation) or by shifting the mean along a fixed diagonal
-direction (translation); helper routines calibrate those knobs so the
-resulting information ratio hits a requested target.
+direction (translation).  :func:`dilation_for_fir` and
+:func:`translation_for_fir` calibrate those knobs so the information
+ratio hits each of a list of targets, from one base draw per call.
 """
 
 from __future__ import annotations
@@ -183,13 +184,14 @@ def make_theta_star(n_classes, dim, seed, balance_tol=None,
 
 
 def mc_excess_risk(theta_n, theta_star, spec_p: DesignSpec, n_points=50_000,
-                   n_labels=100, seed=0, exact_labels=True, with_stderr=False):
+                   n_labels=100, seed=0, exact_labels=True):
     """Monte-Carlo estimate of the population log-loss gap to the truth.
 
     Draws ``n_points`` shared points, then either enumerates labels
     exactly (conditional expectation per point, the default) or samples
     ``n_labels`` labels per point.  Both parameter matrices are evaluated
     on the same draws, so the gap estimate has strongly reduced variance.
+    Returns ``(estimate, stderr)``.
     """
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng_seed = ss.spawn(2)
@@ -211,100 +213,98 @@ def mc_excess_risk(theta_n, theta_star, spec_p: DesignSpec, n_points=50_000,
         rows = np.arange(n_points)[:, None]
         per_point = np.mean(log_star[rows, labels] - log_n[rows, labels], axis=1)
 
-    est = float(per_point.mean())
-    if with_stderr:
-        se = float(per_point.std(ddof=1) / np.sqrt(n_points))
-        return est, se
-    return est
+    return float(per_point.mean()), float(per_point.std(ddof=1) / np.sqrt(n_points))
 
 
-def population_fisher(spec: DesignSpec, theta, n_samples=100_000, seed=0):
-    """Monte-Carlo estimate of the expected Fisher information."""
-    X = sample_pool(spec, n_samples, seed)
-    return pool_hessian(X, theta)
+# Bisection stops once a knob's ratio is within RATIO_TOL (relative) of its
+# target, or after 60 steps; dilation first evaluates the ratio on NU_GRID.
+RATIO_TOL = 1e-3
+NU_GRID = np.logspace(-2.0, 3.0, 41)
 
 
-def _dilated_fir(nu, base, theta_star, Hp):
-    Hq = pool_hessian(np.sqrt(nu) * base, theta_star)
-    return fir(Hq, Hp)
+def _reference(theta_star, dim, variance, n_mc, seed):
+    """The base normal draw every calibrated design is built from, and its
+    Fisher matrix, the denominator of each ratio."""
+    rng = np.random.default_rng(seed)
+    base = np.sqrt(variance) * rng.standard_normal((n_mc, dim))
+    return base, pool_hessian(base, theta_star)
 
 
-def dilation_for_fir(target_fir, theta_star, dim, variance=BASE_VARIANCE,
-                     n_mc=100_000, seed=0, nu_grid=None, tol=1e-3, clamp=False):
-    """Covariance multiplier whose sampling design hits a target ratio.
+def _bisect(ratio, target, lo, hi, mid, rising):
+    """Knob in ``[lo, hi]`` whose ``ratio`` is within :data:`RATIO_TOL` of
+    ``target``; ``mid(lo, hi)`` splits the bracket and ``rising`` says
+    whether the ratio grows with the knob on it."""
+    for _ in range(60):
+        x = mid(lo, hi)
+        v = ratio(x)
+        if abs(v - target) <= RATIO_TOL * target:
+            return float(x)
+        if (v < target) if rising else (v > target):
+            lo = x
+        else:
+            hi = x
+    return float(mid(lo, hi))
+
+
+def dilation_for_fir(targets, theta_star, dim, variance=BASE_VARIANCE,
+                     n_mc=100_000, seed=0, clamp=False):
+    """Covariance multiplier, per target, whose sampling design hits it.
 
     The ratio is U-shaped in the multiplier: it falls from the shrinking
     branch down to a strictly positive floor, then rises again as
-    saturation starves the boundary-normal curvature.  The target is
-    bracketed on the decreasing branch of a log grid and refined by
-    bisection; the same base normal draw is reused across evaluations.
-    Targets below the floor raise, or return the floor's multiplier when
-    ``clamp`` is set.
+    saturation starves the boundary-normal curvature.  Each target is
+    bracketed on the decreasing branch of :data:`NU_GRID`, evaluated once
+    for all targets, and refined by geometric bisection; the same base
+    normal draw is reused across evaluations.  Targets below the floor
+    raise, or get the floor's multiplier when ``clamp`` is set.
     """
-    rng = np.random.default_rng(seed)
-    base = np.sqrt(variance) * rng.standard_normal((n_mc, dim))
-    Hp = pool_hessian(base, theta_star)
-    if nu_grid is None:
-        nu_grid = np.logspace(-2.0, 3.0, 41)
+    base, Hp = _reference(theta_star, dim, variance, n_mc, seed)
 
-    vals = np.array([_dilated_fir(nu, base, theta_star, Hp) for nu in nu_grid])
-    if clamp and target_fir < vals.min():
-        return float(nu_grid[int(np.argmin(vals))])
-    bracket = None
-    for i in range(len(nu_grid) - 1):
-        if vals[i] >= target_fir >= vals[i + 1]:
-            bracket = (nu_grid[i], nu_grid[i + 1])
-            break
-    if bracket is None:
-        raise ValueError(
-            f"target ratio {target_fir:.3g} not bracketed; grid spans "
-            f"[{vals.min():.3g}, {vals.max():.3g}] on the decreasing branch"
-        )
-    lo, hi = bracket
-    for _ in range(60):
-        mid = np.sqrt(lo * hi)
-        v = _dilated_fir(mid, base, theta_star, Hp)
-        if abs(v - target_fir) <= tol * target_fir:
-            return float(mid)
-        if v > target_fir:
-            lo = mid
-        else:
-            hi = mid
-    return float(np.sqrt(lo * hi))
+    def ratio(nu):
+        return fir(pool_hessian(np.sqrt(nu) * base, theta_star), Hp)
+
+    vals = np.array([ratio(nu) for nu in NU_GRID])
+    knobs = []
+    for target in targets:
+        if clamp and target < vals.min():
+            knobs.append(float(NU_GRID[int(np.argmin(vals))]))
+            continue
+        falling = np.flatnonzero((vals[:-1] >= target) & (target >= vals[1:]))
+        if falling.size == 0:
+            raise ValueError(
+                f"target ratio {target:.3g} not bracketed; grid spans "
+                f"[{vals.min():.3g}, {vals.max():.3g}] on the decreasing branch"
+            )
+        i = falling[0]
+        knobs.append(_bisect(ratio, target, NU_GRID[i], NU_GRID[i + 1],
+                             lambda lo, hi: np.sqrt(lo * hi), rising=False))
+    return knobs
 
 
-def translation_for_fir(target_fir, theta_star, dim, variance=BASE_VARIANCE,
-                        n_mc=100_000, seed=0, tol=1e-3):
-    """Mean shift magnitude whose sampling design hits a target ratio.
+def translation_for_fir(targets, theta_star, dim, variance=BASE_VARIANCE,
+                        n_mc=100_000, seed=0):
+    """Mean shift magnitude, per target, whose sampling design hits it.
 
     The ratio grows with the shift, starting from ``d(c-1)`` at zero.
     """
-    rng = np.random.default_rng(seed)
-    base = np.sqrt(variance) * rng.standard_normal((n_mc, dim))
-    Hp = pool_hessian(base, theta_star)
+    if any(t < theta_star.shape[0] * dim for t in targets):
+        raise ValueError("translation targets must be at least d(c-1)")
+    base, Hp = _reference(theta_star, dim, variance, n_mc, seed)
     a = translation_direction(dim)
 
     def ratio(tau):
         return fir(pool_hessian(base + tau * a, theta_star), Hp)
 
-    d_tilde = theta_star.shape[0] * dim
-    if target_fir < d_tilde:
-        raise ValueError("translation targets must be at least d(c-1)")
-    lo, hi = 0.0, 1.0
-    while ratio(hi) < target_fir:
-        lo, hi = hi, hi * 2.0
-        if hi > 1e6:
-            raise ValueError("target ratio unreachable by translation")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        v = ratio(mid)
-        if abs(v - target_fir) <= tol * target_fir:
-            return float(mid)
-        if v < target_fir:
-            lo = mid
-        else:
-            hi = mid
-    return float(0.5 * (lo + hi))
+    knobs = []
+    for target in targets:
+        lo, hi = 0.0, 1.0
+        while ratio(hi) < target:
+            lo, hi = hi, hi * 2.0
+            if hi > 1e6:
+                raise ValueError("target ratio unreachable by translation")
+        knobs.append(_bisect(ratio, target, lo, hi,
+                             lambda lo, hi: 0.5 * (lo + hi), rising=True))
+    return knobs
 
 
 @dataclass
@@ -327,27 +327,27 @@ def risk_ratio_sweep(n_classes, dim, targets, n, seeds, mode="dilation",
                      risk_points=50_000, n_mc=100_000):
     """Measure excess risk across sampling designs spanning a ratio range.
 
-    For each target ratio the design knob is calibrated once, then for
-    each seed: draw ``n`` labeled samples from the design, fit the model,
-    and estimate the excess risk against the truth under the reference
-    design.  Returns a list of :class:`SweepPoint`.
+    The design knobs of all targets are calibrated in one call, then for
+    each target and seed: draw ``n`` labeled samples from the design, fit
+    the model, and estimate the excess risk against the truth under the
+    reference design.  Returns a list of :class:`SweepPoint`.
     """
     theta_star = make_theta_star(n_classes, dim, theta_seed)
-    spec_p = gaussian_design(dim, variance)
-    results = []
-    for target in targets:
-        if mode == "dilation":
-            knob = dilation_for_fir(target, theta_star, dim, variance,
-                                    n_mc=n_mc, clamp=True)
-            spec_q = gaussian_design(dim, variance, dilation=knob)
-        elif mode == "translation":
-            knob = translation_for_fir(target, theta_star, dim, variance, n_mc=n_mc)
-            spec_q = translated_design(dim, knob, variance)
-        else:
-            raise ValueError(f"unknown sweep mode {mode!r}")
+    if mode == "dilation":
+        knobs = dilation_for_fir(targets, theta_star, dim, variance,
+                                 n_mc=n_mc, clamp=True)
+        specs = [gaussian_design(dim, variance, dilation=k) for k in knobs]
+    elif mode == "translation":
+        knobs = translation_for_fir(targets, theta_star, dim, variance, n_mc=n_mc)
+        specs = [translated_design(dim, k, variance) for k in knobs]
+    else:
+        raise ValueError(f"unknown sweep mode {mode!r}")
 
-        Hp = population_fisher(spec_p, theta_star, n_mc, seed=10_001)
-        Hq = population_fisher(spec_q, theta_star, n_mc, seed=10_001)
+    spec_p = gaussian_design(dim, variance)
+    Hp = pool_hessian(sample_pool(spec_p, n_mc, 10_001), theta_star)
+    results = []
+    for target, knob, spec_q in zip(targets, knobs, specs):
+        Hq = pool_hessian(sample_pool(spec_q, n_mc, 10_001), theta_star)
         realized = fir(Hq, Hp)
         sig = sigma_max(Hq, Hp)
 
@@ -356,10 +356,8 @@ def risk_ratio_sweep(n_classes, dim, targets, n, seeds, mode="dilation",
             Xq = sample_pool(spec_q, n, ss[0])
             yq = sample_labels(Xq, theta_star, ss[1])
             result = fit_erm(Xq, yq, n_classes, ridge=ridge)
-            risk, se = mc_excess_risk(
-                result.theta, theta_star, spec_p,
-                n_points=risk_points, seed=ss[2], with_stderr=True,
-            )
+            risk, se = mc_excess_risk(result.theta, theta_star, spec_p,
+                                      n_points=risk_points, seed=ss[2])
             results.append(SweepPoint(
                 mode=mode, target_fir=float(target), scale_param=float(knob),
                 realized_fir=float(realized), sigma=float(sig), n=int(n),

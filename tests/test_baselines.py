@@ -274,7 +274,7 @@ class TestSelectGreedyFb:
     def test_woodbury_equals_clamped_objective_where_admitted(self, seed):
         X, theta, X0 = self._instance(seed, m=40, d=3, c=3)
         fishers = KronFishers.at(X, theta)
-        G, F = fishers.factors(), fishers.dense()
+        G, F = fishers.factors, fishers.dense()
         Hp0 = pool_hessian(X, theta)
         A = labeled_shift(X0, theta, 3) + F[:4].sum(axis=0)
         for sign, idx in ((1.0, np.arange(4, 40)), (-1.0, np.arange(4))):

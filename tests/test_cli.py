@@ -273,6 +273,21 @@ class TestSelectFiral:
         np.testing.assert_array_equal(diag.report.margin_min_eig,
                                       sorted_diag.report.margin_min_eig)
 
+    def test_factors_computed_once_per_round(self, monkeypatch):
+        # The relaxation and the whitening share one eigh of the W stack.
+        X, theta, labeled = firal_problem(seed=6)
+        unlabeled = np.setdiff1d(np.arange(len(X)), labeled)
+        eigh, stacks = np.linalg.eigh, []
+
+        def counting_eigh(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                stacks.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        select_firal(X, labeled, unlabeled, theta, pool_hessian(X, theta), 4)
+        assert len(stacks) == 1
+
 
 class TestEmitResults:
     def test_column_order_and_precision(self, tmp_path):
@@ -290,6 +305,25 @@ class TestEmitResults:
 
 
 class TestCliCommands:
+    @pytest.mark.parametrize("in_file, flags, theory_mode, budget", [
+        ("true", [], True, 12),
+        ("false", [], False, 12),
+        ("false", ["--theory-mode", "--budget", "6"], True, 6),
+    ])
+    def test_run_flags_override_config_file(self, tmp_path, monkeypatch,
+                                            in_file, flags, theory_mode, budget):
+        # A flag left out keeps the file's value; a flag given wins.
+        path = tmp_path / "run.cfg"
+        path.write_text(f"theory_mode = {in_file}\nbudget = 12\nrounds = 3\n"
+                        "eta = 2.5\nout = none\n")
+        seen = []
+        monkeypatch.setattr(cli, "active_learning_loop",
+                            lambda config: seen.append(config) or [])
+        assert main(["run", "--config", str(path)] + flags) == 0
+        cfg = seen[0]
+        assert (cfg.theory_mode, cfg.budget) == (theory_mode, budget)
+        assert (cfg.rounds, cfg.eta, cfg.out) == (3, 2.5, None)
+
     def test_run_deterministic_output(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["run", "--seed", "5", "--selector", "random", "--budget", "4",

@@ -136,10 +136,18 @@ class TestKronFishers:
     @pytest.mark.parametrize("c", [2, 3, 5])
     def test_factors_reproduce_point_fisher(self, c):
         X, theta, shift = kron_instance(40 + c, c)
-        G = KronFishers.at(X, theta, shift).factors()
+        G = KronFishers.at(X, theta, shift).factors
         assert G.shape == (len(X), (c - 1) * X.shape[1], c - 1)
         for i, x in enumerate(X):
             near(G[i] @ G[i].T, point_fisher(x, theta))
+
+    def test_factors_are_computed_once(self, monkeypatch):
+        X, theta, shift = kron_instance(41, 3)
+        kf = KronFishers.at(X, theta, shift)
+        first = kf.factors
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda *a, **k: pytest.fail("factors recomputed"))
+        assert kf.factors is first
 
     def test_empty_candidate_set(self):
         X, theta, shift = kron_instance(50, 3, empty=True)
@@ -148,7 +156,7 @@ class TestKronFishers:
         assert kf.shape == (0, dt, dt)
         np.testing.assert_array_equal(kf.aggregate(np.zeros(0)), np.zeros((dt, dt)))
         assert kf.inner(np.eye(dt)).shape == (0,)
-        assert kf.factors().shape == (0, dt, 2)
+        assert kf.factors.shape == (0, dt, 2)
 
     def test_default_shift_is_zero(self):
         X, theta, _ = kron_instance(51, 3)

@@ -13,6 +13,7 @@ from firal.synth import (
     gaussian_design,
     make_theta_star,
     mc_excess_risk,
+    risk_ratio_sweep,
     sample_labels,
     sample_pool,
     translated_design,
@@ -135,9 +136,9 @@ class TestMcExcessRisk:
     def test_zero_at_truth(self):
         theta = make_theta_star(3, 4, seed=18)
         spec = gaussian_design(4)
-        assert mc_excess_risk(theta, theta, spec, n_points=1000, seed=19) == 0.0
+        assert mc_excess_risk(theta, theta, spec, n_points=1000, seed=19)[0] == 0.0
         assert mc_excess_risk(theta, theta, spec, n_points=1000, seed=19,
-                              exact_labels=False, n_labels=5) == 0.0
+                              exact_labels=False, n_labels=5)[0] == 0.0
 
     def test_nonnegative_within_noise(self):
         rng = np.random.default_rng(20)
@@ -145,8 +146,7 @@ class TestMcExcessRisk:
         for k in range(5):
             theta = theta_star + 0.05 * rng.normal(size=theta_star.shape)
             val, se = mc_excess_risk(theta, theta_star, gaussian_design(3),
-                                     n_points=5000, seed=22 + k,
-                                     with_stderr=True)
+                                     n_points=5000, seed=22 + k)
             assert val >= -3 * se
 
     def test_exact_enumeration_agrees_with_sampling(self):
@@ -156,10 +156,10 @@ class TestMcExcessRisk:
         theta = theta_star * 0.7
         spec = gaussian_design(2)
         exact, se_e = mc_excess_risk(theta, theta_star, spec, n_points=20_000,
-                                     seed=24, with_stderr=True)
+                                     seed=24)
         sampled, se_s = mc_excess_risk(theta, theta_star, spec, n_points=20_000,
                                        n_labels=100, seed=25,
-                                       exact_labels=False, with_stderr=True)
+                                       exact_labels=False)
         assert abs(exact - sampled) <= 3 * np.hypot(se_e, se_s)
 
     def test_label_enumeration_reduces_variance(self):
@@ -170,10 +170,9 @@ class TestMcExcessRisk:
         theta = theta_star * 0.6
         spec = gaussian_design(2)
         _, se_exact = mc_excess_risk(theta, theta_star, spec, n_points=10_000,
-                                     seed=41, with_stderr=True)
+                                     seed=41)
         _, se_one = mc_excess_risk(theta, theta_star, spec, n_points=10_000,
-                                   n_labels=1, seed=41, exact_labels=False,
-                                   with_stderr=True)
+                                   n_labels=1, seed=41, exact_labels=False)
         assert se_exact <= se_one
 
     def test_exact_mode_pointwise_nonnegative(self):
@@ -183,7 +182,7 @@ class TestMcExcessRisk:
         theta_star = make_theta_star(3, 3, seed=27)
         theta = rng.normal(size=theta_star.shape)
         val = mc_excess_risk(theta, theta_star, gaussian_design(3),
-                             n_points=2000, seed=28)
+                             n_points=2000, seed=28)[0]
         assert val >= 0.0
 
 
@@ -192,7 +191,7 @@ class TestRatioCalibration:
         theta = make_theta_star(2, 4, seed=29)
         d_tilde = 4
         for target in (1.5 * d_tilde, 3.0 * d_tilde):
-            nu = dilation_for_fir(target, theta, 4, n_mc=30_000, seed=30)
+            nu = dilation_for_fir([target], theta, 4, n_mc=30_000, seed=30)[0]
             spec_q = gaussian_design(4, dilation=nu)
             Hq = pool_hessian(sample_pool(spec_q, 200_000, seed=31), theta)
             Hp = pool_hessian(sample_pool(gaussian_design(4), 200_000, seed=31), theta)
@@ -203,15 +202,15 @@ class TestRatioCalibration:
         # clamping the floor's multiplier is returned instead of raising.
         theta = make_theta_star(2, 4, seed=29)
         with pytest.raises(ValueError):
-            dilation_for_fir(0.1, theta, 4, n_mc=20_000, seed=30)
-        nu = dilation_for_fir(0.1, theta, 4, n_mc=20_000, seed=30, clamp=True)
+            dilation_for_fir([0.1], theta, 4, n_mc=20_000, seed=30)
+        nu = dilation_for_fir([0.1], theta, 4, n_mc=20_000, seed=30, clamp=True)[0]
         assert np.isfinite(nu) and nu > 0
 
     def test_translation_hits_target(self):
         theta = make_theta_star(2, 4, seed=32)
         d_tilde = 4
         target = 3.0 * d_tilde
-        tau = translation_for_fir(target, theta, 4, n_mc=30_000, seed=33)
+        tau = translation_for_fir([target], theta, 4, n_mc=30_000, seed=33)[0]
         spec_q = translated_design(4, tau)
         Hq = pool_hessian(sample_pool(spec_q, 200_000, seed=34), theta)
         Hp = pool_hessian(sample_pool(gaussian_design(4), 200_000, seed=34), theta)
@@ -220,4 +219,23 @@ class TestRatioCalibration:
     def test_translation_rejects_small_target(self):
         theta = make_theta_star(2, 4, seed=35)
         with pytest.raises(ValueError):
-            translation_for_fir(1.0, theta, 4, n_mc=5000)
+            translation_for_fir([1.0], theta, 4, n_mc=5000)
+
+    def test_several_targets_equal_one_call_each(self):
+        # One call calibrates a list of targets to exactly the knobs that
+        # one call per target gives, the clamped floor included.
+        theta = make_theta_star(2, 4, seed=29)
+        targets = [6.0, 0.1, 12.0]
+        knobs = dilation_for_fir(targets, theta, 4, n_mc=5000, seed=30, clamp=True)
+        assert knobs == [dilation_for_fir([t], theta, 4, n_mc=5000, seed=30,
+                                          clamp=True)[0] for t in targets]
+        targets = [12.0, 5.0]
+        taus = translation_for_fir(targets, theta, 4, n_mc=5000, seed=33)
+        assert taus == [translation_for_fir([t], theta, 4, n_mc=5000, seed=33)[0]
+                        for t in targets]
+
+
+class TestRiskRatioSweep:
+    def test_unknown_mode_raises(self):
+        with pytest.raises(ValueError, match="unknown sweep mode"):
+            risk_ratio_sweep(2, 4, [6.0], 50, seeds=[0], mode="rotation")
