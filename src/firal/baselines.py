@@ -44,12 +44,16 @@ def _kmeans_pp_init(X, k, rng):
     return centers
 
 
-def select_kmeans(X, budget, seed, max_iter=50):
+KMEANS_MAX_ITER = 50
+
+
+def select_kmeans(X, budget, seed):
     """K-means with ``k = budget``; one nearest pool point per centroid.
 
-    Lloyd iterations from a k-means++ start; each centroid is then mapped
-    to its nearest still-unclaimed pool point, so the returned indices
-    are distinct even when pool points coincide.
+    At most :data:`KMEANS_MAX_ITER` Lloyd iterations from a k-means++
+    start; each centroid is then mapped to its nearest still-unclaimed
+    pool point, so the returned indices are distinct even when pool
+    points coincide.
     """
     X = np.asarray(X, dtype=float)
     m = len(X)
@@ -57,7 +61,7 @@ def select_kmeans(X, budget, seed, max_iter=50):
     rng = np.random.default_rng(seed)
 
     centers = _kmeans_pp_init(X, budget, rng)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         assign = np.argmin(d2, axis=1)
         new_centers = centers.copy()
@@ -109,13 +113,13 @@ def select_var_ratios(X, theta, budget):
 GREEDY_BLOCK = 256
 
 
-def _clamped_trace_objective(A, Hp0, rel_floor=EIG_FLOOR_REL):
+def _clamped_trace_objective(A, Hp0):
     """``<A_n^{-1}, Hp0>`` for each matrix of a stack ``A`` of shape
     ``(n, d_tilde, d_tilde)``, with each matrix's eigenvalues floored
     relative to its own largest, for rank-deficient ``A_n``."""
     w, V = np.linalg.eigh(0.5 * (A + A.transpose(0, 2, 1)))
-    lam_max = np.maximum(w[:, -1:], rel_floor)
-    w = np.maximum(w, rel_floor * lam_max)
+    lam_max = np.maximum(w[:, -1:], EIG_FLOOR_REL)
+    w = np.maximum(w, EIG_FLOOR_REL * lam_max)
     proj = np.einsum("nji,jk,nki->ni", V, Hp0, V)
     return np.sum(proj / w, axis=1)
 
@@ -193,7 +197,7 @@ def select_greedy_fb(X, theta, shift, budget):
     shift = np.asarray(shift, dtype=float)
 
     w0 = np.linalg.eigvalsh(shift)
-    if w0[0] <= 1e-12 * max(w0[-1], 1e-30):
+    if w0[0] <= EIG_FLOOR_REL * max(w0[-1], 1e-30):
         warnings.warn(
             "greedy seed matrix is rank deficient; scores use a clamped inverse",
             RuntimeWarning,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fisher import inv_sqrt_psd
+from .fisher import sigma_max
 
 # Below this point the closed forms lose digits to cancellation; a short
 # series expansion takes over.
@@ -43,11 +43,7 @@ def prefactor_lower(alpha):
 
 def rho_spectral(Hp, Vp, n_classes):
     """Largest eigenvalue of ``Hp^{-1/2} (I_{c-1} kron Vp) Hp^{-1/2}``."""
-    Vp = np.asarray(Vp, dtype=float)
-    K = np.kron(np.eye(n_classes - 1), Vp)
-    S, _ = inv_sqrt_psd(Hp, strict=True)
-    M = S @ K @ S
-    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[-1])
+    return sigma_max(Hp, np.kron(np.eye(n_classes - 1), Vp))
 
 
 def heavy_epsilons(sigma, L1, L2, L3, n, delta, d, n_classes):

@@ -61,6 +61,10 @@ class RunConfig:
                 raise ValueError("budget must be divisible by rounds")
         if self.init_per_class < 1:
             raise ValueError("init_per_class must be positive")
+        if self.eta is not None and not self.eta > 0:
+            raise ValueError("eta must be positive")
+        if self.risk_points < 2:
+            raise ValueError("risk_points must be at least 2 for a standard error")
         if self.data == "synthetic":
             if self.classes < 2 or self.dim < 2:
                 raise ValueError("synthetic runs need classes >= 2, dim >= 2")
@@ -81,28 +85,23 @@ def eta_grid(d_tilde):
     return [2.0**j * np.sqrt(d_tilde) for j in DEFAULT_ETA_GRID_POWERS]
 
 
-def tune_eta(etas, factors, budget, mask_selected=True):
-    """Pick the rate whose selection maximizes the smallest eigenvalue of
-    the summed whitened picks.  Duplicate grid entries keep the first
-    occurrence; ties, scores within a relative :data:`ETA_TIE_REL`, keep
-    the earlier grid position.
+def tune_eta(etas, factors, budget):
+    """Pick the rate whose masked selection maximizes the smallest
+    eigenvalue of the summed whitened picks.  Ties, scores within a
+    relative :data:`ETA_TIE_REL`, keep the earlier grid position, so a
+    duplicate grid entry never replaces its first occurrence.
 
     Returns ``(eta, picks, audit)``, the winning rate with the
     :func:`select_batch` result it was scored on.
     """
-    seen, grid = set(), []
-    for e in etas:
-        if e not in seen:
-            seen.add(e)
-            grid.append(float(e))
-    if not grid:
-        raise ValueError("eta grid must be nonempty")
     best = best_val = None
-    for e in grid:
-        picks, audit = select_batch(budget, e, factors, mask_selected=mask_selected)
+    for e in map(float, etas):
+        picks, audit = select_batch(budget, e, factors)
         val = audit.min_eig_cum[-1]
         if best is None or val > best_val + ETA_TIE_REL * abs(best_val):
             best, best_val = (e, picks, audit), val
+    if best is None:
+        raise ValueError("eta grid must be nonempty")
     return best
 
 
@@ -194,17 +193,6 @@ def emit_results(records, path):
         _write_csv(fh, records, CSV_COLUMNS)
 
 
-class _SyntheticOracle:
-    """Labels on demand from the ground-truth model, one stream per round."""
-
-    def __init__(self, theta_star, streams):
-        self.theta_star = theta_star
-        self.streams = streams
-
-    def query(self, X, round_index):
-        return synth.sample_labels(X, self.theta_star, self.streams[round_index])
-
-
 def _stratified_init(y_hidden, n_classes, per_class, rng):
     """One (or more) indices per class, scanning a seeded permutation."""
     perm = rng.permutation(len(y_hidden))
@@ -294,7 +282,8 @@ def active_learning_loop(config: RunConfig):
         X_pool = synth.sample_pool(spec_p, config.pool_size, pool_ss)
         n_classes = config.classes
         hidden = synth.sample_labels(X_pool, theta_star, init_ss)
-        oracle = _SyntheticOracle(theta_star, rounds_ss.spawn(config.rounds + 1))
+        # Spawned before the selection streams: the spawn order fixes both.
+        label_streams = rounds_ss.spawn(config.rounds + 1)
         y_true = None
     else:
         X_pool, y_all = data.load_dataset(config.data)
@@ -304,7 +293,6 @@ def active_learning_loop(config: RunConfig):
         n_classes = int(y_all.max())
         theta_star, spec_p = None, None
         hidden = y_all
-        oracle = None
         y_true = y_all
 
     init_rng = np.random.default_rng(init_ss.spawn(1)[0])
@@ -333,11 +321,13 @@ def active_learning_loop(config: RunConfig):
                     f"selector {config.selector!r} failed in round {rnd}: {exc}"
                 ) from exc
             if diag is not None:
+                if not diag.report.holds():
+                    raise FloatingPointError(f"regret guarantee violated in round {rnd}")
                 eta_used, margin1 = diag.eta, diag.report.worst_min_eig
                 if diag.report.worst_trace is not None:
                     margin2 = diag.report.worst_trace
-            if oracle is not None:
-                new_y = oracle.query(X_pool[picks], rnd)
+            if y_true is None:
+                new_y = synth.sample_labels(X_pool[picks], theta_star, label_streams[rnd])
             else:
                 new_y = y_true[picks]
             labeled_idx = np.concatenate([labeled_idx, picks])
@@ -437,6 +427,8 @@ def _cmd_run(args):
 
 
 def _cmd_sweep(args):
+    if args.n_targets < 1 or args.seeds < 1 or args.risk_points < 2:
+        raise ValueError("sweep needs --n-targets >= 1, --seeds >= 1 and --risk-points >= 2")
     d_tilde = args.dim * (args.classes - 1)
     if args.targets:
         targets = [float(t) for t in args.targets.split(",")]

@@ -23,16 +23,16 @@ from .model import KronFishers, _as_theta, point_fisher
 EIG_FLOOR_REL = 1e-12
 
 
-def eigh_clamped(A, rel_floor=EIG_FLOOR_REL):
+def eigh_clamped(A):
     """Symmetric eigendecomposition with a relative eigenvalue floor.
 
     Returns ``(w, V, clamped)`` where ``w`` has every eigenvalue below
-    ``rel_floor * max(w)`` raised to that floor.
+    ``EIG_FLOOR_REL * max(w)`` raised to that floor.
     """
     A = np.asarray(A, dtype=float)
     w, V = np.linalg.eigh(0.5 * (A + A.T))
     lam_max = max(float(w[-1]), 0.0)
-    floor = rel_floor * lam_max
+    floor = EIG_FLOOR_REL * lam_max
     clamped = bool(np.any(w < floor)) or lam_max == 0.0
     return np.maximum(w, floor), V, clamped
 

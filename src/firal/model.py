@@ -203,8 +203,9 @@ class KronFishers:
 class FitResult:
     """Outcome of :func:`fit_erm`.
 
-    ``converged`` is False when the gradient tolerance was not reached
-    within ``max_iter`` Newton steps; the best iterate is still returned.
+    ``converged`` is False when the gradient tolerance :data:`FIT_TOL` was
+    not reached within :data:`FIT_MAX_ITER` Newton steps; the best iterate
+    is still returned.
     ``loss_history`` holds the objective after every accepted step.
     """
 
@@ -216,13 +217,17 @@ class FitResult:
     loss_history: list
 
 
-def fit_erm(X, y, n_classes, ridge=1e-8, tol=1e-8, max_iter=100):
+FIT_TOL = 1e-8
+FIT_MAX_ITER = 100
+
+
+def fit_erm(X, y, n_classes, ridge=1e-8):
     """Empirical risk minimization by damped Newton iteration.
 
     Full-Hessian Newton with Armijo backtracking (c = 1e-4, step halving).
     Deterministic given its inputs; the objective is non-increasing across
-    iterations.  Exhausting ``max_iter`` is reported via the result flag,
-    not raised.
+    iterations.  Exhausting :data:`FIT_MAX_ITER` is reported via the result
+    flag, not raised.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -245,8 +250,8 @@ def fit_erm(X, y, n_classes, ridge=1e-8, tol=1e-8, max_iter=100):
     history = [loss]
     n_iter = 0
 
-    for n_iter in range(1, max_iter + 1):
-        if gnorm <= tol:
+    for n_iter in range(1, FIT_MAX_ITER + 1):
+        if gnorm <= FIT_TOL:
             return FitResult(theta, True, n_iter - 1, gnorm, loss, history)
         H = KronFishers.at(X, theta).aggregate(np.full(len(X), 1 / len(X)))
         step = _newton_step(H + ridge * np.eye(k * d), grad.ravel()).reshape(k, d)
@@ -271,7 +276,7 @@ def fit_erm(X, y, n_classes, ridge=1e-8, tol=1e-8, max_iter=100):
         grad = empirical_gradient(X, y, theta, ridge)
         gnorm = float(np.abs(grad).max())
 
-    return FitResult(theta, gnorm <= tol, n_iter, gnorm, loss, history)
+    return FitResult(theta, gnorm <= FIT_TOL, n_iter, gnorm, loss, history)
 
 
 def _newton_step(H, g):

@@ -18,6 +18,8 @@ from .fisher import WhitenedFactors, inv_psd
 
 NU_RESIDUAL_TOL = 1e-13
 NU_MAX_ITER = 200
+# AuditReport.holds accepts margins down to this, for rounding in the sums.
+AUDIT_SLACK = -1e-8
 
 
 def _nu_root(lam, d_tilde):
@@ -126,7 +128,6 @@ class SelectionAudit:
     d_tilde: int
     mask_selected: bool
     chosen: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
-    nu: np.ndarray = field(default_factory=lambda: np.array([]))
     min_eig_cum: np.ndarray = field(default_factory=lambda: np.array([]))
     trace_a_sqrt: np.ndarray = field(default_factory=lambda: np.array([]))
     gain_chosen: np.ndarray = field(default_factory=lambda: np.array([]))
@@ -155,7 +156,6 @@ def select_batch(budget, eta, factors: WhitenedFactors, mask_selected=True):
 
     cum = np.zeros((dt, dt))
     chosen = np.empty(budget, dtype=int)
-    nu_hist = np.empty(budget)
     min_eig = np.empty(budget)
     tr_a_sqrt = np.empty(budget)
     gain_chosen = np.empty(budget)
@@ -163,7 +163,7 @@ def select_batch(budget, eta, factors: WhitenedFactors, mask_selected=True):
     masked = np.zeros(m, dtype=bool)
 
     for t in range(budget):
-        A_inv_sqrt, nu_hist[t], tr_a_sqrt[t] = ftrl_action(cum, eta)
+        A_inv_sqrt, _, tr_a_sqrt[t] = ftrl_action(cum, eta)
         B_sqrt = inv_psd(A_inv_sqrt + eta * D)
 
         scores = _scores(B_sqrt, P, eta)
@@ -188,7 +188,6 @@ def select_batch(budget, eta, factors: WhitenedFactors, mask_selected=True):
         d_tilde=dt,
         mask_selected=bool(mask_selected),
         chosen=chosen,
-        nu=nu_hist,
         min_eig_cum=min_eig,
         trace_a_sqrt=tr_a_sqrt,
         gain_chosen=gain_chosen,
@@ -221,10 +220,10 @@ class AuditReport:
             return None
         return float(self.margin_trace.min())
 
-    def holds(self, slack=-1e-8):
-        ok = self.worst_min_eig >= slack
+    def holds(self):
+        ok = self.worst_min_eig >= AUDIT_SLACK
         if self.margin_trace is not None:
-            ok = ok and self.worst_trace >= slack
+            ok = ok and self.worst_trace >= AUDIT_SLACK
         return ok
 
 

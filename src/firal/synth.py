@@ -19,6 +19,8 @@ from .fisher import fir, pool_hessian, sigma_max
 from .model import class_probabilities, fit_erm
 
 BASE_VARIANCE = 100.0
+BALANCE_SAMPLES = 100_000
+BALANCE_ATTEMPTS = 100
 
 
 @dataclass(frozen=True)
@@ -41,10 +43,8 @@ class DesignSpec:
             raise ValueError(f"unknown family {self.family!r}")
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         scale = np.asarray(self.scale, dtype=float)
-        if scale.ndim == 0:
-            scale = float(scale) * np.eye(mean.size)
         if scale.shape != (mean.size, mean.size):
-            raise ValueError("scale must be (d, d) or scalar")
+            raise ValueError("scale must be (d, d)")
         try:
             np.linalg.cholesky(scale)
         except np.linalg.LinAlgError:
@@ -62,10 +62,9 @@ class DesignSpec:
         return self.mean.size
 
 
-def gaussian_design(dim, variance=BASE_VARIANCE, mean=None, dilation=1.0):
-    """Isotropic Gaussian spec, optionally dilated."""
-    mean = np.zeros(dim) if mean is None else np.asarray(mean, dtype=float)
-    return DesignSpec("gaussian", mean, dilation * variance * np.eye(dim))
+def gaussian_design(dim, variance=BASE_VARIANCE, dilation=1.0):
+    """Centred isotropic Gaussian spec, optionally dilated."""
+    return DesignSpec("gaussian", np.zeros(dim), dilation * variance * np.eye(dim))
 
 
 def translation_direction(dim):
@@ -77,10 +76,11 @@ def translation_direction(dim):
     return a
 
 
-def translated_design(dim, tau, variance=BASE_VARIANCE, family="gaussian", dof=None):
-    """Design shifted by ``tau`` along the diagonal direction."""
-    return DesignSpec(family, tau * translation_direction(dim),
-                      variance * np.eye(dim), dof=dof)
+def translated_design(dim, tau):
+    """Reference Gaussian design shifted by ``tau`` along the diagonal
+    direction."""
+    return DesignSpec("gaussian", tau * translation_direction(dim),
+                      BASE_VARIANCE * np.eye(dim))
 
 
 def sample_pool(spec: DesignSpec, n, seed):
@@ -131,24 +131,23 @@ def _reference_share(gamma, w, logit_scale):
     return float(p[:, -1].mean())
 
 
-def make_theta_star(n_classes, dim, seed, balance_tol=None,
-                    n_samples=100_000, max_attempts=100):
+def make_theta_star(n_classes, dim, seed):
     """Ground-truth parameter with unit rows and near-balanced classes.
 
     Rows are unit-norm with a common pairwise inner product chosen so the
     reference class captures roughly ``1/c`` of the mass under the
     isotropic variance-100 Gaussian; the remaining classes balance by
-    exchangeability.  Each attempt redraws the row orientation and the
-    empirical class frequencies (mean predicted probabilities over
-    ``n_samples`` draws) are checked against ``balance_tol``.
+    exchangeability.  Each of up to :data:`BALANCE_ATTEMPTS` attempts
+    redraws the row orientation, and the empirical class frequencies (mean
+    predicted probabilities over :data:`BALANCE_SAMPLES` draws) must lie
+    within ``0.25/c`` of ``1/c``.
     """
     c = int(n_classes)
     if c < 2 or dim < 2:
         raise ValueError("need n_classes >= 2 and dim >= 2")
     if c - 1 > dim:
         raise ValueError("need n_classes - 1 <= dim for unit rows")
-    if balance_tol is None:
-        balance_tol = 0.25 / c
+    balance_tol = 0.25 / c
     k = c - 1
     logit_scale = np.sqrt(BASE_VARIANCE)
     rng = np.random.default_rng(seed)
@@ -168,9 +167,9 @@ def make_theta_star(n_classes, dim, seed, balance_tol=None,
         gamma = 0.5 * (lo + hi)
 
     best_theta, best_dev = None, np.inf
-    for _ in range(max_attempts):
+    for _ in range(BALANCE_ATTEMPTS):
         theta = _equicorrelated_rows(k, dim, gamma, rng)
-        X = logit_scale * rng.standard_normal((n_samples, dim))
+        X = logit_scale * rng.standard_normal((BALANCE_SAMPLES, dim))
         freqs = class_probabilities(X, theta).mean(axis=0)
         dev = float(np.abs(freqs - 1.0 / c).max())
         if dev < best_dev:
@@ -179,7 +178,7 @@ def make_theta_star(n_classes, dim, seed, balance_tol=None,
             return theta
     raise ValueError(
         f"class balance not achieved: best deviation {best_dev:.4f} "
-        f"exceeds tolerance {balance_tol:.4f} after {max_attempts} attempts"
+        f"exceeds tolerance {balance_tol:.4f} after {BALANCE_ATTEMPTS} attempts"
     )
 
 
@@ -222,11 +221,11 @@ RATIO_TOL = 1e-3
 NU_GRID = np.logspace(-2.0, 3.0, 41)
 
 
-def _reference(theta_star, dim, variance, n_mc, seed):
-    """The base normal draw every calibrated design is built from, and its
-    Fisher matrix, the denominator of each ratio."""
+def _reference(theta_star, dim, n_mc, seed):
+    """The base reference-design draw every calibrated design is built
+    from, and its Fisher matrix, the denominator of each ratio."""
     rng = np.random.default_rng(seed)
-    base = np.sqrt(variance) * rng.standard_normal((n_mc, dim))
+    base = np.sqrt(BASE_VARIANCE) * rng.standard_normal((n_mc, dim))
     return base, pool_hessian(base, theta_star)
 
 
@@ -246,8 +245,7 @@ def _bisect(ratio, target, lo, hi, mid, rising):
     return float(mid(lo, hi))
 
 
-def dilation_for_fir(targets, theta_star, dim, variance=BASE_VARIANCE,
-                     n_mc=100_000, seed=0, clamp=False):
+def dilation_for_fir(targets, theta_star, dim, n_mc=100_000, seed=0, clamp=False):
     """Covariance multiplier, per target, whose sampling design hits it.
 
     The ratio is U-shaped in the multiplier: it falls from the shrinking
@@ -258,7 +256,7 @@ def dilation_for_fir(targets, theta_star, dim, variance=BASE_VARIANCE,
     normal draw is reused across evaluations.  Targets below the floor
     raise, or get the floor's multiplier when ``clamp`` is set.
     """
-    base, Hp = _reference(theta_star, dim, variance, n_mc, seed)
+    base, Hp = _reference(theta_star, dim, n_mc, seed)
 
     def ratio(nu):
         return fir(pool_hessian(np.sqrt(nu) * base, theta_star), Hp)
@@ -281,28 +279,32 @@ def dilation_for_fir(targets, theta_star, dim, variance=BASE_VARIANCE,
     return knobs
 
 
-def translation_for_fir(targets, theta_star, dim, variance=BASE_VARIANCE,
-                        n_mc=100_000, seed=0):
+def translation_for_fir(targets, theta_star, dim, n_mc=100_000, seed=0):
     """Mean shift magnitude, per target, whose sampling design hits it.
 
-    The ratio grows with the shift, starting from ``d(c-1)`` at zero.
+    The ratio grows with the shift, starting from ``d(c-1)`` at zero.  It
+    is evaluated once at the shifts 1, 2, 4, ... up to the first that
+    reaches the largest target; each target is bracketed between two of
+    those shifts (or 0 and 1) and refined by arithmetic bisection.
     """
     if any(t < theta_star.shape[0] * dim for t in targets):
         raise ValueError("translation targets must be at least d(c-1)")
-    base, Hp = _reference(theta_star, dim, variance, n_mc, seed)
+    base, Hp = _reference(theta_star, dim, n_mc, seed)
     a = translation_direction(dim)
 
     def ratio(tau):
         return fir(pool_hessian(base + tau * a, theta_star), Hp)
 
+    taus, vals = [1.0], [ratio(1.0)]
+    while vals[-1] < max(targets, default=0.0):
+        if 2.0 * taus[-1] > 1e6:
+            raise ValueError("target ratio unreachable by translation")
+        taus.append(2.0 * taus[-1])
+        vals.append(ratio(taus[-1]))
     knobs = []
     for target in targets:
-        lo, hi = 0.0, 1.0
-        while ratio(hi) < target:
-            lo, hi = hi, hi * 2.0
-            if hi > 1e6:
-                raise ValueError("target ratio unreachable by translation")
-        knobs.append(_bisect(ratio, target, lo, hi,
+        i = next(j for j, v in enumerate(vals) if v >= target)
+        knobs.append(_bisect(ratio, target, taus[i - 1] if i else 0.0, taus[i],
                              lambda lo, hi: 0.5 * (lo + hi), rising=True))
     return knobs
 
@@ -323,8 +325,7 @@ class SweepPoint:
 
 
 def risk_ratio_sweep(n_classes, dim, targets, n, seeds, mode="dilation",
-                     variance=BASE_VARIANCE, theta_seed=0, ridge=1e-8,
-                     risk_points=50_000, n_mc=100_000):
+                     theta_seed=0, risk_points=50_000, n_mc=100_000):
     """Measure excess risk across sampling designs spanning a ratio range.
 
     The design knobs of all targets are calibrated in one call, then for
@@ -334,16 +335,15 @@ def risk_ratio_sweep(n_classes, dim, targets, n, seeds, mode="dilation",
     """
     theta_star = make_theta_star(n_classes, dim, theta_seed)
     if mode == "dilation":
-        knobs = dilation_for_fir(targets, theta_star, dim, variance,
-                                 n_mc=n_mc, clamp=True)
-        specs = [gaussian_design(dim, variance, dilation=k) for k in knobs]
+        knobs = dilation_for_fir(targets, theta_star, dim, n_mc=n_mc, clamp=True)
+        specs = [gaussian_design(dim, dilation=k) for k in knobs]
     elif mode == "translation":
-        knobs = translation_for_fir(targets, theta_star, dim, variance, n_mc=n_mc)
-        specs = [translated_design(dim, k, variance) for k in knobs]
+        knobs = translation_for_fir(targets, theta_star, dim, n_mc=n_mc)
+        specs = [translated_design(dim, k) for k in knobs]
     else:
         raise ValueError(f"unknown sweep mode {mode!r}")
 
-    spec_p = gaussian_design(dim, variance)
+    spec_p = gaussian_design(dim)
     Hp = pool_hessian(sample_pool(spec_p, n_mc, 10_001), theta_star)
     results = []
     for target, knob, spec_q in zip(targets, knobs, specs):
@@ -355,7 +355,7 @@ def risk_ratio_sweep(n_classes, dim, targets, n, seeds, mode="dilation",
             ss = np.random.SeedSequence([int(seed), 7]).spawn(3)
             Xq = sample_pool(spec_q, n, ss[0])
             yq = sample_labels(Xq, theta_star, ss[1])
-            result = fit_erm(Xq, yq, n_classes, ridge=ridge)
+            result = fit_erm(Xq, yq, n_classes)
             risk, se = mc_excess_risk(result.theta, theta_star, spec_p,
                                       n_points=risk_points, seed=ss[2])
             results.append(SweepPoint(

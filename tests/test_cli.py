@@ -26,7 +26,7 @@ from firal.data import save_dataset
 from firal.fisher import labeled_shift, pool_hessian, whiten_factors
 from firal.model import KronFishers
 from firal.relax import relax_solve
-from firal.sparsify import regret_audit, select_batch
+from firal.sparsify import AuditReport, regret_audit, select_batch
 
 
 def small_config(**overrides):
@@ -189,15 +189,13 @@ class TestTuneEta:
             _, audit = select_batch(4, e, factors)
             assert best_audit.min_eig_cum[-1] >= audit.min_eig_cum[-1] - 1e-12
 
-    @pytest.mark.parametrize("mask", [True, False])
-    def test_returned_selection_equals_fresh_run(self, mask):
+    def test_returned_selection_equals_fresh_run(self):
         factors = make_factors(seed=2)
-        eta, picks, audit = tune_eta(eta_grid(factors.d_tilde), factors, 4,
-                                     mask_selected=mask)
-        fresh_picks, fresh = select_batch(4, eta, factors, mask_selected=mask)
+        eta, picks, audit = tune_eta(eta_grid(factors.d_tilde), factors, 4)
+        fresh_picks, fresh = select_batch(4, eta, factors)
         np.testing.assert_array_equal(picks, fresh_picks)
         assert audit.eta == fresh.eta
-        for name in ("chosen", "nu", "min_eig_cum", "trace_a_sqrt",
+        for name in ("chosen", "min_eig_cum", "trace_a_sqrt",
                      "gain_chosen", "gain_max"):
             np.testing.assert_array_equal(getattr(audit, name), getattr(fresh, name))
 
@@ -206,7 +204,7 @@ class TestTuneEta:
         v = 0.37
         scores = {1.0: v, 2.0: v * (1 + rel)}
 
-        def scored(budget, eta, factors, mask_selected=True):
+        def scored(budget, eta, factors):
             return np.array([int(eta)]), SimpleNamespace(min_eig_cum=np.array([scores[eta]]))
 
         monkeypatch.setattr(cli, "select_batch", scored)
@@ -367,6 +365,57 @@ class TestCliCommands:
     def test_config_error_exit_code(self):
         assert main(["run", "--budget", "7", "--rounds", "2",
                      "--pool-size", "30"]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["run", "--eta", "0"],
+        ["run", "--eta", "-1.5"],
+        ["run", "--eta", "nan"],
+        ["sweep", "--n-targets", "0"],
+        ["sweep", "--seeds", "0"],
+        ["sweep", "--risk-points", "1"],
+    ])
+    def test_degenerate_input_exit_code(self, monkeypatch, args):
+        # Rejected where the input enters, before any fit or calibration.
+        monkeypatch.setattr(cli, "active_learning_loop", pytest.fail)
+        monkeypatch.setattr(cli.synth, "risk_ratio_sweep", pytest.fail)
+        assert main(args) == 2
+
+    def test_degenerate_risk_points_in_config_file(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("risk_points = 1\n")
+        assert main(["run", "--config", str(path)]) == 2
+        assert "risk_points" in capsys.readouterr().err
+
+    def test_violated_guarantee_exit_code(self, monkeypatch, capsys):
+        def violated(audit):
+            return AuditReport(np.array([0.5, -1.0]), None)
+
+        monkeypatch.setattr(cli, "regret_audit", violated)
+        assert main(["run", "--selector", "firal", "--budget", "4", "--rounds", "2",
+                     "--pool-size", "60", "--classes", "2", "--dim", "2"]) == 3
+        assert "regret guarantee violated in round 1" in capsys.readouterr().err
+
+    def test_theory_mode_records_trace_margin(self, tmp_path):
+        out = tmp_path / "run.csv"
+        assert main(["run", "--selector", "firal", "--theory-mode", "--budget", "4",
+                     "--rounds", "2", "--pool-size", "60", "--classes", "2",
+                     "--dim", "2", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        col = CSV_COLUMNS.index("margin_trace")
+        assert np.isnan(float(rows[0][col]))
+        for row in rows[1:]:
+            assert np.isfinite(float(row[col])) and float(row[col]) >= -1e-8
+
+    def test_sweep_stdout_equals_out_file(self, tmp_path, capsys):
+        args = ["sweep", "--dim", "2", "--n", "60", "--targets", "1.5,4", "--seeds", "2",
+                "--n-mc", "4000", "--risk-points", "200"]
+        out = tmp_path / "sweep.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        assert printed.count("\n") == 1 + 2 * 2
+        assert printed == out.read_text()
 
     def test_missing_file_exit_code(self):
         assert main(["run", "--config", "/nonexistent/x.cfg"]) == 2

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from firal.model import (
+    FIT_TOL,
     accuracy,
     class_probabilities,
     empirical_loss,
@@ -206,9 +207,9 @@ class TestFitErm:
     def test_single_example_meets_tolerance(self):
         X = np.tile(np.array([[1.0, 2.0]]), (5, 1))
         y = np.ones(5, dtype=int)
-        res = fit_erm(X, y, 2, ridge=1e-8, tol=1e-8)
+        res = fit_erm(X, y, 2, ridge=1e-8)
         assert res.converged
-        assert res.grad_norm <= 1e-8
+        assert res.grad_norm <= FIT_TOL
 
     def test_recovers_scalar_parameter(self):
         # Monte-Carlo oracle: repeated fits of 1-d binary data generated

@@ -4,6 +4,7 @@ Monte-Carlo risk estimation, and the ratio calibration helpers."""
 import numpy as np
 import pytest
 
+from firal import synth
 from firal.fisher import fir, pool_hessian
 from firal.model import class_probabilities
 from firal.synth import (
@@ -233,6 +234,24 @@ class TestRatioCalibration:
         taus = translation_for_fir(targets, theta, 4, n_mc=5000, seed=33)
         assert taus == [translation_for_fir([t], theta, 4, n_mc=5000, seed=33)[0]
                         for t in targets]
+
+
+    def test_translation_evaluates_each_doubling_point_once(self, monkeypatch):
+        # Every target is bracketed on one shared run of shifts 1, 2, 4, ...;
+        # bisection midpoints are never powers of two at or above 1.
+        theta = make_theta_star(2, 4, seed=29)
+        a = translation_direction(4)
+        rows = []
+
+        def recording(X, theta_star):
+            rows.append(X[0].copy())
+            return pool_hessian(X, theta_star)
+
+        monkeypatch.setattr(synth, "pool_hessian", recording)
+        translation_for_fir([12.0, 5.0, 40.0], theta, 4, n_mc=5000, seed=33)
+        taus = [round(float((row - rows[0]) @ a), 9) for row in rows[1:]]
+        doubling = [t for t in taus if t >= 1 and np.log2(t).is_integer()]
+        assert doubling == [2.0**j for j in range(len(doubling))]
 
 
 class TestRiskRatioSweep:
