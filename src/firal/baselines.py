@@ -158,7 +158,8 @@ def _woodbury_objective(A, G, Hp0, sign):
         exact = lam_min * shrink >= EIG_FLOOR_REL * max(lam_max, EIG_FLOOR_REL)
     Y, M = Y[exact], M[exact]
     U = np.matmul(Y.transpose(0, 2, 1), np.matmul(Hp0, Y))
-    values[exact] = np.sum(A_inv * Hp0) - sign * trace_solve(M, U)
+    values[exact] = np.sum(A_inv * Hp0) - sign * trace_solve(M.transpose(1, 2, 0),
+                                                             U.transpose(1, 2, 0))
     return values, exact
 
 

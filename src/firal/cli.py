@@ -65,6 +65,8 @@ class RunConfig:
             raise ValueError("eta must be positive")
         if self.risk_points < 2:
             raise ValueError("risk_points must be at least 2 for a standard error")
+        if not self.exact_risk and self.risk_labels < 1:
+            raise ValueError("risk_labels must be positive when exact_risk is false")
         if self.data == "synthetic":
             if self.classes < 2 or self.dim < 2:
                 raise ValueError("synthetic runs need classes >= 2, dim >= 2")

@@ -21,6 +21,10 @@ from .model import KronFishers, _as_theta, point_fisher
 # Eigenvalues below EIG_FLOOR_REL times the largest are clamped to that
 # floor before inversion; the clamp event is surfaced to callers.
 EIG_FLOOR_REL = 1e-12
+# Largest entry of |S sigma S - I| that whiten_factors accepts.  Well-posed
+# rounds whiten to about 1e-13; a clamped, rank-deficient sigma misses the
+# identity by order one.
+WHITEN_RESIDUAL_TOL = 1e-8
 
 
 def eigh_clamped(A):
@@ -180,7 +184,9 @@ def whiten_factors(z, fishers):
     Given weights ``z`` (summing to the budget) and the candidates as a
     :class:`~firal.model.KronFishers`, forms ``sigma = sum_i z_i F_i`` and
     returns the shared shift and per-point tall factors ``Q_i kron x_i``
-    conjugated by ``sigma^{-1/2}``.
+    conjugated by ``sigma^{-1/2}``.  Raises ``FloatingPointError`` when
+    the whitened aggregate misses the identity by more than
+    :data:`WHITEN_RESIDUAL_TOL`.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != fishers.shape[:1]:
@@ -193,6 +199,9 @@ def whiten_factors(z, fishers):
     factors = S @ fishers.factors
 
     resid = float(np.abs(S @ sigma @ S - np.eye(len(S))).max())
+    if not resid <= WHITEN_RESIDUAL_TOL:
+        raise FloatingPointError(
+            f"whitening residual {resid:.3e} exceeds {WHITEN_RESIDUAL_TOL:.0e}")
     return WhitenedFactors(
         shift_w=shift_w,
         factors=factors,

@@ -26,49 +26,54 @@ def _nu_root(lam, d_tilde):
     """The unique ``nu`` with ``sum_j (nu + lam_j)^{-2} = 1``.
 
     ``lam`` holds the (nonnegative) eigenvalues of the scaled cumulative
-    loss.  The residual is strictly decreasing in ``nu`` on the bracket,
-    which runs from just above ``-min(lam)`` (residual diverges) up to
-    ``sqrt(d_tilde)`` (residual at most 1 for nonnegative ``lam``).
-    Raises ``FloatingPointError`` for non-finite eigenvalues or a failed
-    upper bracket.
+    loss.  In the offset ``x = nu + min(lam)``, with ``mu = lam - min(lam)``,
+    the root lies in ``[1, sqrt(d_tilde)]``: the term of the smallest
+    eigenvalue alone is 1 at ``x = 1``, and each of the ``d_tilde`` terms is
+    at most ``1 / d_tilde`` at the upper end.  Working in ``x`` keeps the
+    residual at full precision however large the eigenvalues are.  Newton's
+    method runs on ``h(x) = (sum_j (x + mu_j)^{-2})^{-1/2} - 1`` from the
+    lower end: ``h`` is concave and increasing, so the iterates rise
+    monotonically to the root.  Raises ``FloatingPointError`` for
+    non-finite eigenvalues, a failed upper bracket, or an iterate that
+    leaves the bracket, overshoots the root or does not converge.
     """
     lam = np.maximum(np.asarray(lam, dtype=float), 0.0)
     if not np.all(np.isfinite(lam)):
         raise FloatingPointError("nu root: the cumulative loss has non-finite eigenvalues")
     lam_min = float(lam.min())
-
-    def residual(nu):
-        return float(np.sum((nu + lam) ** -2)) - 1.0
-
-    lo = -lam_min + 1e-14 * (1.0 + abs(lam_min))
+    mu = lam - lam_min
     hi = float(np.sqrt(d_tilde))
-    r_lo = residual(lo)
-    r_hi = residual(hi)
-    if not r_hi <= 1e-9:
+    r_hi = float(np.sum((hi + mu) ** -2)) - 1.0
+    if not r_hi <= NU_RESIDUAL_TOL:
         raise FloatingPointError(f"nu root: upper bracket residual {r_hi:.3e} is not <= 0")
-    if r_lo < 0:
-        # Only possible within the bracket slack; lo is already the root.
-        return lo
+    if r_hi >= -NU_RESIDUAL_TOL:
+        # A flat spectrum puts the root on the upper end, where one rounding
+        # of a Newton step could land past it.
+        return hi - lam_min
+    x = 1.0
     for _ in range(NU_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        r = residual(mid)
-        if abs(r) <= NU_RESIDUAL_TOL:
-            return mid
-        if r > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        inv = 1.0 / (x + mu)
+        s = float(np.sum(inv * inv))
+        r = s - 1.0
+        if r <= NU_RESIDUAL_TOL:
+            if r < -NU_RESIDUAL_TOL:
+                raise FloatingPointError(f"nu root: Newton overshot the root (residual {r:.3e})")
+            return x - lam_min
+        x += s * (s**0.5 - 1.0) / float(np.sum(inv**3))
+        if not 1.0 <= x <= hi:
+            raise FloatingPointError(f"nu root: Newton iterate {x!r} left [1, {hi!r}]")
+    raise FloatingPointError(f"nu root: no convergence in {NU_MAX_ITER} Newton steps")
 
 
 def ftrl_action(cum_loss, eta):
     """Compute the action root ``A_t^{-1/2}`` for a cumulative loss.
 
     Eigendecomposes ``eta * cum_loss``, finds the trace-normalizing shift
-    ``nu`` by bisection, and returns ``(A_inv_sqrt, nu, trace_a_sqrt)``
-    where ``A_inv_sqrt = V (nu I + Lambda) V^T`` and ``trace_a_sqrt =
-    Tr A_t^{1/2} = sum_j 1 / (nu + lam_j)``.  All shifted eigenvalues are
-    positive, so the implied action is PD with unit trace.
+    ``nu`` by Newton's method (:func:`_nu_root`), and returns
+    ``(A_inv_sqrt, nu, trace_a_sqrt)`` where ``A_inv_sqrt = V (nu I +
+    Lambda) V^T`` and ``trace_a_sqrt = Tr A_t^{1/2} = sum_j 1 / (nu +
+    lam_j)``.  All shifted eigenvalues are positive, so the implied action
+    is PD with unit trace.
     """
     cum_loss = np.asarray(cum_loss, dtype=float)
     d_tilde = cum_loss.shape[0]
@@ -93,23 +98,49 @@ def score_candidate(B_sqrt, B, P_i, eta):
 
 
 def _scores(B_sqrt, P, eta):
-    """Vectorized :func:`score_candidate` over stacked factors.
+    """Vectorized :func:`score_candidate` over batch-major factors.
 
-    With ``Y_i = B^{1/2} P_i`` the two small matrices are ``T = P^T Y`` and
-    ``U = Y^T Y = P^T B P``, so every product is a batched GEMM and ``B``
-    itself is never formed.
+    ``P`` has shape ``(k, m, d_tilde)``: ``P[a]`` stacks column ``a`` of
+    every candidate's factor as rows, so that ``Y = B^{1/2} P_i`` for all
+    candidates is one flat ``(k m, d_tilde) @ B^{1/2}`` GEMM (``B^{1/2}`` is
+    symmetric) and ``B`` itself is never formed.  The ``k(k+1)`` distinct
+    entries of ``T = P^T Y`` and ``U = Y^T Y = P^T B P`` are row dots, each
+    a length-``m`` vector, which :func:`trace_solve` reads as they are.
     """
-    k = P.shape[2]
-    Y = np.matmul(B_sqrt, P)
-    T = np.matmul(P.transpose(0, 2, 1), Y)
-    U = np.matmul(Y.transpose(0, 2, 1), Y)
-    return trace_solve(np.eye(k) + eta * T, U)
+    k, m, dt = P.shape
+    Y = (P.reshape(k * m, dt) @ B_sqrt).reshape(k, m, dt)
+    M = np.empty((k, k, m))
+    U = np.empty((k, k, m))
+    for a in range(k):
+        for b in range(a, k):
+            M[a, b] = M[b, a] = eta * np.einsum("ij,ij->i", P[a], Y[b])
+            U[a, b] = U[b, a] = np.einsum("ij,ij->i", Y[a], Y[b])
+        M[a, a] += 1.0
+    return trace_solve(M, U)
 
 
 def trace_solve(M, U):
-    """``tr(M_i^{-1} U_i)`` for stacks of small square matrices: the last
-    step of every Woodbury-reduced score."""
-    return np.einsum("ikk->i", np.linalg.solve(M, U))
+    """``tr(M^{-1} U)`` for a batch of small square matrices stored batch
+    last: ``M[a, b]`` and ``U[a, b]`` are length-``n`` vectors of entries.
+    The last step of every Woodbury-reduced score.
+
+    Gaussian elimination unrolled over the ``k x k`` entries, so every
+    operation acts on whole length-``n`` vectors.  It does not pivot: every
+    caller passes a positive definite ``M`` (``I + eta T`` with ``T``
+    PSD, or ``I - T`` with ``T < I``), for which elimination in order is
+    stable.
+    """
+    M = np.array(M, dtype=float)
+    U = np.array(U, dtype=float)
+    k = len(M)
+    for p in range(k - 1):
+        f = M[p + 1:, p] / M[p, p]
+        M[p + 1:, p + 1:] -= f[:, None] * M[p, p + 1:]
+        U[p + 1:] -= f[:, None] * U[p]
+    X = np.empty_like(U)
+    for r in range(k - 1, -1, -1):
+        X[r] = (U[r] - np.sum(M[r, r + 1:, None] * X[r + 1:], axis=0)) / M[r, r]
+    return np.einsum("jjn->n", X)
 
 
 @dataclass
@@ -151,6 +182,7 @@ def select_batch(budget, eta, factors: WhitenedFactors, mask_selected=True):
     D = factors.shift_w
     P = factors.factors
     m, dt, _ = P.shape
+    P_batch = np.ascontiguousarray(P.transpose(2, 0, 1))
     if mask_selected and budget > m:
         raise ValueError("cannot pick more distinct points than the pool holds")
 
@@ -166,7 +198,7 @@ def select_batch(budget, eta, factors: WhitenedFactors, mask_selected=True):
         A_inv_sqrt, _, tr_a_sqrt[t] = ftrl_action(cum, eta)
         B_sqrt = inv_psd(A_inv_sqrt + eta * D)
 
-        scores = _scores(B_sqrt, P, eta)
+        scores = _scores(B_sqrt, P_batch, eta)
         tr_gap = tr_a_sqrt[t] - float(np.trace(B_sqrt))
         gain_max[t] = tr_gap + eta * scores.max()
 

@@ -386,6 +386,13 @@ class TestCliCommands:
         assert main(["run", "--config", str(path)]) == 2
         assert "risk_points" in capsys.readouterr().err
 
+    def test_risk_labels_checked_before_any_work(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cli, "active_learning_loop", pytest.fail)
+        path = tmp_path / "run.cfg"
+        path.write_text("exact_risk = false\nrisk_labels = 0\n")
+        assert main(["run", "--config", str(path)]) == 2
+        assert "risk_labels" in capsys.readouterr().err
+
     def test_violated_guarantee_exit_code(self, monkeypatch, capsys):
         def violated(audit):
             return AuditReport(np.array([0.5, -1.0]), None)

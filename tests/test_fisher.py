@@ -292,6 +292,15 @@ class TestWhitenFactors:
         np.testing.assert_allclose(total, np.eye(wf.d_tilde), atol=1e-8)
         assert wf.identity_residual < 1e-8
 
+    def test_rank_deficient_sigma_raises(self):
+        # All weight on one point and no shift: sigma = W_0 kron x_0 x_0^T
+        # has rank c - 1 of d (c - 1), and no clamped inverse root whitens it.
+        z, X, theta, _ = self._instance(20)
+        z = np.zeros(len(X))
+        z[0] = 4.0
+        with pytest.raises(FloatingPointError, match="whitening residual"):
+            whiten_factors(z, KronFishers.at(X, theta))
+
     def test_binary_single_column(self):
         z, X, theta, shift = self._instance(19, c=2, d=3)
         wf = whiten_factors(z, KronFishers.at(X, theta, shift))

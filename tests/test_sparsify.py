@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from firal import sparsify
 from firal.fisher import (
     f_objective,
     labeled_shift,
@@ -20,6 +21,7 @@ from firal.fisher import (
 from firal.model import KronFishers
 from firal.relax import relax_solve
 from firal.sparsify import (
+    NU_RESIDUAL_TOL,
     SelectionAudit,
     _nu_root,
     _scores,
@@ -27,6 +29,7 @@ from firal.sparsify import (
     regret_audit,
     score_candidate,
     select_batch,
+    trace_solve,
 )
 
 
@@ -63,6 +66,29 @@ def exact_score(B_sqrt, P_i, eta):
         return float(sum(S[j, j] for j in range(P.cols)))
 
 
+def exact_trace_solve(M, U):
+    """``tr(M^{-1} U)`` in 50-digit arithmetic from float inputs."""
+    with mpmath.workdps(50):
+        S = mpmath.inverse(mpmath.matrix(M.tolist())) * mpmath.matrix(U.tolist())
+        return float(sum(S[j, j] for j in range(S.rows)))
+
+
+def exact_nu_root(lam, d_tilde):
+    """The root of ``sum_j (nu + lam_j)^{-2} = 1`` by 200 bisection steps in
+    50 digits, on the bracket ``nu + min(lam)`` in ``[1, sqrt(d_tilde)]``,
+    with the residual's slope there."""
+    with mpmath.workdps(50):
+        lam = [mpmath.mpf(float(v)) for v in lam]
+        lo, hi = 1 - min(lam), mpmath.sqrt(d_tilde) - min(lam)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if sum((mid + v) ** -2 for v in lam) > 1:
+                lo = mid
+            else:
+                hi = mid
+        return lo, -2 * sum((lo + v) ** -3 for v in lam)
+
+
 def dense_trace_objective(A_inv_sqrt, candidate, eta):
     return np.trace(np.linalg.inv(A_inv_sqrt + eta * candidate))
 
@@ -95,17 +121,66 @@ class TestFtrlAction:
                                                  rel=1e-12)
 
 
+def _spectra():
+    rng = np.random.default_rng(11)
+    spectra = {
+        "zero_history": np.zeros(6),
+        # One eigenvalue far below the rest: the root sits next to its pole.
+        "near_pole": np.array([2.0, 1e3, 2e3, 5e3, 1e4]),
+    }
+    for j in range(6):
+        n = int(rng.integers(1, 20))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        spectra[f"random_psd_{j}"] = np.linalg.eigvalsh(
+            random_psd(rng, n, rank=j % 3 + 1) * scale)
+    return spectra
+
+
+SPECTRA = _spectra()
+
+
 class TestNuRoot:
+    @pytest.mark.parametrize("lam", SPECTRA.values(), ids=SPECTRA.keys())
+    def test_matches_50_digit_root(self, lam):
+        # The float residual is at most NU_RESIDUAL_TOL; in exact arithmetic
+        # it can be larger by the sum's rounding (d eps) and by rounding nu
+        # to a float (slope at most 2 at the root, times eps min(lam)).
+        lam = np.maximum(lam, 0.0)
+        d = len(lam)
+        nu = _nu_root(lam, d)
+        assert np.all(nu + lam > 0)
+        assert abs(float(np.sum((nu + lam) ** -2)) - 1.0) <= NU_RESIDUAL_TOL
+        root, slope = exact_nu_root(lam, d)
+        with mpmath.workdps(50):
+            resid = abs(sum((mpmath.mpf(nu) + mpmath.mpf(float(v))) ** -2 for v in lam) - 1)
+            # |r'| falls as nu rises, so the mean value theorem bounds the
+            # distance to the root by the residual over the smaller slope.
+            slope_nu = 2 * sum((mpmath.mpf(nu) + mpmath.mpf(float(v))) ** -3 for v in lam)
+            dist = abs(mpmath.mpf(nu) - root)
+            bound = NU_RESIDUAL_TOL + 4 * d * EPS * (1 + lam.min())
+            assert float(resid) <= bound
+            assert float(dist) <= bound / float(min(abs(slope), slope_nu))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_eigenvalue_raises(self, bad):
         with pytest.raises(FloatingPointError):
             _nu_root(np.array([0.5, bad, 2.0]), 3)
 
+    def test_failed_upper_bracket_raises(self):
+        # Four zero eigenvalues cannot share a unit trace at sqrt(1).
+        with pytest.raises(FloatingPointError, match="upper bracket"):
+            _nu_root(np.zeros(4), 1)
+
+    def test_unconverged_newton_raises(self, monkeypatch):
+        monkeypatch.setattr(sparsify, "NU_MAX_ITER", 1)
+        with pytest.raises(FloatingPointError, match="no convergence"):
+            _nu_root(np.array([2.0, 3.0, 50.0]), 3)
+
 
 class TestScoreCandidate:
     @settings(max_examples=60, deadline=None)
     @given(
-        k=st.integers(1, 3),
+        k=st.integers(1, 9),
         d=st.integers(1, 5),
         m=st.integers(1, 12),
         eta=st.floats(0.01, 100.0),
@@ -116,14 +191,14 @@ class TestScoreCandidate:
         # digits.  Rounding is amplified by cond(I + eta T) in the k x k
         # solve, and by cond(B^{1/2})^2 in forming U: the scalar oracle is
         # handed B = B^{1/2} B^{1/2} rounded.  Over 15k candidate scores
-        # drawn from this strategy the worst error was a quarter of the
-        # bound.
+        # drawn from this strategy (k up to 9) the worst error was about a
+        # fifth of the bound for either kernel.
         rng = np.random.default_rng(seed)
         dt = k * d
         B_sqrt = np.linalg.inv(random_psd(rng, dt) + 0.1 * np.eye(dt))
         B_sqrt = 0.5 * (B_sqrt + B_sqrt.T)
         P = rng.normal(size=(m, dt, k)) * rng.uniform(0.1, 10.0)
-        batched = _scores(B_sqrt, P, eta)
+        batched = _scores(B_sqrt, P.transpose(2, 0, 1), eta)
         cond_b = np.linalg.cond(B_sqrt)
         for i in range(m):
             cond_m = np.linalg.cond(np.eye(k) + eta * P[i].T @ B_sqrt @ P[i])
@@ -132,6 +207,36 @@ class TestScoreCandidate:
             assert batched[i] == pytest.approx(exact, rel=rtol)
             assert score_candidate(B_sqrt, B_sqrt @ B_sqrt, P[i], eta) == pytest.approx(
                 exact, rel=rtol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 9),
+        n=st.integers(1, 6),
+        rank=st.integers(1, 9),
+        gap=st.floats(1e-8, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_trace_solve_removal_case(self, k, n, rank, gap, seed):
+        # The greedy's removal case: M = I - T with 0 <= T < I and U PSD,
+        # with lambda_max(T) = 1 - gap.  Elimination without pivoting is
+        # backward stable on a positive definite M, and for PSD U a
+        # backward error E moves tr(M^{-1} U) by at most
+        # ||E|| ||M^{-1}|| tr(M^{-1} U), so the relative error is of order
+        # k eps cond(M).  Over 10k solves drawn like these the worst error
+        # was an eighth of the bound.
+        rng = np.random.default_rng(seed)
+        M = np.empty((k, k, n))
+        U = np.empty((k, k, n))
+        for i in range(n):
+            T = random_psd(rng, k, rank=min(rank, k))
+            T *= (1.0 - gap) / np.linalg.eigvalsh(T)[-1]
+            M[:, :, i] = np.eye(k) - T
+            U[:, :, i] = random_psd(rng, k, rank=min(rank, k))
+        got = trace_solve(M, U)
+        for i in range(n):
+            rtol = 4 * k * EPS * np.linalg.cond(M[:, :, i])
+            assert got[i] == pytest.approx(exact_trace_solve(M[:, :, i], U[:, :, i]),
+                                           rel=rtol)
 
     def test_zero_factor(self):
         B_sqrt = np.eye(3)
