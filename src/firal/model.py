@@ -50,13 +50,46 @@ def class_probabilities(X, theta):
             f"feature dimension mismatch: X has shape {X.shape}, "
             f"theta has shape {theta.shape}"
         )
-    logits = X @ theta.T
-    # Reference class logit is 0; subtract the max for overflow safety.
-    z = np.concatenate([logits, np.zeros((X.shape[0], 1))], axis=1)
-    z -= z.max(axis=1, keepdims=True)
-    p = np.exp(z)
-    p /= p.sum(axis=1, keepdims=True)
+    return reference_softmax(X @ theta.T)
+
+
+def reference_softmax(logits):
+    """Softmax of ``(n, c-1)`` logits and the zero logit of the reference
+    class, ``(n, c)`` with the reference class last.
+
+    The only place the softmax is written.  Each row is shifted by its max
+    for overflow safety; the max is a running ``np.maximum`` over the
+    logit columns from 0, and the row sum is :func:`row_sums`, since numpy
+    reduces along a short contiguous axis far more slowly.  ``exp`` runs in
+    place on the whole array.  The result equals, bit for bit,
+    ``concatenate`` with a zero column, ``max(axis=1)``, ``exp`` and
+    ``sum(axis=1)``.
+    """
+    logits = np.asarray(logits, dtype=float)
+    n, k = logits.shape
+    p = np.empty((n, k + 1))
+    p[:, :k] = logits
+    p[:, k] = 0.0
+    top = np.zeros(n)
+    for j in range(k):
+        np.maximum(top, p[:, j], out=top)
+    p -= top[:, None]
+    np.exp(p, out=p)
+    p /= row_sums(p)[:, None]
     return p
+
+
+def row_sums(A):
+    """``A.sum(axis=1)`` of an ``(n, c)`` array, bit for bit.  Below eight
+    columns numpy adds a row left to right from 0, which a running add of
+    the columns repeats without the cost of reducing a short axis; from
+    eight columns numpy pairs the terms, so its own sum is used."""
+    if A.shape[1] >= 8:
+        return A.sum(axis=1)
+    total = np.zeros(len(A))
+    for j in range(A.shape[1]):
+        total += A[:, j]
+    return total
 
 
 def predict_proba(x, theta):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fisher import fir, pool_hessian, sigma_max
-from .model import class_probabilities, fit_erm
+from .model import class_probabilities, fit_erm, reference_softmax, row_sums
 
 BASE_VARIANCE = 100.0
 BALANCE_SAMPLES = 100_000
@@ -102,12 +102,16 @@ def sample_pool(spec: DesignSpec, n, seed):
 
 
 def sample_labels(X, theta_star, seed):
-    """Draw one label per point from the model at ``theta_star``."""
+    """Draw one label per point from the model at ``theta_star``.
+
+    A row's rounded cdf can end just below 1, so only the first ``c - 1``
+    cdf columns are compared: a draw above the last one is class ``c``.
+    """
     P = class_probabilities(X, theta_star)
     rng = np.random.default_rng(seed)
     u = rng.random(len(P))
     cdf = np.cumsum(P, axis=1)
-    return 1 + (u[:, None] >= cdf).sum(axis=1).astype(int)
+    return 1 + (u[:, None] >= cdf[:, :-1]).sum(axis=1).astype(int)
 
 
 def _equicorrelated_rows(n_rows, dim, gamma, rng):
@@ -123,11 +127,7 @@ def _reference_share(gamma, w, logit_scale):
     """Mean probability of the reference class for equicorrelated logits."""
     k = w.shape[1]
     G = (1.0 - gamma) * np.eye(k) + gamma * np.ones((k, k))
-    z = logit_scale * (w @ np.linalg.cholesky(G).T)
-    z = np.concatenate([z, np.zeros((len(z), 1))], axis=1)
-    z -= z.max(axis=1, keepdims=True)
-    p = np.exp(z)
-    p /= p.sum(axis=1, keepdims=True)
+    p = reference_softmax(logit_scale * (w @ np.linalg.cholesky(G).T))
     return float(p[:, -1].mean())
 
 
@@ -201,14 +201,16 @@ def mc_excess_risk(theta_n, theta_star, spec_p: DesignSpec, n_points=50_000,
     log_n = np.log(np.maximum(P_n, 1e-300))
 
     if exact_labels:
-        per_point = np.sum(P_star * (log_star - log_n), axis=1)
+        per_point = row_sums(P_star * (log_star - log_n))
     else:
         if n_labels < 1:
             raise ValueError("need n_labels >= 1")
         rng = np.random.default_rng(rng_seed[1])
         u = rng.random((n_points, n_labels))
         cdf = np.cumsum(P_star, axis=1)
-        labels = (u[:, :, None] >= cdf[:, None, :]).sum(axis=2)
+        # As in sample_labels, a draw above the last compared cdf column
+        # is the reference class, however the row's cdf ends.
+        labels = (u[:, :, None] >= cdf[:, None, :-1]).sum(axis=2)
         rows = np.arange(n_points)[:, None]
         per_point = np.mean(log_star[rows, labels] - log_n[rows, labels], axis=1)
 

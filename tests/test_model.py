@@ -15,6 +15,8 @@ from firal.model import (
     nll_loss,
     point_fisher,
     predict_proba,
+    reference_softmax,
+    row_sums,
 )
 
 
@@ -89,6 +91,54 @@ class TestPredictProba:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             predict_proba(np.ones(3), np.zeros((1, 2)))
+
+
+def concat_softmax(logits):
+    """The softmax as numpy reductions along the class axis: the formula
+    the column-wise kernel replaces."""
+    z = np.concatenate([logits, np.zeros((len(logits), 1))], axis=1)
+    z -= z.max(axis=1, keepdims=True)
+    p = np.exp(z)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
+def softmax_logits(rng, n, c):
+    """Logits at several scales, with rows at +-800 and mixed signs."""
+    L = rng.normal(size=(n, c - 1)) * rng.choice([0.1, 1.0, 10.0, 100.0], size=(n, 1))
+    L[:3] = 800.0
+    L[3:6] = -800.0
+    L[6, ::2] = 800.0
+    L[7, ::2] = -800.0
+    return L
+
+
+class TestReferenceSoftmax:
+    @pytest.mark.parametrize("c", [2, 3, 4, 5, 6, 7, 8, 10])
+    def test_bitwise_equal_to_axis_reductions(self, c):
+        # The max is exact in any order.  Below eight classes the running
+        # column add is numpy's order; from eight numpy's own sum is used.
+        L = softmax_logits(np.random.default_rng(c), 4000, c)
+        np.testing.assert_array_equal(reference_softmax(L), concat_softmax(L))
+
+    @pytest.mark.parametrize("c", [2, 5, 10])
+    def test_no_rows(self, c):
+        p = reference_softmax(np.empty((0, c - 1)))
+        assert p.shape == (0, c)
+        np.testing.assert_array_equal(p, concat_softmax(np.empty((0, c - 1))))
+
+    def test_class_probabilities_are_the_kernel(self):
+        rng = np.random.default_rng(9)
+        X, theta = rng.normal(size=(500, 4)), rng.normal(size=(3, 4)) * 5
+        np.testing.assert_array_equal(class_probabilities(X, theta),
+                                      reference_softmax(X @ theta.T))
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4, 5, 6, 7, 8, 10])
+    def test_row_sums_bitwise_equal_to_numpy(self, c):
+        A = np.random.default_rng(c).normal(size=(3000, c)) * 10.0 ** np.arange(c)
+        A[0] = -0.0
+        np.testing.assert_array_equal(row_sums(A), np.sum(A, axis=1))
+        assert np.signbit(row_sums(A)[0]) == np.signbit(np.sum(A, axis=1)[0])
 
 
 class TestNllLoss:

@@ -109,7 +109,27 @@ class TestSamplePool:
             DesignSpec("gaussian", np.zeros(2), -np.eye(2))
 
 
+class _TopDraws(np.random.Generator):
+    """A generator whose uniform draws are all ``1 - 2**-53``, the largest
+    double below 1; ``default_rng`` hands it back unaltered."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return np.full(size, 1.0 - 2.0**-53)
+
+
 class TestSampleLabels:
+    def test_draw_above_rounded_cdf_stays_in_range(self):
+        # Rounding leaves about a quarter of the cdf rows ending below 1, so
+        # comparing a top draw with every cdf column gave label c + 1.
+        c, d = 3, 4
+        theta = make_theta_star(c, d, seed=0)
+        X = sample_pool(gaussian_design(d), 2000, seed=1)
+        assert np.any(np.cumsum(class_probabilities(X, theta), axis=1)[:, -1] < 1.0)
+        y = sample_labels(X, theta, seed=_TopDraws(np.random.PCG64(2)))
+        assert y.min() >= 1 and y.max() <= c
+        assert np.mean(y == c) > 0.99
+
+
     def test_zero_parameters_uniform(self):
         X = np.random.default_rng(13).normal(size=(60_000, 2))
         y = sample_labels(X, np.zeros((2, 2)), seed=14)
@@ -134,6 +154,34 @@ class TestSampleLabels:
 
 
 class TestMcExcessRisk:
+    def test_sampled_labels_from_a_top_draw_stay_in_range(self, monkeypatch):
+        # Every label draw is the largest double below 1: the rows whose
+        # rounded cdf ends below it must still get the reference class.
+        c, d = 3, 4
+        theta_star = make_theta_star(c, d, seed=0)
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: _TopDraws(np.random.PCG64(seed)))
+        val, se = mc_excess_risk(0.5 * theta_star, theta_star, gaussian_design(d),
+                                 n_points=2000, n_labels=3, seed=3, exact_labels=False)
+        assert np.isfinite(val) and np.isfinite(se)
+
+    @pytest.mark.parametrize("c", [2, 3, 5, 7, 10])
+    def test_exact_sum_bitwise_equal_to_axis_sum(self, c):
+        # The per-point class sum is row_sums, numpy's axis-1 sum bit for
+        # bit.
+        d, seed = 6, 29
+        rng = np.random.default_rng(c)
+        theta_star, theta = rng.normal(size=(2, c - 1, d)) * 0.3
+        spec = gaussian_design(d)
+        ss = np.random.SeedSequence(seed).spawn(2)
+        X = sample_pool(spec, 3000, ss[0])
+        P_star, P_n = class_probabilities(X, theta_star), class_probabilities(X, theta)
+        per_point = np.sum(P_star * (np.log(np.maximum(P_star, 1e-300))
+                                     - np.log(np.maximum(P_n, 1e-300))), axis=1)
+        expected = (float(per_point.mean()),
+                    float(per_point.std(ddof=1) / np.sqrt(len(X))))
+        assert mc_excess_risk(theta, theta_star, spec, n_points=3000, seed=seed) == expected
+
     def test_zero_at_truth(self):
         theta = make_theta_star(3, 4, seed=18)
         spec = gaussian_design(4)
@@ -185,6 +233,19 @@ class TestMcExcessRisk:
         val = mc_excess_risk(theta, theta_star, gaussian_design(3),
                              n_points=2000, seed=28)[0]
         assert val >= 0.0
+
+
+def test_reference_share_bitwise_equal_to_axis_reductions():
+    rng = np.random.default_rng(30)
+    for k in (1, 2, 4, 6):
+        w = rng.standard_normal((5000, k))
+        G = 0.7 * np.eye(k) + 0.3 * np.ones((k, k))
+        z = 10.0 * (w @ np.linalg.cholesky(G).T)
+        z = np.concatenate([z, np.zeros((len(z), 1))], axis=1)
+        z -= z.max(axis=1, keepdims=True)
+        p = np.exp(z)
+        p /= p.sum(axis=1, keepdims=True)
+        assert synth._reference_share(0.3, w, 10.0) == float(p[:, -1].mean())
 
 
 class TestRatioCalibration:
