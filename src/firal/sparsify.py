@@ -23,14 +23,17 @@ AUDIT_SLACK = -1e-8
 
 
 def _nu_root(lam, d_tilde):
-    """The unique ``nu`` with ``sum_j (nu + lam_j)^{-2} = 1``.
+    """The unique ``nu`` with ``sum_j (nu + lam_j)^{-2} = 1``, returned as
+    the offset ``x = nu + min(lam)``.
 
     ``lam`` holds the (nonnegative) eigenvalues of the scaled cumulative
-    loss.  In the offset ``x = nu + min(lam)``, with ``mu = lam - min(lam)``,
-    the root lies in ``[1, sqrt(d_tilde)]``: the term of the smallest
-    eigenvalue alone is 1 at ``x = 1``, and each of the ``d_tilde`` terms is
-    at most ``1 / d_tilde`` at the upper end.  Working in ``x`` keeps the
-    residual at full precision however large the eigenvalues are.  Newton's
+    loss.  In the offset, with ``mu = lam - min(lam)``, the root solves
+    ``sum_j (x + mu_j)^{-2} = 1`` and lies in ``[1, sqrt(d_tilde)]``: the
+    term of the smallest eigenvalue alone is 1 at ``x = 1``, and each of the
+    ``d_tilde`` terms is at most ``1 / d_tilde`` at the upper end.  Working
+    in ``x`` keeps the residual at full precision however large the
+    eigenvalues are; ``nu = x - min(lam)`` would round the shift to the
+    spacing of ``min(lam)``, so the caller builds ``x + mu``.  Newton's
     method runs on ``h(x) = (sum_j (x + mu_j)^{-2})^{-1/2} - 1`` from the
     lower end: ``h`` is concave and increasing, so the iterates rise
     monotonically to the root.  Raises ``FloatingPointError`` for
@@ -49,7 +52,7 @@ def _nu_root(lam, d_tilde):
     if r_hi >= -NU_RESIDUAL_TOL:
         # A flat spectrum puts the root on the upper end, where one rounding
         # of a Newton step could land past it.
-        return hi - lam_min
+        return hi
     x = 1.0
     for _ in range(NU_MAX_ITER):
         inv = 1.0 / (x + mu)
@@ -58,7 +61,7 @@ def _nu_root(lam, d_tilde):
         if r <= NU_RESIDUAL_TOL:
             if r < -NU_RESIDUAL_TOL:
                 raise FloatingPointError(f"nu root: Newton overshot the root (residual {r:.3e})")
-            return x - lam_min
+            return x
         x += s * (s**0.5 - 1.0) / float(np.sum(inv**3))
         if not 1.0 <= x <= hi:
             raise FloatingPointError(f"nu root: Newton iterate {x!r} left [1, {hi!r}]")
@@ -72,16 +75,20 @@ def ftrl_action(cum_loss, eta):
     ``nu`` by Newton's method (:func:`_nu_root`), and returns
     ``(A_inv_sqrt, nu, trace_a_sqrt)`` where ``A_inv_sqrt = V (nu I +
     Lambda) V^T`` and ``trace_a_sqrt = Tr A_t^{1/2} = sum_j 1 / (nu +
-    lam_j)``.  All shifted eigenvalues are positive, so the implied action
-    is PD with unit trace.
+    lam_j)``.  The shifted eigenvalues ``nu + lam_j`` are formed as
+    ``x + (lam_j - min(lam))`` from the root's offset ``x``, at full
+    precision however large the eigenvalues are.  All are positive, so the
+    implied action is PD with unit trace.
     """
     cum_loss = np.asarray(cum_loss, dtype=float)
     d_tilde = cum_loss.shape[0]
     lam, V = np.linalg.eigh(0.5 * eta * (cum_loss + cum_loss.T))
     lam = np.maximum(lam, 0.0)
-    nu = _nu_root(lam, d_tilde)
-    A_inv_sqrt = (V * (nu + lam)) @ V.T
-    return 0.5 * (A_inv_sqrt + A_inv_sqrt.T), nu, float(np.sum(1.0 / (nu + lam)))
+    x = _nu_root(lam, d_tilde)
+    shifted = x + (lam - lam.min())
+    A_inv_sqrt = (V * shifted) @ V.T
+    return (0.5 * (A_inv_sqrt + A_inv_sqrt.T), x - float(lam.min()),
+            float(np.sum(1.0 / shifted)))
 
 
 def score_candidate(B_sqrt, B, P_i, eta):

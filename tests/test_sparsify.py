@@ -120,6 +120,25 @@ class TestFtrlAction:
             assert trace_a_sqrt == pytest.approx(np.trace(np.linalg.inv(A_inv_sqrt)),
                                                  rel=1e-12)
 
+    def test_large_eigenvalues_keep_full_precision(self):
+        # The shift is about -1e6.  Formed as nu + lam, the shifted
+        # eigenvalues were rounded to the spacing of 1e6, a residual of
+        # -2.5e-11; formed from the root's offset they keep the residual at
+        # rounding level.  A diagonal cumulative loss has the axes as
+        # eigenvectors, so the action's diagonal is the shifted spectrum.
+        lam = np.array([1e6, 1e6 + 0.5, 2e6])
+        A_inv_sqrt, nu, trace_a_sqrt = ftrl_action(np.diag(lam), eta=1.0)
+        shifted = np.diag(A_inv_sqrt)
+        assert abs(float(np.sum(shifted**-2)) - 1.0) <= NU_RESIDUAL_TOL
+        root, slope = exact_nu_root(lam, 3)
+        with mpmath.workdps(50):
+            exact_trace = sum(1 / (root + mpmath.mpf(v)) for v in lam)
+            # Trace error: the root's distance (residual over slope, the
+            # sum Tr A^{1/2} has slope at most 1 in the shift) plus rounding.
+            bound = (NU_RESIDUAL_TOL + 4 * 3 * EPS) / float(abs(slope)) + 4 * 3 * EPS
+            assert float(abs(mpmath.mpf(trace_a_sqrt) - exact_trace)) <= bound
+        assert nu == pytest.approx(float(root), abs=1e6 * EPS)
+
 
 def _spectra():
     rng = np.random.default_rng(11)
@@ -127,6 +146,9 @@ def _spectra():
         "zero_history": np.zeros(6),
         # One eigenvalue far below the rest: the root sits next to its pole.
         "near_pole": np.array([2.0, 1e3, 2e3, 5e3, 1e4]),
+        # Large eigenvalues: nu is about -1e6, and only the offset x keeps
+        # the root's precision.
+        "large": np.array([1e6, 1e6 + 0.5, 2e6]),
     }
     for j in range(6):
         n = int(rng.integers(1, 20))
@@ -142,22 +164,25 @@ SPECTRA = _spectra()
 class TestNuRoot:
     @pytest.mark.parametrize("lam", SPECTRA.values(), ids=SPECTRA.keys())
     def test_matches_50_digit_root(self, lam):
-        # The float residual is at most NU_RESIDUAL_TOL; in exact arithmetic
-        # it can be larger by the sum's rounding (d eps) and by rounding nu
-        # to a float (slope at most 2 at the root, times eps min(lam)).
+        # The float residual, in the offset x = nu + min(lam), is at most
+        # NU_RESIDUAL_TOL; in exact arithmetic it can be larger by the sum's
+        # rounding (d eps) and by rounding mu = lam - min(lam) (each term
+        # moves by at most eps mu / (x + mu)^3 < eps).
         lam = np.maximum(lam, 0.0)
         d = len(lam)
-        nu = _nu_root(lam, d)
-        assert np.all(nu + lam > 0)
-        assert abs(float(np.sum((nu + lam) ** -2)) - 1.0) <= NU_RESIDUAL_TOL
+        x = _nu_root(lam, d)
+        mu = lam - lam.min()
+        assert np.all(x + mu > 0)
+        assert abs(float(np.sum((x + mu) ** -2)) - 1.0) <= NU_RESIDUAL_TOL
         root, slope = exact_nu_root(lam, d)
         with mpmath.workdps(50):
-            resid = abs(sum((mpmath.mpf(nu) + mpmath.mpf(float(v))) ** -2 for v in lam) - 1)
+            nu = mpmath.mpf(x) - mpmath.mpf(float(lam.min()))
+            resid = abs(sum((nu + mpmath.mpf(float(v))) ** -2 for v in lam) - 1)
             # |r'| falls as nu rises, so the mean value theorem bounds the
             # distance to the root by the residual over the smaller slope.
-            slope_nu = 2 * sum((mpmath.mpf(nu) + mpmath.mpf(float(v))) ** -3 for v in lam)
-            dist = abs(mpmath.mpf(nu) - root)
-            bound = NU_RESIDUAL_TOL + 4 * d * EPS * (1 + lam.min())
+            slope_nu = 2 * sum((nu + mpmath.mpf(float(v))) ** -3 for v in lam)
+            dist = abs(nu - root)
+            bound = NU_RESIDUAL_TOL + 4 * d * EPS
             assert float(resid) <= bound
             assert float(dist) <= bound / float(min(abs(slope), slope_nu))
 
