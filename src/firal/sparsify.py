@@ -84,11 +84,11 @@ def ftrl_action(cum_loss, eta):
     d_tilde = cum_loss.shape[0]
     lam, V = np.linalg.eigh(0.5 * eta * (cum_loss + cum_loss.T))
     lam = np.maximum(lam, 0.0)
+    lam_min = float(lam.min())
     x = _nu_root(lam, d_tilde)
-    shifted = x + (lam - lam.min())
+    shifted = x + (lam - lam_min)
     A_inv_sqrt = (V * shifted) @ V.T
-    return (0.5 * (A_inv_sqrt + A_inv_sqrt.T), x - float(lam.min()),
-            float(np.sum(1.0 / shifted)))
+    return 0.5 * (A_inv_sqrt + A_inv_sqrt.T), x - lam_min, float(np.sum(1.0 / shifted))
 
 
 def score_candidate(B_sqrt, B, P_i, eta):

@@ -121,11 +121,11 @@ class TestFtrlAction:
                                                  rel=1e-12)
 
     def test_large_eigenvalues_keep_full_precision(self):
-        # The shift is about -1e6.  Formed as nu + lam, the shifted
-        # eigenvalues were rounded to the spacing of 1e6, a residual of
-        # -2.5e-11; formed from the root's offset they keep the residual at
-        # rounding level.  A diagonal cumulative loss has the axes as
-        # eigenvectors, so the action's diagonal is the shifted spectrum.
+        # The shift is about -1e6, so nu + lam would round the shifted
+        # eigenvalues to the spacing of 1e6, a residual of -2.5e-11; formed
+        # from the root's offset they keep it at rounding level.  A diagonal
+        # cumulative loss has the axes as eigenvectors, so the action's
+        # diagonal is the shifted spectrum.
         lam = np.array([1e6, 1e6 + 0.5, 2e6])
         A_inv_sqrt, nu, trace_a_sqrt = ftrl_action(np.diag(lam), eta=1.0)
         shifted = np.diag(A_inv_sqrt)

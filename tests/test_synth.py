@@ -119,8 +119,8 @@ class _TopDraws(np.random.Generator):
 
 class TestSampleLabels:
     def test_draw_above_rounded_cdf_stays_in_range(self):
-        # Rounding leaves about a quarter of the cdf rows ending below 1, so
-        # comparing a top draw with every cdf column gave label c + 1.
+        # Rounding leaves about a quarter of the cdf rows ending below 1; a
+        # top draw compared with every cdf column would give label c + 1.
         c, d = 3, 4
         theta = make_theta_star(c, d, seed=0)
         X = sample_pool(gaussian_design(d), 2000, seed=1)
@@ -128,7 +128,6 @@ class TestSampleLabels:
         y = sample_labels(X, theta, seed=_TopDraws(np.random.PCG64(2)))
         assert y.min() >= 1 and y.max() <= c
         assert np.mean(y == c) > 0.99
-
 
     def test_zero_parameters_uniform(self):
         X = np.random.default_rng(13).normal(size=(60_000, 2))
