@@ -25,8 +25,6 @@ from .fisher import (
     fir,
     labeled_shift,
     pool_hessian,
-    point_fishers,
-    shifted_fisher,
     shifted_fishers,
     sigma_max,
     whiten_factors,
@@ -76,7 +74,6 @@ __all__ = [
     "nine_fifths_envelope",
     "nll_loss",
     "point_fisher",
-    "point_fishers",
     "pool_hessian",
     "predict_proba",
     "prefactor_lower",
@@ -89,7 +86,6 @@ __all__ = [
     "sample_pool",
     "score_candidate",
     "select_batch",
-    "shifted_fisher",
     "shifted_fishers",
     "sigma_max",
     "whiten_factors",

@@ -45,8 +45,6 @@ class RunConfig:
     theory_mode: bool = False
     ridge: float = 1e-6
     risk_points: int = 50_000
-    risk_labels: int = 100
-    exact_risk: bool = True
     out: str | None = None
 
     def validate(self):
@@ -61,12 +59,12 @@ class RunConfig:
                 raise ValueError("budget must be divisible by rounds")
         if self.init_per_class < 1:
             raise ValueError("init_per_class must be positive")
-        if self.eta is not None and not self.eta > 0:
-            raise ValueError("eta must be positive")
+        if self.eta is not None and not 0 < self.eta < np.inf:
+            raise ValueError("eta must be positive and finite")
+        if not 0 <= self.ridge < np.inf:
+            raise ValueError("ridge must be nonnegative and finite")
         if self.risk_points < 2:
             raise ValueError("risk_points must be at least 2 for a standard error")
-        if not self.exact_risk and self.risk_labels < 1:
-            raise ValueError("risk_labels must be positive when exact_risk is false")
         if self.data == "synthetic":
             if self.classes < 2 or self.dim < 2:
                 raise ValueError("synthetic runs need classes >= 2, dim >= 2")
@@ -166,10 +164,7 @@ class ExperimentRecord:
     wall_time: float = 0.0
 
 
-CSV_COLUMNS = (
-    "round", "n_labeled", "fir", "sigma", "excess_risk", "risk_stderr",
-    "accuracy", "eta", "margin_min_eig", "margin_trace", "selected",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(ExperimentRecord) if f.name != "wall_time")
 
 
 def _fmt(value):
@@ -347,8 +342,7 @@ def active_learning_loop(config: RunConfig):
         if spec_p is not None:
             risk, risk_se = synth.mc_excess_risk(
                 theta, theta_star, spec_p, n_points=config.risk_points,
-                n_labels=config.risk_labels, seed=risk_streams[rnd],
-                exact_labels=config.exact_risk,
+                seed=risk_streams[rnd],
             )
         else:
             risk, risk_se = float("nan"), float("nan")
@@ -398,6 +392,10 @@ def _config_from_strings(values):
     return RunConfig(**kwargs)
 
 
+BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+              "0": False, "false": False, "no": False, "off": False}
+
+
 def _coerce(field_info, raw):
     """Parse ``raw`` as the field's annotated type (``none`` or empty is
     None where the type allows it)."""
@@ -407,7 +405,9 @@ def _coerce(field_info, raw):
             return None
         kind = kind.removesuffix(" | None")
     if kind == "bool":
-        return text.lower() in ("1", "true", "yes", "on")
+        if text.lower() not in BOOL_WORDS:
+            raise ValueError(f"{field_info.name}: expected a boolean, got {text!r}")
+        return BOOL_WORDS[text.lower()]
     return {"int": int, "float": float}.get(kind, str)(text)
 
 
@@ -429,8 +429,12 @@ def _cmd_run(args):
 
 
 def _cmd_sweep(args):
-    if args.n_targets < 1 or args.seeds < 1 or args.risk_points < 2:
-        raise ValueError("sweep needs --n-targets >= 1, --seeds >= 1 and --risk-points >= 2")
+    if args.n < 1 or args.n_targets < 1 or args.seeds < 1 or args.risk_points < 2:
+        raise ValueError("sweep needs --n >= 1, --n-targets >= 1, --seeds >= 1 "
+                         "and --risk-points >= 2")
+    if args.n_mc < args.dim:
+        # Fewer draws than dimensions leave the reference Fisher singular.
+        raise ValueError("sweep needs --n-mc >= --dim")
     d_tilde = args.dim * (args.classes - 1)
     if args.targets:
         targets = [float(t) for t in args.targets.split(",")]
@@ -468,6 +472,8 @@ def _cmd_audit(args):
     # the pool size; no RunConfig pool constraint applies here.
     if args.classes < 2 or args.dim < 2 or args.budget < 1:
         raise ValueError("audit needs classes >= 2, dim >= 2, budget >= 1")
+    if args.eta is not None and not 0 < args.eta < np.inf:
+        raise ValueError("audit needs a positive, finite --eta")
     root = np.random.SeedSequence(args.seed)
     pool_ss, theta_ss, init_ss, _, _ = root.spawn(5)
     spec_p = synth.gaussian_design(args.dim)

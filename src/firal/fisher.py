@@ -4,9 +4,8 @@ All matrices here live in the vectorized parameter space of dimension
 ``d_tilde = d(c-1)``.  Both search selectors, the FIRAL round and the
 forward-backward greedy, read the candidates through
 :class:`~firal.model.KronFishers`.  The dense ``(m, d_tilde, d_tilde)``
-stacks of :func:`point_fishers` and :func:`shifted_fishers`, and
-:func:`f_objective` on such a stack, are kept as references; only the
-tests call them.
+stack of :func:`shifted_fishers`, and :func:`f_objective` on such a
+stack, are kept as references; only the tests call them.
 """
 
 from __future__ import annotations
@@ -16,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .model import KronFishers, _as_theta, point_fisher
+from .model import KronFishers, _as_theta
 
 # Eigenvalues below EIG_FLOOR_REL times the largest are clamped to that
-# floor before inversion; the clamp event is surfaced to callers.
+# floor before inversion.
 EIG_FLOOR_REL = 1e-12
 # Largest entry of |S sigma S - I| that whiten_factors accepts.  Well-posed
 # rounds whiten to about 1e-13; a clamped, rank-deficient sigma misses the
@@ -30,15 +29,12 @@ WHITEN_RESIDUAL_TOL = 1e-8
 def eigh_clamped(A):
     """Symmetric eigendecomposition with a relative eigenvalue floor.
 
-    Returns ``(w, V, clamped)`` where ``w`` has every eigenvalue below
+    Returns ``(w, V)`` where ``w`` has every eigenvalue below
     ``EIG_FLOOR_REL * max(w)`` raised to that floor.
     """
     A = np.asarray(A, dtype=float)
     w, V = np.linalg.eigh(0.5 * (A + A.T))
-    lam_max = max(float(w[-1]), 0.0)
-    floor = EIG_FLOOR_REL * lam_max
-    clamped = bool(np.any(w < floor)) or lam_max == 0.0
-    return np.maximum(w, floor), V, clamped
+    return np.maximum(w, EIG_FLOOR_REL * max(float(w[-1]), 0.0)), V
 
 
 def _check_pd(w, context):
@@ -53,28 +49,23 @@ def inv_sqrt_psd(A, strict=False):
     """Inverse matrix square root via symmetric eigendecomposition.
 
     With ``strict=True`` a near-singular input raises instead of being
-    clamped.  Returns ``(S, clamped)`` with ``S = A^{-1/2}``.
+    clamped.  Returns ``S = A^{-1/2}``.
     """
-    w, V, clamped = eigh_clamped(A)
+    w, V = eigh_clamped(A)
     if strict:
         _check_pd(w, "inv_sqrt_psd")
     if w[0] <= 0:
         raise np.linalg.LinAlgError("inv_sqrt_psd: matrix has no positive spectrum")
     S = (V / np.sqrt(w)) @ V.T
-    return 0.5 * (S + S.T), clamped
+    return 0.5 * (S + S.T)
 
 
 def inv_psd(A):
     """Inverse of a symmetric positive definite matrix, symmetrized."""
-    w, V, _ = eigh_clamped(A)
+    w, V = eigh_clamped(A)
     _check_pd(w, "inv_psd")
     M = (V / w) @ V.T
     return 0.5 * (M + M.T)
-
-
-def point_fishers(X, theta):
-    """Stack of per-point Fisher matrices, shape ``(m, d_tilde, d_tilde)``."""
-    return KronFishers.at(X, theta).dense()
 
 
 def pool_hessian(X, theta):
@@ -95,22 +86,10 @@ def labeled_shift(X0, theta, budget):
     return KronFishers.at(X0, theta).aggregate(np.full(len(X0), 1.0 / budget))
 
 
-def shifted_fisher(x, theta, shift):
-    """Candidate information matrix: per-point Fisher plus the shared shift."""
-    F = point_fisher(x, theta)
-    shift = np.asarray(shift, dtype=float)
-    if shift.shape != F.shape:
-        raise ValueError(f"shift shape {shift.shape} != fisher shape {F.shape}")
-    return F + shift
-
-
 def shifted_fishers(X, theta, shift):
-    """Stack of shifted candidate matrices for a whole pool."""
-    F = point_fishers(X, theta)
-    shift = np.asarray(shift, dtype=float)
-    if shift.shape != F.shape[1:]:
-        raise ValueError(f"shift shape {shift.shape} != fisher shape {F.shape[1:]}")
-    return F + shift[None, :, :]
+    """Dense stack of shifted candidate matrices for a whole pool,
+    ``(m, d_tilde, d_tilde)``."""
+    return KronFishers.at(X, theta, shift).dense() + shift
 
 
 def fir(Hq, Hp):
@@ -148,7 +127,7 @@ def f_objective(weights_or_indices, fishers, Hp0):
 
 def sigma_max(Hq, Hp):
     """Largest eigenvalue of ``Hq^{-1/2} Hp Hq^{-1/2}``."""
-    S, _ = inv_sqrt_psd(Hq, strict=True)
+    S = inv_sqrt_psd(Hq, strict=True)
     M = S @ np.asarray(Hp, dtype=float) @ S
     return float(np.linalg.eigvalsh(0.5 * (M + M.T))[-1])
 
@@ -166,7 +145,6 @@ class WhitenedFactors:
     factors: np.ndarray        # (m, d_tilde, c-1) tall per-point factors
     inv_sqrt_sigma: np.ndarray
     identity_residual: float
-    clamped: bool
 
     @property
     def d_tilde(self):
@@ -192,7 +170,7 @@ def whiten_factors(z, fishers):
     if z.shape != fishers.shape[:1]:
         raise ValueError("one weight per pool point required")
     sigma = fishers.aggregate(z)
-    S, clamped = inv_sqrt_psd(sigma)
+    S = inv_sqrt_psd(sigma)
 
     shift_w = S @ fishers.shift @ S
     shift_w = 0.5 * (shift_w + shift_w.T)
@@ -207,5 +185,4 @@ def whiten_factors(z, fishers):
         factors=factors,
         inv_sqrt_sigma=S,
         identity_residual=resid,
-        clamped=clamped,
     )

@@ -143,7 +143,7 @@ def _solve_psd(H, b):
     try:
         cho = scipy.linalg.cho_factor(H, check_finite=False)
     except scipy.linalg.LinAlgError:
-        w, V, _ = eigh_clamped(H)
+        w, V = eigh_clamped(H)
         return V @ ((V.T @ b) / w) if w[-1] > 0 else np.zeros_like(b)
     x = scipy.linalg.cho_solve(cho, b, check_finite=False)
     return x + scipy.linalg.cho_solve(cho, b - H @ x, check_finite=False)

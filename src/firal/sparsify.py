@@ -165,9 +165,7 @@ class SelectionAudit:
     budget: int
     d_tilde: int
     mask_selected: bool
-    chosen: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
     min_eig_cum: np.ndarray = field(default_factory=lambda: np.array([]))
-    trace_a_sqrt: np.ndarray = field(default_factory=lambda: np.array([]))
     gain_chosen: np.ndarray = field(default_factory=lambda: np.array([]))
     gain_max: np.ndarray = field(default_factory=lambda: np.array([]))
 
@@ -184,8 +182,8 @@ def select_batch(budget, eta, factors: WhitenedFactors, mask_selected=True):
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0 < eta < np.inf:
+        raise ValueError("eta must be positive and finite")
     D = factors.shift_w
     P = factors.factors
     m, dt, _ = P.shape
@@ -196,17 +194,16 @@ def select_batch(budget, eta, factors: WhitenedFactors, mask_selected=True):
     cum = np.zeros((dt, dt))
     chosen = np.empty(budget, dtype=int)
     min_eig = np.empty(budget)
-    tr_a_sqrt = np.empty(budget)
     gain_chosen = np.empty(budget)
     gain_max = np.empty(budget)
     masked = np.zeros(m, dtype=bool)
 
     for t in range(budget):
-        A_inv_sqrt, _, tr_a_sqrt[t] = ftrl_action(cum, eta)
+        A_inv_sqrt, _, tr_a_sqrt = ftrl_action(cum, eta)
         B_sqrt = inv_psd(A_inv_sqrt + eta * D)
 
         scores = _scores(B_sqrt, P_batch, eta)
-        tr_gap = tr_a_sqrt[t] - float(np.trace(B_sqrt))
+        tr_gap = tr_a_sqrt - float(np.trace(B_sqrt))
         gain_max[t] = tr_gap + eta * scores.max()
 
         cand = scores.copy()
@@ -226,9 +223,7 @@ def select_batch(budget, eta, factors: WhitenedFactors, mask_selected=True):
         budget=int(budget),
         d_tilde=dt,
         mask_selected=bool(mask_selected),
-        chosen=chosen,
         min_eig_cum=min_eig,
-        trace_a_sqrt=tr_a_sqrt,
         gain_chosen=gain_chosen,
         gain_max=gain_max,
     )

@@ -21,7 +21,6 @@ from firal.baselines import (
 from firal.fisher import (
     f_objective,
     labeled_shift,
-    point_fishers,
     pool_hessian,
     shifted_fishers,
 )
@@ -31,7 +30,7 @@ from firal.model import KronFishers
 def greedy_fb_reference(X, theta, shift, budget):
     """Forward-backward greedy scoring one candidate at a time."""
     Hp0 = pool_hessian(X, theta)
-    F = point_fishers(X, theta)
+    F = KronFishers.at(X, theta).dense()
 
     def value(A):
         return _clamped_trace_objective(A[None], Hp0)[0]

@@ -69,6 +69,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             load_config(path)
 
+    @pytest.mark.parametrize("word, value", [
+        ("1", True), ("Yes", True), ("on", True), ("0", False), ("NO", False), ("off", False),
+    ])
+    def test_boolean_words(self, tmp_path, word, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"theory_mode = {word}\n")
+        assert load_config(path).theory_mode is value
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RunConfig(budget=7, rounds=2).validate()
@@ -195,8 +203,7 @@ class TestTuneEta:
         fresh_picks, fresh = select_batch(4, eta, factors)
         np.testing.assert_array_equal(picks, fresh_picks)
         assert audit.eta == fresh.eta
-        for name in ("chosen", "min_eig_cum", "trace_a_sqrt",
-                     "gain_chosen", "gain_max"):
+        for name in ("min_eig_cum", "gain_chosen", "gain_max"):
             np.testing.assert_array_equal(getattr(audit, name), getattr(fresh, name))
 
     @pytest.mark.parametrize("rel, winner", [(1e-15, 1.0), (1e-9, 2.0)])
@@ -373,12 +380,29 @@ class TestCliCommands:
         ["sweep", "--n-targets", "0"],
         ["sweep", "--seeds", "0"],
         ["sweep", "--risk-points", "1"],
+        ["run", "--eta", "inf"],
+        ["run", "--ridge", "nan"],
+        ["run", "--ridge", "inf"],
+        ["run", "--ridge", "-0.5"],
+        ["audit", "--eta", "nan"],
+        ["audit", "--eta", "inf"],
+        ["audit", "--eta", "0"],
+        ["sweep", "--n", "0"],
+        ["sweep", "--n-mc", "7"],
     ])
     def test_degenerate_input_exit_code(self, monkeypatch, args):
         # Rejected where the input enters, before any fit or calibration.
         monkeypatch.setattr(cli, "active_learning_loop", pytest.fail)
         monkeypatch.setattr(cli.synth, "risk_ratio_sweep", pytest.fail)
+        monkeypatch.setattr(cli.synth, "make_theta_star", pytest.fail)
         assert main(args) == 2
+
+    def test_misspelled_boolean_checked_before_any_work(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cli, "active_learning_loop", pytest.fail)
+        path = tmp_path / "run.cfg"
+        path.write_text("theory_mode = ture\n")
+        assert main(["run", "--config", str(path)]) == 2
+        assert "theory_mode" in capsys.readouterr().err
 
     def test_degenerate_risk_points_in_config_file(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
@@ -387,11 +411,14 @@ class TestCliCommands:
         assert "risk_points" in capsys.readouterr().err
 
     def test_risk_labels_checked_before_any_work(self, monkeypatch, tmp_path, capsys):
+        # The excess risk has one estimator, so the keys that chose the
+        # sampled-label one are unknown keys.
         monkeypatch.setattr(cli, "active_learning_loop", pytest.fail)
-        path = tmp_path / "run.cfg"
-        path.write_text("exact_risk = false\nrisk_labels = 0\n")
-        assert main(["run", "--config", str(path)]) == 2
-        assert "risk_labels" in capsys.readouterr().err
+        for key in ("exact_risk", "risk_labels"):
+            path = tmp_path / f"{key}.cfg"
+            path.write_text(f"{key} = 1\n")
+            assert main(["run", "--config", str(path)]) == 2
+            assert f"unknown config key {key!r}" in capsys.readouterr().err
 
     def test_violated_guarantee_exit_code(self, monkeypatch, capsys):
         def violated(audit):

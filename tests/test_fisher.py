@@ -9,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firal.fisher import (
+    EIG_FLOOR_REL,
     eigh_clamped,
     f_objective,
     fir,
     inv_sqrt_psd,
     labeled_shift,
-    point_fishers,
     pool_hessian,
-    shifted_fisher,
     shifted_fishers,
     sigma_max,
     whiten_factors,
@@ -68,7 +67,7 @@ class TestShiftedFisher:
         shift = labeled_shift(np.empty((0, 2)), theta, budget=4)
         np.testing.assert_array_equal(shift, 0.0)
         np.testing.assert_allclose(
-            shifted_fisher(x, theta, shift), point_fisher(x, theta)
+            point_fisher(x, theta) + shift, point_fisher(x, theta)
         )
 
     def test_zero_point_returns_shift(self):
@@ -76,7 +75,7 @@ class TestShiftedFisher:
         theta = rng.normal(size=(1, 2))
         shift = labeled_shift(rng.normal(size=(3, 2)), theta, budget=2)
         np.testing.assert_allclose(
-            shifted_fisher(np.zeros(2), theta, shift), shift, atol=1e-15
+            point_fisher(np.zeros(2), theta) + shift, shift, atol=1e-15
         )
 
     def test_matches_hand_composition(self):
@@ -87,7 +86,7 @@ class TestShiftedFisher:
         b = 5
         shift = sum(point_fisher(x0, theta) for x0 in X0) / b
         np.testing.assert_allclose(
-            shifted_fisher(x, theta, labeled_shift(X0, theta, b)),
+            point_fisher(x, theta) + labeled_shift(X0, theta, b),
             point_fisher(x, theta) + shift,
             rtol=1e-12,
         )
@@ -99,7 +98,7 @@ class TestShiftedFisher:
         shift = labeled_shift(rng.normal(size=(2, 2)), theta, 3)
         stacked = shifted_fishers(X, theta, shift)
         for i, x in enumerate(X):
-            np.testing.assert_allclose(stacked[i], shifted_fisher(x, theta, shift))
+            np.testing.assert_allclose(stacked[i], point_fisher(x, theta) + shift)
 
 
 def kron_instance(seed, c, m=7, d=3, empty=False):
@@ -161,7 +160,7 @@ class TestKronFishers:
     def test_default_shift_is_zero(self):
         X, theta, _ = kron_instance(51, 3)
         near(KronFishers.at(X, theta).aggregate(np.ones(len(X))),
-             point_fishers(X, theta).sum(axis=0))
+             sum(point_fisher(x, theta) for x in X))
 
     def test_rejects_misshaped_shift(self):
         X, theta, _ = kron_instance(52, 3)
@@ -354,18 +353,25 @@ class TestMatrixInequalities:
 
 
 class TestEigHelpers:
-    def test_clamp_flag(self):
+    def test_eigenvalue_floor(self):
+        # Eigenvalues below EIG_FLOOR_REL times the largest are raised to
+        # that floor; everything else is numpy's eigh of the input.
         rng = np.random.default_rng(25)
         full = random_spd(rng, 3)
-        _, _, clamped = eigh_clamped(full)
-        assert not clamped
+        w_ref, V_ref = np.linalg.eigh(full)
+        w, V = eigh_clamped(full)
+        np.testing.assert_array_equal(w, w_ref)
+        np.testing.assert_array_equal(V, V_ref)
         deficient = random_psd(rng, 3, rank=1)
-        _, _, clamped = eigh_clamped(deficient)
-        assert clamped
+        w_ref, V_ref = np.linalg.eigh(deficient)
+        w, V = eigh_clamped(deficient)
+        floor = EIG_FLOOR_REL * w_ref[-1]
+        assert np.all(w_ref[:2] < floor)
+        np.testing.assert_array_equal(w, [floor, floor, w_ref[-1]])
+        np.testing.assert_array_equal(V, V_ref)
 
     def test_inv_sqrt(self):
         rng = np.random.default_rng(26)
         A = random_spd(rng, 4)
-        S, clamped = inv_sqrt_psd(A)
-        assert not clamped
+        S = inv_sqrt_psd(A)
         np.testing.assert_allclose(S @ A @ S, np.eye(4), atol=1e-10)

@@ -347,6 +347,13 @@ class TestSelectBatch:
         with pytest.raises(ValueError):
             select_batch(2, -1.0, factors)
 
+    @pytest.mark.parametrize("eta", [np.nan, np.inf])
+    def test_non_finite_eta_rejected_before_any_step(self, monkeypatch, eta):
+        factors, _, _, _ = make_factors(5, m=4)
+        monkeypatch.setattr(sparsify, "ftrl_action", pytest.fail)
+        with pytest.raises(ValueError, match="eta"):
+            select_batch(2, eta, factors)
+
 
 class TestRegretAudit:
     def test_margins_nonnegative_random_instance(self):
