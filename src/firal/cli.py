@@ -340,8 +340,8 @@ def active_learning_loop(config: RunConfig):
         fir_val, sigma_val = _spectral_diagnostics(Hp, X_pool[labeled_idx], theta)
         acc = _pool_accuracy(X_pool, theta, theta_star=theta_star, y_true=y_true)
         if spec_p is not None:
-            risk, risk_se = synth.mc_excess_risk(
-                theta, theta_star, spec_p, n_points=config.risk_points,
+            [(risk, risk_se)] = synth.mc_excess_risk(
+                [theta], theta_star, spec_p, n_points=config.risk_points,
                 seed=risk_streams[rnd],
             )
         else:
@@ -429,6 +429,8 @@ def _cmd_run(args):
 
 
 def _cmd_sweep(args):
+    if args.classes < 2 or args.dim < 2:
+        raise ValueError("sweep needs --classes >= 2 and --dim >= 2")
     if args.n < 1 or args.n_targets < 1 or args.seeds < 1 or args.risk_points < 2:
         raise ValueError("sweep needs --n >= 1, --n-targets >= 1, --seeds >= 1 "
                          "and --risk-points >= 2")
@@ -437,7 +439,14 @@ def _cmd_sweep(args):
         raise ValueError("sweep needs --n-mc >= --dim")
     d_tilde = args.dim * (args.classes - 1)
     if args.targets:
-        targets = [float(t) for t in args.targets.split(",")]
+        try:
+            targets = [float(t) for t in args.targets.split(",")]
+        except ValueError:
+            raise ValueError(f"--targets must be comma-separated numbers, "
+                             f"got {args.targets!r}") from None
+        if not all(0 < t < np.inf for t in targets):
+            raise ValueError(f"every --targets entry must be finite and > 0, "
+                             f"got {args.targets!r}")
     else:
         lo = 0.2 * d_tilde if args.mode == "dilation" else float(d_tilde)
         targets = np.geomspace(lo, 10.0 * d_tilde, args.n_targets).tolist()

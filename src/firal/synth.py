@@ -182,22 +182,28 @@ def make_theta_star(n_classes, dim, seed):
     )
 
 
-def mc_excess_risk(theta_n, theta_star, spec_p: DesignSpec, n_points=50_000, seed=0):
-    """Monte-Carlo estimate of the population log-loss gap to the truth.
+def mc_excess_risk(thetas, theta_star, spec_p: DesignSpec, n_points=50_000, seed=0):
+    """Monte-Carlo estimate of the population log-loss gap to the truth,
+    for each fitted parameter in ``thetas``.
 
     Draws ``n_points`` points and enumerates the labels exactly: each
     point contributes the conditional expectation of the log-loss gap, a
-    KL divergence, so the estimate carries no label noise.  Returns
-    ``(estimate, stderr)``.
+    KL divergence, so the estimate carries no label noise.  The points and
+    the truth's log-probabilities are computed once and shared by every
+    parameter, so each pair is what a one-parameter call returns.  Returns
+    one ``(estimate, stderr)`` per parameter.
     """
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     X = sample_pool(spec_p, n_points, ss.spawn(1)[0])
     P_star = class_probabilities(X, theta_star)
-    P_n = class_probabilities(X, theta_n)
     log_star = np.log(np.maximum(P_star, 1e-300))
-    log_n = np.log(np.maximum(P_n, 1e-300))
-    per_point = row_sums(P_star * (log_star - log_n))
-    return float(per_point.mean()), float(per_point.std(ddof=1) / np.sqrt(n_points))
+    risks = []
+    for theta_n in thetas:
+        log_n = np.log(np.maximum(class_probabilities(X, theta_n), 1e-300))
+        per_point = row_sums(P_star * (log_star - log_n))
+        risks.append((float(per_point.mean()),
+                      float(per_point.std(ddof=1) / np.sqrt(n_points))))
+    return risks
 
 
 # Bisection stops once a knob's ratio is within RATIO_TOL (relative) of its
@@ -318,10 +324,11 @@ def risk_ratio_sweep(n_classes, dim, targets, n, seeds, mode="dilation",
                      theta_seed=0, risk_points=50_000, n_mc=100_000):
     """Measure excess risk across sampling designs spanning a ratio range.
 
-    The design knobs of all targets are calibrated in one call, then for
-    each target and seed: draw ``n`` labeled samples from the design, fit
-    the model, and estimate the excess risk against the truth under the
-    reference design.  Returns a list of :class:`SweepPoint`.
+    The design knobs of all targets are calibrated in one call.  Then for
+    each seed and target: draw ``n`` labeled samples from the design and
+    fit the model; and for each seed, estimate the excess risk of every
+    target's fit against the truth on one draw from the reference design.
+    Returns a list of :class:`SweepPoint`, target by target, seeds in order.
     """
     theta_star = make_theta_star(n_classes, dim, theta_seed)
     if mode == "dilation":
@@ -335,22 +342,25 @@ def risk_ratio_sweep(n_classes, dim, targets, n, seeds, mode="dilation",
 
     spec_p = gaussian_design(dim)
     Hp = pool_hessian(sample_pool(spec_p, n_mc, 10_001), theta_star)
-    results = []
+    designs = []  # the SweepPoint fields that all rows of a target share
     for target, knob, spec_q in zip(targets, knobs, specs):
         Hq = pool_hessian(sample_pool(spec_q, n_mc, 10_001), theta_star)
-        realized = fir(Hq, Hp)
-        sig = sigma_max(Hq, Hp)
+        designs.append(dict(mode=mode, target_fir=float(target), scale_param=float(knob),
+                            realized_fir=float(fir(Hq, Hp)),
+                            sigma=float(sigma_max(Hq, Hp)), n=int(n)))
 
-        for seed in seeds:
-            ss = np.random.SeedSequence([int(seed), 7]).spawn(3)
+    # Seeds outside targets, so every target shares one risk draw per seed.
+    rows = [[] for _ in designs]
+    for seed in seeds:
+        ss = np.random.SeedSequence([int(seed), 7]).spawn(3)
+        thetas = []
+        for spec_q in specs:
             Xq = sample_pool(spec_q, n, ss[0])
             yq = sample_labels(Xq, theta_star, ss[1])
-            result = fit_erm(Xq, yq, n_classes)
-            risk, se = mc_excess_risk(result.theta, theta_star, spec_p,
-                                      n_points=risk_points, seed=ss[2])
-            results.append(SweepPoint(
-                mode=mode, target_fir=float(target), scale_param=float(knob),
-                realized_fir=float(realized), sigma=float(sig), n=int(n),
-                seed=int(seed), excess_risk=risk, risk_stderr=se,
-            ))
-    return results
+            thetas.append(fit_erm(Xq, yq, n_classes).theta)
+        risks = mc_excess_risk(thetas, theta_star, spec_p,
+                               n_points=risk_points, seed=ss[2])
+        for design, target_rows, (risk, se) in zip(designs, rows, risks):
+            target_rows.append(SweepPoint(**design, seed=int(seed),
+                                          excess_risk=risk, risk_stderr=se))
+    return [point for target_rows in rows for point in target_rows]

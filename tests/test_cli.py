@@ -389,6 +389,14 @@ class TestCliCommands:
         ["audit", "--eta", "0"],
         ["sweep", "--n", "0"],
         ["sweep", "--n-mc", "7"],
+        ["sweep", "--targets", "-5"],
+        ["sweep", "--targets", "0"],
+        ["sweep", "--targets", "nan"],
+        ["sweep", "--targets", "inf"],
+        ["sweep", "--targets", "6,-inf"],
+        ["sweep", "--targets", "6,x"],
+        ["sweep", "--classes", "1"],
+        ["sweep", "--dim", "0"],
     ])
     def test_degenerate_input_exit_code(self, monkeypatch, args):
         # Rejected where the input enters, before any fit or calibration.
@@ -396,6 +404,15 @@ class TestCliCommands:
         monkeypatch.setattr(cli.synth, "risk_ratio_sweep", pytest.fail)
         monkeypatch.setattr(cli.synth, "make_theta_star", pytest.fail)
         assert main(args) == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--targets", "-5"), ("--targets", "nan"), ("--targets", "6,x"),
+        ("--classes", "1"), ("--dim", "0"),
+    ])
+    def test_bad_sweep_input_names_its_flag(self, monkeypatch, capsys, flag, value):
+        monkeypatch.setattr(cli.synth, "risk_ratio_sweep", pytest.fail)
+        assert main(["sweep", flag, value]) == 2
+        assert flag in capsys.readouterr().err
 
     def test_misspelled_boolean_checked_before_any_work(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(cli, "active_learning_loop", pytest.fail)

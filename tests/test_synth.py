@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from firal import synth
-from firal.fisher import fir, pool_hessian
-from firal.model import class_probabilities
+from firal.fisher import fir, pool_hessian, sigma_max
+from firal.model import class_probabilities, fit_erm
 from firal.synth import (
     BASE_VARIANCE,
     DesignSpec,
+    SweepPoint,
     dilation_for_fir,
     gaussian_design,
     make_theta_star,
@@ -184,20 +185,20 @@ class TestMcExcessRisk:
                                      - np.log(np.maximum(P_n, 1e-300))), axis=1)
         expected = (float(per_point.mean()),
                     float(per_point.std(ddof=1) / np.sqrt(len(X))))
-        assert mc_excess_risk(theta, theta_star, spec, n_points=3000, seed=seed) == expected
+        assert mc_excess_risk([theta], theta_star, spec, n_points=3000, seed=seed) == [expected]
 
     def test_zero_at_truth(self):
         theta = make_theta_star(3, 4, seed=18)
         spec = gaussian_design(4)
-        assert mc_excess_risk(theta, theta, spec, n_points=1000, seed=19)[0] == 0.0
+        assert mc_excess_risk([theta], theta, spec, n_points=1000, seed=19)[0][0] == 0.0
 
     def test_nonnegative_within_noise(self):
         rng = np.random.default_rng(20)
         theta_star = make_theta_star(2, 3, seed=21)
         for k in range(5):
             theta = theta_star + 0.05 * rng.normal(size=theta_star.shape)
-            val, se = mc_excess_risk(theta, theta_star, gaussian_design(3),
-                                     n_points=5000, seed=22 + k)
+            [(val, se)] = mc_excess_risk([theta], theta_star, gaussian_design(3),
+                                         n_points=5000, seed=22 + k)
             assert val >= -3 * se
 
     def test_exact_enumeration_agrees_with_sampling(self):
@@ -206,8 +207,8 @@ class TestMcExcessRisk:
         theta_star = make_theta_star(2, 2, seed=23)
         theta = theta_star * 0.7
         spec = gaussian_design(2)
-        exact, se_e = mc_excess_risk(theta, theta_star, spec, n_points=20_000,
-                                     seed=24)
+        [(exact, se_e)] = mc_excess_risk([theta], theta_star, spec, n_points=20_000,
+                                         seed=24)
         sampled, se_s = sampled_excess_risk(theta, theta_star, spec, n_points=20_000,
                                             n_labels=100, seed=25)
         assert abs(exact - sampled) <= 3 * np.hypot(se_e, se_s)
@@ -219,11 +220,26 @@ class TestMcExcessRisk:
         theta_star = make_theta_star(2, 2, seed=40)
         theta = theta_star * 0.6
         spec = gaussian_design(2)
-        _, se_exact = mc_excess_risk(theta, theta_star, spec, n_points=10_000,
-                                     seed=41)
+        [(_, se_exact)] = mc_excess_risk([theta], theta_star, spec, n_points=10_000,
+                                         seed=41)
         _, se_one = sampled_excess_risk(theta, theta_star, spec, n_points=10_000,
                                         n_labels=1, seed=41)
         assert se_exact <= se_one
+
+    @pytest.mark.parametrize("c", [2, 3, 5])
+    def test_several_parameters_equal_one_call_each(self, c):
+        # One draw of points and truth log-probabilities serves every
+        # parameter; each pair is the one-parameter call's, bit for bit.
+        d = 6
+        theta_star = make_theta_star(c, d, seed=42)
+        rng = np.random.default_rng(43)
+        thetas = [theta_star + 0.1 * rng.normal(size=theta_star.shape), theta_star,
+                  rng.normal(size=theta_star.shape)]
+        spec = gaussian_design(d)
+        risks = mc_excess_risk(thetas, theta_star, spec, n_points=3000, seed=44)
+        assert risks == [mc_excess_risk([theta], theta_star, spec, n_points=3000,
+                                        seed=44)[0] for theta in thetas]
+        assert risks[1] == (0.0, 0.0)
 
     def test_exact_mode_pointwise_nonnegative(self):
         # Conditional enumeration makes the per-point gap a divergence, so
@@ -231,8 +247,8 @@ class TestMcExcessRisk:
         rng = np.random.default_rng(26)
         theta_star = make_theta_star(3, 3, seed=27)
         theta = rng.normal(size=theta_star.shape)
-        val = mc_excess_risk(theta, theta_star, gaussian_design(3),
-                             n_points=2000, seed=28)[0]
+        [(val, _)] = mc_excess_risk([theta], theta_star, gaussian_design(3),
+                                    n_points=2000, seed=28)
         assert val >= 0.0
 
 
@@ -320,3 +336,40 @@ class TestRiskRatioSweep:
     def test_unknown_mode_raises(self):
         with pytest.raises(ValueError, match="unknown sweep mode"):
             risk_ratio_sweep(2, 4, [6.0], 50, seeds=[0], mode="rotation")
+
+    def test_rows_equal_one_risk_call_per_target_and_seed(self, monkeypatch):
+        # Reference: the loop with targets outside and one mc_excess_risk
+        # call per (target, seed), rebuilt from the public pieces.
+        c, d, n, n_mc, risk_points = 2, 2, 60, 4000, 2000
+        targets, seeds = [1.5, 4.0], [0, 1, 2]
+        theta_star = make_theta_star(c, d, 0)
+        knobs = dilation_for_fir(targets, theta_star, d, n_mc=n_mc, clamp=True)
+        spec_p = gaussian_design(d)
+        Hp = pool_hessian(sample_pool(spec_p, n_mc, 10_001), theta_star)
+        expected = []
+        for target, knob in zip(targets, knobs):
+            spec_q = gaussian_design(d, dilation=knob)
+            Hq = pool_hessian(sample_pool(spec_q, n_mc, 10_001), theta_star)
+            for seed in seeds:
+                ss = np.random.SeedSequence([seed, 7]).spawn(3)
+                Xq = sample_pool(spec_q, n, ss[0])
+                theta = fit_erm(Xq, sample_labels(Xq, theta_star, ss[1]), c).theta
+                [(risk, se)] = mc_excess_risk([theta], theta_star, spec_p,
+                                              n_points=risk_points, seed=ss[2])
+                expected.append(SweepPoint(
+                    mode="dilation", target_fir=target, scale_param=knob,
+                    realized_fir=float(fir(Hq, Hp)), sigma=float(sigma_max(Hq, Hp)),
+                    n=n, seed=seed, excess_risk=risk, risk_stderr=se))
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return mc_excess_risk(*args, **kwargs)
+
+        monkeypatch.setattr(synth, "mc_excess_risk", counting)
+        points = risk_ratio_sweep(c, d, targets, n, seeds=seeds, n_mc=n_mc,
+                                  risk_points=risk_points)
+        assert points == expected
+        # One risk draw per seed, shared by both targets.
+        assert calls == [len(targets)] * len(seeds)
