@@ -21,8 +21,8 @@ from .model import KronFishers, _as_theta
 # floor before inversion.
 EIG_FLOOR_REL = 1e-12
 # Largest entry of |S sigma S - I| that whiten_factors accepts.  Well-posed
-# rounds whiten to about 1e-13; a clamped, rank-deficient sigma misses the
-# identity by order one.
+# rounds whiten to about 1e-13; a sigma that is nonsingular but badly
+# conditioned can miss the identity by more.
 WHITEN_RESIDUAL_TOL = 1e-8
 
 
@@ -45,17 +45,15 @@ def _check_pd(w, context):
         )
 
 
-def inv_sqrt_psd(A, strict=False):
-    """Inverse matrix square root via symmetric eigendecomposition.
+def inv_sqrt_psd(A):
+    """Inverse matrix square root ``S = A^{-1/2}`` via symmetric
+    eigendecomposition.
 
-    With ``strict=True`` a near-singular input raises instead of being
-    clamped.  Returns ``S = A^{-1/2}``.
+    Raises ``LinAlgError`` when ``A`` is singular to working precision, by
+    the same rule as :func:`inv_psd` and :func:`fir`.
     """
     w, V = eigh_clamped(A)
-    if strict:
-        _check_pd(w, "inv_sqrt_psd")
-    if w[0] <= 0:
-        raise np.linalg.LinAlgError("inv_sqrt_psd: matrix has no positive spectrum")
+    _check_pd(w, "inv_sqrt_psd")
     S = (V / np.sqrt(w)) @ V.T
     return 0.5 * (S + S.T)
 
@@ -127,7 +125,7 @@ def f_objective(weights_or_indices, fishers, Hp0):
 
 def sigma_max(Hq, Hp):
     """Largest eigenvalue of ``Hq^{-1/2} Hp Hq^{-1/2}``."""
-    S = inv_sqrt_psd(Hq, strict=True)
+    S = inv_sqrt_psd(Hq)
     M = S @ np.asarray(Hp, dtype=float) @ S
     return float(np.linalg.eigvalsh(0.5 * (M + M.T))[-1])
 
@@ -143,17 +141,11 @@ class WhitenedFactors:
 
     shift_w: np.ndarray        # (d_tilde, d_tilde) shared PSD part
     factors: np.ndarray        # (m, d_tilde, c-1) tall per-point factors
-    inv_sqrt_sigma: np.ndarray
     identity_residual: float
 
     @property
     def d_tilde(self):
         return self.shift_w.shape[0]
-
-    def candidate(self, i):
-        """Dense whitened candidate matrix for index ``i``."""
-        P = self.factors[i]
-        return self.shift_w + P @ P.T
 
 
 def whiten_factors(z, fishers):
@@ -162,8 +154,9 @@ def whiten_factors(z, fishers):
     Given weights ``z`` (summing to the budget) and the candidates as a
     :class:`~firal.model.KronFishers`, forms ``sigma = sum_i z_i F_i`` and
     returns the shared shift and per-point tall factors ``Q_i kron x_i``
-    conjugated by ``sigma^{-1/2}``.  Raises ``FloatingPointError`` when
-    the whitened aggregate misses the identity by more than
+    conjugated by ``sigma^{-1/2}``.  Raises ``LinAlgError`` when ``sigma``
+    is singular to working precision, and ``FloatingPointError`` when the
+    whitened aggregate misses the identity by more than
     :data:`WHITEN_RESIDUAL_TOL`.
     """
     z = np.asarray(z, dtype=float)
@@ -183,6 +176,5 @@ def whiten_factors(z, fishers):
     return WhitenedFactors(
         shift_w=shift_w,
         factors=factors,
-        inv_sqrt_sigma=S,
         identity_residual=resid,
     )

@@ -79,17 +79,18 @@ def relax_gradient(kappa, fishers, Hp0):
 
 @dataclass
 class RelaxResult:
-    """Certified solution of the relaxed design problem."""
+    """Certified solution of the relaxed design problem.
+
+    The simplex weights are ``z / budget``; ``objective * budget`` is ``f``
+    at them.
+    """
 
     z: np.ndarray            # weights, nonnegative, summing to budget
-    budget: float
     objective: float         # f at z (the budget-scaled weights)
-    kappa: np.ndarray        # simplex representation of z
     gap: float               # Frank-Wolfe gap at z, in the units of objective
     n_iter: int              # Newton steps tried
     best_iter: int           # the step that produced z; the last one
     box_violations: int      # number of entries with z_i > 1
-    objective_history: list  # f at each support iterate, unscaled by budget
 
 
 class _Support:
@@ -227,7 +228,6 @@ def relax_solve(budget, Hp0, fishers):
 
     f, M = _sigma_parts(np.full(m, 1.0 / m), fishers, Hp0)
     g = _gradient(fishers, M)
-    history = []
     G = fishers.factors
     _, dt, k = G.shape
     order = np.argsort(g, kind="stable")
@@ -246,7 +246,6 @@ def relax_solve(budget, Hp0, fishers):
         state = _Support(G[support], fishers.shift, Hp0)
         while True:
             f, g_s, H, M = state.derivatives(w)
-            history.append(f)
             spread = g_s[w > 0].max() - g_s.min()
             if spread <= 0.1 * GAP_TOL * f or steps == MAX_NEWTON_STEPS:
                 break
@@ -280,12 +279,9 @@ def relax_solve(budget, Hp0, fishers):
     z = budget * kappa
     return RelaxResult(
         z=z,
-        budget=float(budget),
         objective=f / budget,
-        kappa=kappa,
         gap=gap / budget,
         n_iter=steps,
         best_iter=steps,
         box_violations=int(np.sum(z > 1.0 + 1e-12)),
-        objective_history=history,
     )

@@ -194,7 +194,9 @@ def mc_excess_risk(thetas, theta_star, spec_p: DesignSpec, n_points=50_000, seed
     one ``(estimate, stderr)`` per parameter.
     """
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    X = sample_pool(spec_p, n_points, ss.spawn(1)[0])
+    # ss.spawn(1)[0] of a fresh sequence, without advancing the caller's.
+    X = sample_pool(spec_p, n_points,
+                    np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (0,)))
     P_star = class_probabilities(X, theta_star)
     log_star = np.log(np.maximum(P_star, 1e-300))
     risks = []
@@ -236,7 +238,7 @@ def _bisect(ratio, target, lo, hi, mid, rising):
     return float(mid(lo, hi))
 
 
-def dilation_for_fir(targets, theta_star, dim, n_mc=100_000, seed=0, clamp=False):
+def dilation_for_fir(targets, theta_star, dim, n_mc=100_000, seed=0):
     """Covariance multiplier, per target, whose sampling design hits it.
 
     The ratio is U-shaped in the multiplier: it falls from the shrinking
@@ -244,8 +246,9 @@ def dilation_for_fir(targets, theta_star, dim, n_mc=100_000, seed=0, clamp=False
     saturation starves the boundary-normal curvature.  Each target is
     bracketed on the decreasing branch of :data:`NU_GRID`, evaluated once
     for all targets, and refined by geometric bisection; the same base
-    normal draw is reused across evaluations.  Targets below the floor
-    raise, or get the floor's multiplier when ``clamp`` is set.
+    normal draw is reused across evaluations.  Targets below the floor get
+    the floor's multiplier; targets above the ratio at the grid's smallest
+    multiplier raise.
     """
     base, Hp = _reference(theta_star, dim, n_mc, seed)
 
@@ -255,7 +258,7 @@ def dilation_for_fir(targets, theta_star, dim, n_mc=100_000, seed=0, clamp=False
     vals = np.array([ratio(nu) for nu in NU_GRID])
     knobs = []
     for target in targets:
-        if clamp and target < vals.min():
+        if target < vals.min():
             knobs.append(float(NU_GRID[int(np.argmin(vals))]))
             continue
         falling = np.flatnonzero((vals[:-1] >= target) & (target >= vals[1:]))
@@ -332,7 +335,7 @@ def risk_ratio_sweep(n_classes, dim, targets, n, seeds, mode="dilation",
     """
     theta_star = make_theta_star(n_classes, dim, theta_seed)
     if mode == "dilation":
-        knobs = dilation_for_fir(targets, theta_star, dim, n_mc=n_mc, clamp=True)
+        knobs = dilation_for_fir(targets, theta_star, dim, n_mc=n_mc)
         specs = [gaussian_design(dim, dilation=k) for k in knobs]
     elif mode == "translation":
         knobs = translation_for_fir(targets, theta_star, dim, n_mc=n_mc)

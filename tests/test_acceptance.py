@@ -203,8 +203,8 @@ class TestCriterion5WoodburyEquivalence:
                 for i in range(20)
             ]
             dense = [
-                np.trace(np.linalg.inv(A_inv_sqrt + eta * factors.candidate(i)))
-                for i in range(20)
+                np.trace(np.linalg.inv(A_inv_sqrt + eta * (factors.shift_w + P @ P.T)))
+                for P in factors.factors
             ]
             all_match &= int(np.argmax(scores)) == int(np.argmin(dense))
             steps += 1

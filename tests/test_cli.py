@@ -25,7 +25,7 @@ from firal.cli import (
 from firal.data import save_dataset
 from firal.fisher import labeled_shift, pool_hessian, whiten_factors
 from firal.model import KronFishers
-from firal.relax import relax_solve
+from firal.relax import RelaxResult, relax_solve
 from firal.sparsify import AuditReport, regret_audit, select_batch
 
 
@@ -293,6 +293,19 @@ class TestSelectFiral:
         select_firal(X, labeled, unlabeled, theta, pool_hessian(X, theta), 4)
         assert len(stacks) == 1
 
+    def test_violated_guarantee_raises(self, monkeypatch):
+        # A library call is stopped where the margins are computed.
+        def violated(audit):
+            return AuditReport(np.array([0.5, -1.0]), np.array([2.0, -0.25]))
+
+        monkeypatch.setattr(cli, "regret_audit", violated)
+        X, theta, labeled = firal_problem()
+        unlabeled = np.setdiff1d(np.arange(len(X)), labeled)
+        with pytest.raises(FloatingPointError, match=r"regret guarantee violated: "
+                           r"worst_min_eig_margin=-1\.000000e\+00 worst_trace_margin=-0\.25"):
+            select_firal(X, labeled, unlabeled, theta, pool_hessian(X, theta), 4,
+                         repeats=True)
+
 
 class TestEmitResults:
     def test_column_order_and_precision(self, tmp_path):
@@ -414,6 +427,18 @@ class TestCliCommands:
         assert main(["sweep", flag, value]) == 2
         assert flag in capsys.readouterr().err
 
+    def test_translation_target_checked_before_any_work(self, monkeypatch, capsys):
+        # Translation targets start at the ratio of the unshifted design,
+        # d(c-1) = 8 here; the bound itself is accepted.
+        monkeypatch.setattr(cli.synth, "make_theta_star", pytest.fail)
+        monkeypatch.setattr(cli.synth, "risk_ratio_sweep", pytest.fail)
+        args = ["sweep", "--mode", "translation", "--classes", "3", "--dim", "4"]
+        assert main(args + ["--targets", "12,7.5"]) == 2
+        err = capsys.readouterr().err
+        assert "--targets" in err and "d(c-1) = 8" in err
+        monkeypatch.setattr(cli.synth, "risk_ratio_sweep", lambda *a, **k: [])
+        assert main(args + ["--targets", "8,12"]) == 0
+
     def test_misspelled_boolean_checked_before_any_work(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(cli, "active_learning_loop", pytest.fail)
         path = tmp_path / "run.cfg"
@@ -444,7 +469,33 @@ class TestCliCommands:
         monkeypatch.setattr(cli, "regret_audit", violated)
         assert main(["run", "--selector", "firal", "--budget", "4", "--rounds", "2",
                      "--pool-size", "60", "--classes", "2", "--dim", "2"]) == 3
-        assert "regret guarantee violated in round 1" in capsys.readouterr().err
+        assert ("selector 'firal' failed in round 1: regret guarantee violated: "
+                "worst_min_eig_margin=-1.000000e+00" in capsys.readouterr().err)
+
+    def test_audit_violated_guarantee_exit_code(self, monkeypatch, capsys):
+        def violated(audit):
+            return AuditReport(np.array([0.5, -1.0]), np.array([2.0, -0.25]))
+
+        monkeypatch.setattr(cli, "regret_audit", violated)
+        assert main(["audit", "--pool-size", "25", "--budget", "40", "--seed", "1"]) == 3
+        captured = capsys.readouterr()
+        assert "guarantees hold" not in captured.out
+        assert "worst_min_eig_margin=-1.000000e+00" in captured.err
+        assert "worst_trace_margin=-0.25" in captured.err
+
+    def test_singular_whitening_exit_code(self, monkeypatch, capsys):
+        # All relaxed weight on one candidate: with the two labeled points
+        # sigma has rank 3 of d(c-1) = 4, and its inverse root raises.
+        def one_point(budget, Hp0, fishers):
+            z = np.zeros(fishers.shape[0])
+            z[0] = budget
+            return RelaxResult(z=z, objective=1.0, gap=0.0, n_iter=0, best_iter=0,
+                               box_violations=0)
+
+        monkeypatch.setattr(cli, "relax_solve", one_point)
+        assert main(["run", "--selector", "firal", "--budget", "2", "--rounds", "1",
+                     "--pool-size", "30", "--classes", "2", "--dim", "4"]) == 3
+        assert "inv_sqrt_psd: matrix is singular" in capsys.readouterr().err
 
     def test_theory_mode_records_trace_margin(self, tmp_path):
         out = tmp_path / "run.csv"

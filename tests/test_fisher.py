@@ -273,13 +273,14 @@ class TestWhitenFactors:
         return z, X, theta, shift
 
     def test_reconstruction(self):
+        # shift_w + P_i P_i^T is the dense candidate conjugated by sigma^-1/2.
         z, X, theta, shift = self._instance(17)
         wf = whiten_factors(z, KronFishers.at(X, theta, shift))
-        S = wf.inv_sqrt_sigma
         fishers = shifted_fishers(X, theta, shift)
-        for i in range(len(X)):
+        S = inv_sqrt_psd(np.einsum("i,ijk->jk", z, fishers))
+        for i, P in enumerate(wf.factors):
             np.testing.assert_allclose(
-                wf.candidate(i), S @ fishers[i] @ S, atol=1e-10
+                wf.shift_w + P @ P.T, S @ fishers[i] @ S, atol=1e-10
             )
 
     def test_identity(self):
@@ -293,12 +294,21 @@ class TestWhitenFactors:
 
     def test_rank_deficient_sigma_raises(self):
         # All weight on one point and no shift: sigma = W_0 kron x_0 x_0^T
-        # has rank c - 1 of d (c - 1), and no clamped inverse root whitens it.
+        # has rank c - 1 of d (c - 1), so it has no inverse root.
         z, X, theta, _ = self._instance(20)
         z = np.zeros(len(X))
         z[0] = 4.0
-        with pytest.raises(FloatingPointError, match="whitening residual"):
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
             whiten_factors(z, KronFishers.at(X, theta))
+
+    def test_ill_conditioned_sigma_fails_residual_gate(self):
+        # Condition number 1e11 passes the singularity rule, but its
+        # eigendecomposition cannot whiten it to WHITEN_RESIDUAL_TOL.
+        Q, _ = np.linalg.qr(np.random.default_rng(21).normal(size=(2, 2)))
+        W = (Q * [1.0, 1e-11]) @ Q.T
+        fishers = KronFishers(np.ones((1, 1)), W[None], np.zeros((2, 2)))
+        with pytest.raises(FloatingPointError, match="whitening residual"):
+            whiten_factors(np.ones(1), fishers)
 
     def test_binary_single_column(self):
         z, X, theta, shift = self._instance(19, c=2, d=3)
@@ -375,3 +385,9 @@ class TestEigHelpers:
         A = random_spd(rng, 4)
         S = inv_sqrt_psd(A)
         np.testing.assert_allclose(S @ A @ S, np.eye(4), atol=1e-10)
+
+    def test_inv_sqrt_singular_raises(self):
+        # The one singularity rule: no clamped inverse root is returned.
+        A = random_psd(np.random.default_rng(27), 3, rank=2)
+        with pytest.raises(np.linalg.LinAlgError, match="inv_sqrt_psd"):
+            inv_sqrt_psd(A)

@@ -126,20 +126,15 @@ class TestRelaxSolve:
         m = len(fishers)
         uniform_f = f_of_kappa(np.full(m, 1.0 / m), fishers, Hp0)
         res = relax_solve(2, Hp0, kron(fishers))
-        assert res.objective * res.budget <= uniform_f + 1e-12
+        assert res.objective * 2 <= uniform_f + 1e-12
 
     def test_simplex_invariants(self):
         fishers, Hp0 = random_instance(7)
         res = relax_solve(2, Hp0, kron(fishers))
-        assert np.all(res.kappa >= 0)
-        assert abs(res.kappa.sum() - 1.0) < 1e-12
-        assert abs(res.z.sum() - res.budget) < 1e-9
-
-    def test_best_so_far_nonincreasing(self):
-        fishers, Hp0 = random_instance(8)
-        res = relax_solve(2, Hp0, kron(fishers))
-        best = np.minimum.accumulate(res.objective_history)
-        assert np.all(np.diff(best) <= 0)
+        kappa = res.z / 2
+        assert np.all(kappa >= 0)
+        assert abs(kappa.sum() - 1.0) < 1e-12
+        assert abs(res.z.sum() - 2) < 1e-9
 
     def test_lower_bounds_exhaustive_optimum(self):
         # The relaxed optimum can be no worse than the best 0/1 design,
@@ -178,13 +173,14 @@ class TestRelaxSolve:
         fishers = KronFishers(np.ones((m, 1)), W, shift)
         Hp0 = random_spd(rng, k)
         res = relax_solve(budget, Hp0, fishers)
+        kappa = res.z / budget
         f = res.objective * budget
         tol = GAP_TOL * f
-        g = relax_gradient(res.kappa, fishers, Hp0)
-        g_kappa = g @ res.kappa
+        g = relax_gradient(kappa, fishers, Hp0)
+        g_kappa = g @ kappa
         assert res.gap * budget <= tol
         assert g_kappa - g.min() <= tol
-        on = res.kappa > 0
+        on = kappa > 0
         assert g[on].max() - g[on].min() <= tol
         assert np.all(g[~on] >= g_kappa - tol)
 
@@ -196,10 +192,10 @@ class TestRelaxSolve:
         fishers = KronFishers(np.ones((40, 1)), W, np.zeros((2, 2)))
         Hp0 = np.diag([1.0, 1e-6])
         res = relax_solve(1, Hp0, fishers)
-        g = relax_gradient(res.kappa, fishers, Hp0)
-        assert g @ res.kappa - g.min() <= GAP_TOL * res.objective
+        g = relax_gradient(res.z, fishers, Hp0)
+        assert g @ res.z - g.min() <= GAP_TOL * res.objective
         # f = 1 / kappa_1 + 1e-6 / kappa_2 is least at kappa_2 = 1e-3 / 1.001.
-        assert res.kappa[30:].sum() == pytest.approx(1e-3 / 1.001, rel=1e-6)
+        assert res.z[30:].sum() == pytest.approx(1e-3 / 1.001, rel=1e-6)
 
     def test_uncertified_solve_raises(self, monkeypatch):
         fishers, Hp0 = random_instance(9)

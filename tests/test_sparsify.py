@@ -89,6 +89,12 @@ def exact_nu_root(lam, d_tilde):
         return lo, -2 * sum((lo + v) ** -3 for v in lam)
 
 
+def dense_candidate(factors, i):
+    """Whitened candidate ``i`` as a dense matrix, ``shift_w + P_i P_i^T``."""
+    P = factors.factors[i]
+    return factors.shift_w + P @ P.T
+
+
 def dense_trace_objective(A_inv_sqrt, candidate, eta):
     return np.trace(np.linalg.inv(A_inv_sqrt + eta * candidate))
 
@@ -287,7 +293,7 @@ class TestScoreCandidate:
                 for i in range(m)
             ]
             dense = [
-                dense_trace_objective(A_inv_sqrt, factors.candidate(i), eta)
+                dense_trace_objective(A_inv_sqrt, dense_candidate(factors, i), eta)
                 for i in range(m)
             ]
             assert int(np.argmax(scores)) == int(np.argmin(dense))
@@ -301,7 +307,7 @@ class TestScoreCandidate:
         B = B_sqrt @ B_sqrt
         for i in range(6):
             woodbury = score_candidate(B_sqrt, B, factors.factors[i], eta)
-            direct = dense_trace_objective(A_inv_sqrt, factors.candidate(i), eta)
+            direct = dense_trace_objective(A_inv_sqrt, dense_candidate(factors, i), eta)
             base = np.trace(np.linalg.inv(A_inv_sqrt + eta * factors.shift_w))
             # Dense identity: direct = Tr(B^{1/2}) - eta * score.
             assert direct == pytest.approx(base - eta * woodbury, rel=1e-9)
@@ -374,7 +380,7 @@ class TestRegretAudit:
         picks, audit = select_batch(1, eta, factors, mask_selected=False)
         report = regret_audit(audit)
         i = picks[0]
-        C = factors.candidate(i)
+        C = dense_candidate(factors, i)
         lam_min = np.linalg.eigvalsh(C)[0]
         d_tilde = factors.d_tilde
         A_inv_sqrt = np.sqrt(d_tilde) * np.eye(d_tilde)

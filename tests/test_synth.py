@@ -241,6 +241,17 @@ class TestMcExcessRisk:
                                         seed=44)[0] for theta in thetas]
         assert risks[1] == (0.0, 0.0)
 
+    def test_one_seed_sequence_twice_agrees(self):
+        # The caller's SeedSequence is read, not advanced: a second call
+        # with the same object draws the same points as the first.
+        theta_star = make_theta_star(2, 3, seed=45)
+        theta = theta_star * 0.7
+        ss = np.random.SeedSequence(5)
+        first = mc_excess_risk([theta], theta_star, gaussian_design(3), 1000, ss)
+        assert mc_excess_risk([theta], theta_star, gaussian_design(3), 1000, ss) == first
+        assert ss.n_children_spawned == 0
+        assert first == mc_excess_risk([theta], theta_star, gaussian_design(3), 1000, 5)
+
     def test_exact_mode_pointwise_nonnegative(self):
         # Conditional enumeration makes the per-point gap a divergence, so
         # the estimate is nonnegative for any parameter pair.
@@ -277,13 +288,16 @@ class TestRatioCalibration:
             assert fir(Hq, Hp) == pytest.approx(target, rel=0.08)
 
     def test_dilation_clamps_to_floor(self):
-        # Ratios below the dilation family's floor are unreachable; with
-        # clamping the floor's multiplier is returned instead of raising.
+        # Ratios below the dilation family's floor are unreachable and get
+        # the floor's multiplier, the grid point of least ratio; a ratio
+        # above the whole decreasing branch raises.
         theta = make_theta_star(2, 4, seed=29)
-        with pytest.raises(ValueError):
-            dilation_for_fir([0.1], theta, 4, n_mc=20_000, seed=30)
-        nu = dilation_for_fir([0.1], theta, 4, n_mc=20_000, seed=30, clamp=True)[0]
-        assert np.isfinite(nu) and nu > 0
+        base, Hp = synth._reference(theta, 4, 20_000, 30)
+        vals = [fir(pool_hessian(np.sqrt(nu) * base, theta), Hp) for nu in synth.NU_GRID]
+        nu = dilation_for_fir([0.1], theta, 4, n_mc=20_000, seed=30)[0]
+        assert nu == synth.NU_GRID[int(np.argmin(vals))]
+        with pytest.raises(ValueError, match="not bracketed"):
+            dilation_for_fir([2.0 * vals[0]], theta, 4, n_mc=20_000, seed=30)
 
     def test_translation_hits_target(self):
         theta = make_theta_star(2, 4, seed=32)
@@ -305,9 +319,9 @@ class TestRatioCalibration:
         # one call per target gives, the clamped floor included.
         theta = make_theta_star(2, 4, seed=29)
         targets = [6.0, 0.1, 12.0]
-        knobs = dilation_for_fir(targets, theta, 4, n_mc=5000, seed=30, clamp=True)
-        assert knobs == [dilation_for_fir([t], theta, 4, n_mc=5000, seed=30,
-                                          clamp=True)[0] for t in targets]
+        knobs = dilation_for_fir(targets, theta, 4, n_mc=5000, seed=30)
+        assert knobs == [dilation_for_fir([t], theta, 4, n_mc=5000, seed=30)[0]
+                         for t in targets]
         targets = [12.0, 5.0]
         taus = translation_for_fir(targets, theta, 4, n_mc=5000, seed=33)
         assert taus == [translation_for_fir([t], theta, 4, n_mc=5000, seed=33)[0]
@@ -343,7 +357,7 @@ class TestRiskRatioSweep:
         c, d, n, n_mc, risk_points = 2, 2, 60, 4000, 2000
         targets, seeds = [1.5, 4.0], [0, 1, 2]
         theta_star = make_theta_star(c, d, 0)
-        knobs = dilation_for_fir(targets, theta_star, d, n_mc=n_mc, clamp=True)
+        knobs = dilation_for_fir(targets, theta_star, d, n_mc=n_mc)
         spec_p = gaussian_design(d)
         Hp = pool_hessian(sample_pool(spec_p, n_mc, 10_001), theta_star)
         expected = []
