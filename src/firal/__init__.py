@@ -39,13 +39,7 @@ from .model import (
     predict_proba,
 )
 from .relax import RelaxResult, relax_gradient, relax_solve
-from .sparsify import (
-    SelectionAudit,
-    ftrl_action,
-    regret_audit,
-    score_candidate,
-    select_batch,
-)
+from .sparsify import ftrl_action, score_candidate, select_batch
 from .synth import (
     DesignSpec,
     make_theta_star,
@@ -61,7 +55,6 @@ __all__ = [
     "FitResult",
     "KronFishers",
     "RelaxResult",
-    "SelectionAudit",
     "f_objective",
     "fir",
     "fit_erm",
@@ -78,7 +71,6 @@ __all__ = [
     "predict_proba",
     "prefactor_lower",
     "prefactor_upper",
-    "regret_audit",
     "relax_gradient",
     "relax_solve",
     "rho_spectral",

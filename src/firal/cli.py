@@ -20,7 +20,7 @@ from . import baselines, data, embed, synth
 from .fisher import fir, labeled_shift, pool_hessian, sigma_max, whiten_factors
 from .model import KronFishers, accuracy, class_probabilities, fit_erm
 from .relax import relax_solve
-from .sparsify import AuditReport, regret_audit, select_batch
+from .sparsify import AuditReport, select_batch
 
 SELECTORS = ("firal", "random", "kmeans", "entropy", "var_ratios", "greedy_fb")
 
@@ -91,15 +91,15 @@ def tune_eta(etas, factors, budget):
     relative :data:`ETA_TIE_REL`, keep the earlier grid position, so a
     duplicate grid entry never replaces its first occurrence.
 
-    Returns ``(eta, picks, audit)``, the winning rate with the
+    Returns ``(eta, picks, report)``, the winning rate with the
     :func:`select_batch` result it was scored on.
     """
     best = best_val = None
     for e in map(float, etas):
-        picks, audit = select_batch(budget, e, factors)
-        val = audit.min_eig_cum[-1]
+        picks, report = select_batch(budget, e, factors)
+        val = report.min_eig
         if best is None or val > best_val + ETA_TIE_REL * abs(best_val):
-            best, best_val = (e, picks, audit), val
+            best, best_val = (e, picks, report), val
     if best is None:
         raise ValueError("eta grid must be nonempty")
     return best
@@ -134,12 +134,11 @@ def select_firal(X_pool, labeled, candidates, theta, Hp, budget, *, eta=None,
     relaxed = relax_solve(budget, Hp, fishers)
     factors = whiten_factors(relaxed.z, fishers)
     if eta is None and not repeats:
-        eta, local, audit = tune_eta(eta_grid(factors.d_tilde), factors, budget)
+        eta, local, report = tune_eta(eta_grid(factors.d_tilde), factors, budget)
     else:
         if eta is None:
             eta = 8.0 * np.sqrt(factors.d_tilde)
-        local, audit = select_batch(budget, eta, factors, mask_selected=not repeats)
-    report = regret_audit(audit)
+        local, report = select_batch(budget, eta, factors, mask_selected=not repeats)
     if not report.holds():
         raise FloatingPointError(
             f"regret guarantee violated: worst_min_eig_margin={report.worst_min_eig:.6e} "
@@ -490,6 +489,10 @@ def _cmd_audit(args):
         raise ValueError("audit needs classes >= 2, dim >= 2, budget >= 1")
     if args.eta is not None and not 0 < args.eta < np.inf:
         raise ValueError("audit needs a positive, finite --eta")
+    if args.pool_size < 2 * args.classes:
+        # The fit starts from two labeled points per class.
+        raise ValueError(f"audit needs --pool-size >= 2 * --classes = "
+                         f"{2 * args.classes}, got {args.pool_size}")
     root = np.random.SeedSequence(args.seed)
     pool_ss, theta_ss, init_ss, _, _ = root.spawn(5)
     spec_p = synth.gaussian_design(args.dim)

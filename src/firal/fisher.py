@@ -17,24 +17,13 @@ import scipy.linalg
 
 from .model import KronFishers, _as_theta
 
-# Eigenvalues below EIG_FLOOR_REL times the largest are clamped to that
-# floor before inversion.
+# A symmetric matrix whose smallest eigenvalue is at most EIG_FLOOR_REL
+# times its largest is singular to working precision.
 EIG_FLOOR_REL = 1e-12
 # Largest entry of |S sigma S - I| that whiten_factors accepts.  Well-posed
 # rounds whiten to about 1e-13; a sigma that is nonsingular but badly
 # conditioned can miss the identity by more.
 WHITEN_RESIDUAL_TOL = 1e-8
-
-
-def eigh_clamped(A):
-    """Symmetric eigendecomposition with a relative eigenvalue floor.
-
-    Returns ``(w, V)`` where ``w`` has every eigenvalue below
-    ``EIG_FLOOR_REL * max(w)`` raised to that floor.
-    """
-    A = np.asarray(A, dtype=float)
-    w, V = np.linalg.eigh(0.5 * (A + A.T))
-    return np.maximum(w, EIG_FLOOR_REL * max(float(w[-1]), 0.0)), V
 
 
 def _check_pd(w, context):
@@ -45,6 +34,14 @@ def _check_pd(w, context):
         )
 
 
+def _eigh_pd(A, context):
+    """``eigh`` of the symmetrized ``A``, which must be positive definite."""
+    A = np.asarray(A, dtype=float)
+    w, V = np.linalg.eigh(0.5 * (A + A.T))
+    _check_pd(w, context)
+    return w, V
+
+
 def inv_sqrt_psd(A):
     """Inverse matrix square root ``S = A^{-1/2}`` via symmetric
     eigendecomposition.
@@ -52,16 +49,14 @@ def inv_sqrt_psd(A):
     Raises ``LinAlgError`` when ``A`` is singular to working precision, by
     the same rule as :func:`inv_psd` and :func:`fir`.
     """
-    w, V = eigh_clamped(A)
-    _check_pd(w, "inv_sqrt_psd")
+    w, V = _eigh_pd(A, "inv_sqrt_psd")
     S = (V / np.sqrt(w)) @ V.T
     return 0.5 * (S + S.T)
 
 
 def inv_psd(A):
     """Inverse of a symmetric positive definite matrix, symmetrized."""
-    w, V = eigh_clamped(A)
-    _check_pd(w, "inv_psd")
+    w, V = _eigh_pd(A, "inv_psd")
     M = (V / w) @ V.T
     return 0.5 * (M + M.T)
 

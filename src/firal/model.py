@@ -239,15 +239,12 @@ class FitResult:
     ``converged`` is False when the gradient tolerance :data:`FIT_TOL` was
     not reached within :data:`FIT_MAX_ITER` Newton steps; the best iterate
     is still returned.
-    ``loss_history`` holds the objective after every accepted step.
     """
 
     theta: np.ndarray
     converged: bool
     n_iter: int
     grad_norm: float
-    loss: float
-    loss_history: list
 
 
 FIT_TOL = 1e-8
@@ -280,12 +277,11 @@ def fit_erm(X, y, n_classes, ridge=1e-8):
     loss = empirical_loss(X, y, theta, ridge)
     grad = empirical_gradient(X, y, theta, ridge)
     gnorm = float(np.abs(grad).max())
-    history = [loss]
     n_iter = 0
 
     for n_iter in range(1, FIT_MAX_ITER + 1):
         if gnorm <= FIT_TOL:
-            return FitResult(theta, True, n_iter - 1, gnorm, loss, history)
+            return FitResult(theta, True, n_iter - 1, gnorm)
         H = KronFishers.at(X, theta).aggregate(np.full(len(X), 1 / len(X)))
         step = _newton_step(H + ridge * np.eye(k * d), grad.ravel()).reshape(k, d)
 
@@ -305,11 +301,10 @@ def fit_erm(X, y, n_classes, ridge=1e-8):
             t *= 0.5
         if not accepted:
             break
-        history.append(loss)
         grad = empirical_gradient(X, y, theta, ridge)
         gnorm = float(np.abs(grad).max())
 
-    return FitResult(theta, gnorm <= FIT_TOL, n_iter, gnorm, loss, history)
+    return FitResult(theta, gnorm <= FIT_TOL, n_iter, gnorm)
 
 
 def _newton_step(H, g):

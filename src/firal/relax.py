@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .fisher import eigh_clamped
+from .fisher import EIG_FLOOR_REL
 
 GAP_TOL = 1e-8
 MAX_NEWTON_STEPS = 500
@@ -31,7 +31,7 @@ MAX_NEWTON_STEPS = 500
 # round adds at most max(SUPPORT_BLOCK, support size) candidates.
 SUPPORT_BLOCK = 20
 ARMIJO = 1e-4
-# A Newton step whose predicted decrease is at most this fraction of f is
+# A descent step whose predicted decrease is at most this fraction of f is
 # below what f can resolve: it is taken up to its blocking point unchecked.
 RESOLVE_REL = 1e-12
 
@@ -144,7 +144,8 @@ def _solve_psd(H, b):
     try:
         cho = scipy.linalg.cho_factor(H, check_finite=False)
     except scipy.linalg.LinAlgError:
-        w, V = eigh_clamped(H)
+        w, V = np.linalg.eigh(0.5 * (H + H.T))
+        w = np.maximum(w, EIG_FLOOR_REL * max(float(w[-1]), 0.0))
         return V @ ((V.T @ b) / w) if w[-1] > 0 else np.zeros_like(b)
     x = scipy.linalg.cho_solve(cho, b, check_finite=False)
     return x + scipy.linalg.cho_solve(cho, b - H @ x, check_finite=False)
@@ -178,11 +179,14 @@ def _newton_direction(w, g, H):
 def _step(support, w, f, g, d):
     """Next support weights along ``d``, or ``None`` if no step decreases f.
 
-    A projected arc (clip, renormalize) is tried first; otherwise the step
-    stops at the first point it drives to zero, which is dropped, and
-    backtracks from there.
+    A direction that does not descend (``g @ d >= 0``, the zero direction
+    included) gives ``None``.  A projected arc (clip, renormalize) is tried
+    first; otherwise the step stops at the first point it drives to zero,
+    which is dropped, and backtracks from there.
     """
     slope = float(g @ d)
+    if slope >= 0:
+        return None
     ratios = np.full_like(w, np.inf)
     ratios[d < 0] = w[d < 0] / -d[d < 0]
     block = int(np.argmin(ratios))
@@ -243,6 +247,7 @@ def relax_solve(budget, Hp0, fishers):
 
     steps = 0
     while True:
+        start = support, w
         state = _Support(G[support], fishers.shift, Hp0)
         while True:
             f, g_s, H, M = state.derivatives(w)
@@ -275,6 +280,12 @@ def relax_solve(budget, Hp0, fishers):
         support = np.sort(np.concatenate(
             [keep, entering[:max(SUPPORT_BLOCK, len(keep))]]))
         w = kappa[support]
+        if np.array_equal(support, start[0]) and np.array_equal(w, start[1]):
+            # The next round would repeat this one exactly.
+            raise FloatingPointError(
+                f"relaxation not certified: an outer round changed neither the "
+                f"support nor the weights, gap {gap:.3e} > {GAP_TOL:g} * f"
+            )
 
     z = budget * kappa
     return RelaxResult(

@@ -10,7 +10,7 @@ the argmax reduces to small ``(c-1) x (c-1)`` solves per candidate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,26 +150,6 @@ def trace_solve(M, U):
     return np.einsum("jjn->n", X)
 
 
-@dataclass
-class SelectionAudit:
-    """Per-step quantities recorded during a selection run.
-
-    ``gain_*`` entries are the trace gains
-    ``Tr[A_t^{1/2} - (A_t^{-1/2} + eta C)^{-1}]``; ``gain_max`` scans all
-    candidates unmasked while ``gain_chosen`` uses the picked one.
-    ``min_eig_cum[t]`` is the smallest eigenvalue of the cumulative
-    whitened selection after ``t + 1`` picks.
-    """
-
-    eta: float
-    budget: int
-    d_tilde: int
-    mask_selected: bool
-    min_eig_cum: np.ndarray = field(default_factory=lambda: np.array([]))
-    gain_chosen: np.ndarray = field(default_factory=lambda: np.array([]))
-    gain_max: np.ndarray = field(default_factory=lambda: np.array([]))
-
-
 def select_batch(budget, eta, factors: WhitenedFactors, mask_selected=True):
     """Run ``budget`` regret-minimization steps over whitened candidates.
 
@@ -178,7 +158,17 @@ def select_batch(budget, eta, factors: WhitenedFactors, mask_selected=True):
     picked repeatedly, which is the mode the step-wise lower bounds
     assume.  Ties break to the smallest index.
 
-    Returns ``(indices, audit)``.
+    Returns ``(indices, report)``, the picks with the
+    :class:`AuditReport` of the regret guarantees of Allen-Zhu, Li, Singh
+    & Wang (2017), for each step ``t``:
+
+    1. ``lambda_min(sum_{l<=t} C_l) >= -2 sqrt(d)/eta
+       + (1/eta) sum_{l<=t} gain_chosen[l]``
+    2. ``gain_max[t]/eta >= (1 - eta/(2 budget)) / (budget + eta sqrt(d))``
+       (repeats-allowed runs only)
+
+    Here ``gain_*`` are the trace gains ``Tr[A_t^{1/2} - (A_t^{-1/2} +
+    eta C)^{-1}]`` of the picked candidate and of the best one unmasked.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -218,16 +208,13 @@ def select_batch(budget, eta, factors: WhitenedFactors, mask_selected=True):
         cum = cum + D + P[i_t] @ P[i_t].T
         min_eig[t] = float(np.linalg.eigvalsh(0.5 * (cum + cum.T))[0])
 
-    audit = SelectionAudit(
-        eta=float(eta),
-        budget=int(budget),
-        d_tilde=dt,
-        mask_selected=bool(mask_selected),
-        min_eig_cum=min_eig,
-        gain_chosen=gain_chosen,
-        gain_max=gain_max,
-    )
-    return chosen, audit
+    eta, root_d = float(eta), np.sqrt(dt)
+    lower = -2.0 * root_d / eta + np.cumsum(gain_chosen) / eta
+    margin_trace = None
+    if not mask_selected:
+        bound = (1.0 - eta / (2.0 * budget)) / (budget + eta * root_d)
+        margin_trace = gain_max / eta - bound
+    return chosen, AuditReport(min_eig - lower, margin_trace, float(min_eig[-1]))
 
 
 @dataclass
@@ -238,11 +225,14 @@ class AuditReport:
     eigenvalue over its regret lower bound after ``t + 1`` steps.
     ``margin_trace[t]`` is the slack of the best candidate's trace gain
     over its per-step lower bound, and is only populated when repeats
-    were allowed during selection.
+    were allowed during selection.  ``min_eig`` is the smallest eigenvalue
+    of the summed whitened picks, the score :func:`firal.cli.tune_eta`
+    maximizes.
     """
 
     margin_min_eig: np.ndarray
     margin_trace: np.ndarray | None
+    min_eig: float = float("nan")
 
     @property
     def worst_min_eig(self):
@@ -259,29 +249,3 @@ class AuditReport:
         if self.margin_trace is not None:
             ok = ok and self.worst_trace >= AUDIT_SLACK
         return ok
-
-
-def regret_audit(audit: SelectionAudit):
-    """Check the regret guarantees on a completed selection run.
-
-    Verifies, for each step ``t``:
-
-    1. ``lambda_min(sum_{l<=t} C_l) >= -2 sqrt(d)/eta
-       + (1/eta) sum_{l<=t} gain_chosen[l]``
-    2. ``gain_max[t]/eta >= (1 - eta/(2 budget)) / (budget + eta sqrt(d))``
-       (repeats-allowed runs only)
-
-    Returns the per-step margins; nonnegative margins (up to a small
-    numerical slack) mean the guarantees hold.
-    """
-    eta = audit.eta
-    root_d = np.sqrt(audit.d_tilde)
-    lower = -2.0 * root_d / eta + np.cumsum(audit.gain_chosen) / eta
-    margin_min_eig = audit.min_eig_cum - lower
-
-    margin_trace = None
-    if not audit.mask_selected:
-        bound = (1.0 - eta / (2.0 * audit.budget)) / (audit.budget + eta * root_d)
-        margin_trace = audit.gain_max / eta - bound
-
-    return AuditReport(margin_min_eig=margin_min_eig, margin_trace=margin_trace)

@@ -24,7 +24,7 @@ from firal.fisher import (
 )
 from firal.model import KronFishers, loss_gradient, nll_loss, point_fisher, predict_proba
 from firal.relax import relax_solve
-from firal.sparsify import ftrl_action, regret_audit, score_candidate, select_batch
+from firal.sparsify import ftrl_action, score_candidate, select_batch
 from firal.synth import gaussian_design, risk_ratio_sweep, sample_pool
 
 
@@ -219,8 +219,7 @@ class TestCriterion6RegretAudits:
                 600 + d_tilde, c, d, m=60, budget=128,
             )
             eta = 8.0 * np.sqrt(d_tilde)
-            _, audit = select_batch(128, eta, factors, mask_selected=False)
-            report = regret_audit(audit)
+            _, report = select_batch(128, eta, factors, mask_selected=False)
             worst1 = min(worst1, report.worst_min_eig)
             worst2 = min(worst2, report.worst_trace)
         _report(6, "regret audits", worst1 >= -1e-8 and worst2 >= -1e-8,

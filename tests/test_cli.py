@@ -26,7 +26,7 @@ from firal.data import save_dataset
 from firal.fisher import labeled_shift, pool_hessian, whiten_factors
 from firal.model import KronFishers
 from firal.relax import RelaxResult, relax_solve
-from firal.sparsify import AuditReport, regret_audit, select_batch
+from firal.sparsify import AuditReport, select_batch
 
 
 def small_config(**overrides):
@@ -192,19 +192,19 @@ class TestTuneEta:
         factors = make_factors(seed=1)
         grid = eta_grid(factors.d_tilde)
         best, _, _ = tune_eta(grid, factors, 4)
-        _, best_audit = select_batch(4, best, factors)
+        _, best_report = select_batch(4, best, factors)
         for e in grid:
-            _, audit = select_batch(4, e, factors)
-            assert best_audit.min_eig_cum[-1] >= audit.min_eig_cum[-1] - 1e-12
+            _, report = select_batch(4, e, factors)
+            assert best_report.min_eig >= report.min_eig - 1e-12
 
     def test_returned_selection_equals_fresh_run(self):
         factors = make_factors(seed=2)
-        eta, picks, audit = tune_eta(eta_grid(factors.d_tilde), factors, 4)
+        eta, picks, report = tune_eta(eta_grid(factors.d_tilde), factors, 4)
         fresh_picks, fresh = select_batch(4, eta, factors)
         np.testing.assert_array_equal(picks, fresh_picks)
-        assert audit.eta == fresh.eta
-        for name in ("min_eig_cum", "gain_chosen", "gain_max"):
-            np.testing.assert_array_equal(getattr(audit, name), getattr(fresh, name))
+        assert report.min_eig == fresh.min_eig
+        np.testing.assert_array_equal(report.margin_min_eig, fresh.margin_min_eig)
+        assert report.margin_trace is None and fresh.margin_trace is None
 
     @pytest.mark.parametrize("rel, winner", [(1e-15, 1.0), (1e-9, 2.0)])
     def test_near_tie_keeps_earlier_rate(self, monkeypatch, rel, winner):
@@ -212,12 +212,24 @@ class TestTuneEta:
         scores = {1.0: v, 2.0: v * (1 + rel)}
 
         def scored(budget, eta, factors):
-            return np.array([int(eta)]), SimpleNamespace(min_eig_cum=np.array([scores[eta]]))
+            return np.array([int(eta)]), SimpleNamespace(min_eig=scores[eta])
 
         monkeypatch.setattr(cli, "select_batch", scored)
         eta, picks, _ = tune_eta([1.0, 2.0], None, 1)
         assert eta == winner
         assert picks.tolist() == [int(winner)]
+
+
+def inject_report(monkeypatch, name, report):
+    """Make ``cli.<name>`` (``select_batch`` or ``tune_eta``) keep its picks
+    but return ``report`` as their regret audit."""
+    real = getattr(cli, name)
+
+    def violated(*args, **kwargs):
+        *picks, _ = real(*args, **kwargs)
+        return (*picks, report)
+
+    monkeypatch.setattr(cli, name, violated)
 
 
 def firal_problem(seed=4, m=30, c=3, d=2):
@@ -236,11 +248,11 @@ def hand_chain(X, labeled, candidates, theta, budget, eta, repeats):
     relaxed = relax_solve(budget, pool_hessian(X, theta), fishers)
     factors = whiten_factors(relaxed.z, fishers)
     if eta is None and not repeats:
-        eta, local, audit = tune_eta(eta_grid(factors.d_tilde), factors, budget)
+        eta, local, report = tune_eta(eta_grid(factors.d_tilde), factors, budget)
     else:
         eta = 8.0 * np.sqrt(factors.d_tilde) if eta is None else eta
-        local, audit = select_batch(budget, eta, factors, mask_selected=not repeats)
-    return candidates[local], eta, regret_audit(audit)
+        local, report = select_batch(budget, eta, factors, mask_selected=not repeats)
+    return candidates[local], eta, report
 
 
 class TestSelectFiral:
@@ -295,10 +307,8 @@ class TestSelectFiral:
 
     def test_violated_guarantee_raises(self, monkeypatch):
         # A library call is stopped where the margins are computed.
-        def violated(audit):
-            return AuditReport(np.array([0.5, -1.0]), np.array([2.0, -0.25]))
-
-        monkeypatch.setattr(cli, "regret_audit", violated)
+        inject_report(monkeypatch, "select_batch",
+                      AuditReport(np.array([0.5, -1.0]), np.array([2.0, -0.25])))
         X, theta, labeled = firal_problem()
         unlabeled = np.setdiff1d(np.arange(len(X)), labeled)
         with pytest.raises(FloatingPointError, match=r"regret guarantee violated: "
@@ -410,6 +420,9 @@ class TestCliCommands:
         ["sweep", "--targets", "6,x"],
         ["sweep", "--classes", "1"],
         ["sweep", "--dim", "0"],
+        ["audit", "--pool-size", "0"],
+        ["audit", "--budget", "0"],
+        ["audit", "--classes", "1"],
     ])
     def test_degenerate_input_exit_code(self, monkeypatch, args):
         # Rejected where the input enters, before any fit or calibration.
@@ -426,6 +439,13 @@ class TestCliCommands:
         monkeypatch.setattr(cli.synth, "risk_ratio_sweep", pytest.fail)
         assert main(["sweep", flag, value]) == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pool", ["0", "5"])
+    def test_small_audit_pool_names_its_flag(self, monkeypatch, capsys, pool):
+        # Two labeled points per class start the audit's fit.
+        monkeypatch.setattr(cli.synth, "make_theta_star", pytest.fail)
+        assert main(["audit", "--classes", "3", "--pool-size", pool]) == 2
+        assert "--pool-size >= 2 * --classes = 6" in capsys.readouterr().err
 
     def test_translation_target_checked_before_any_work(self, monkeypatch, capsys):
         # Translation targets start at the ratio of the unshifted design,
@@ -463,20 +483,15 @@ class TestCliCommands:
             assert f"unknown config key {key!r}" in capsys.readouterr().err
 
     def test_violated_guarantee_exit_code(self, monkeypatch, capsys):
-        def violated(audit):
-            return AuditReport(np.array([0.5, -1.0]), None)
-
-        monkeypatch.setattr(cli, "regret_audit", violated)
+        inject_report(monkeypatch, "tune_eta", AuditReport(np.array([0.5, -1.0]), None))
         assert main(["run", "--selector", "firal", "--budget", "4", "--rounds", "2",
                      "--pool-size", "60", "--classes", "2", "--dim", "2"]) == 3
         assert ("selector 'firal' failed in round 1: regret guarantee violated: "
                 "worst_min_eig_margin=-1.000000e+00" in capsys.readouterr().err)
 
     def test_audit_violated_guarantee_exit_code(self, monkeypatch, capsys):
-        def violated(audit):
-            return AuditReport(np.array([0.5, -1.0]), np.array([2.0, -0.25]))
-
-        monkeypatch.setattr(cli, "regret_audit", violated)
+        inject_report(monkeypatch, "select_batch",
+                      AuditReport(np.array([0.5, -1.0]), np.array([2.0, -0.25])))
         assert main(["audit", "--pool-size", "25", "--budget", "40", "--seed", "1"]) == 3
         captured = capsys.readouterr()
         assert "guarantees hold" not in captured.out
@@ -537,6 +552,23 @@ class TestCliCommands:
         assert main(["run", "--selector", "firal", "--budget", "2", "--rounds", "1",
                      "--pool-size", "30", "--classes", "2", "--dim", "2"]) == 3
         assert "not certified" in capsys.readouterr().err
+
+    def test_stalled_relaxation_exits_at_once(self, monkeypatch, capsys):
+        # A saturated fit (pool Hessian eigenvalues near 1e-6) whose first
+        # outer round of the relaxation changes nothing; repeating it would
+        # idle up to MAX_NEWTON_STEPS.
+        derivatives, calls = relax._Support.derivatives, []
+
+        def counted(self, w):
+            calls.append(len(w))
+            return derivatives(self, w)
+
+        monkeypatch.setattr(relax._Support, "derivatives", counted)
+        assert main(["audit", "--classes", "3", "--dim", "2", "--pool-size", "10",
+                     "--budget", "5"]) == 3
+        err = capsys.readouterr().err
+        assert "changed neither the support nor the weights, gap" in err
+        assert len(calls) < 10
 
     def test_non_finite_dataset_exit_code(self, tmp_path, capsys):
         path = tmp_path / "pool.csv"

@@ -9,8 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firal.fisher import (
-    EIG_FLOOR_REL,
-    eigh_clamped,
     f_objective,
     fir,
     inv_sqrt_psd,
@@ -363,23 +361,6 @@ class TestMatrixInequalities:
 
 
 class TestEigHelpers:
-    def test_eigenvalue_floor(self):
-        # Eigenvalues below EIG_FLOOR_REL times the largest are raised to
-        # that floor; everything else is numpy's eigh of the input.
-        rng = np.random.default_rng(25)
-        full = random_spd(rng, 3)
-        w_ref, V_ref = np.linalg.eigh(full)
-        w, V = eigh_clamped(full)
-        np.testing.assert_array_equal(w, w_ref)
-        np.testing.assert_array_equal(V, V_ref)
-        deficient = random_psd(rng, 3, rank=1)
-        w_ref, V_ref = np.linalg.eigh(deficient)
-        w, V = eigh_clamped(deficient)
-        floor = EIG_FLOOR_REL * w_ref[-1]
-        assert np.all(w_ref[:2] < floor)
-        np.testing.assert_array_equal(w, [floor, floor, w_ref[-1]])
-        np.testing.assert_array_equal(V, V_ref)
-
     def test_inv_sqrt(self):
         rng = np.random.default_rng(26)
         A = random_spd(rng, 4)

@@ -10,9 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firal import relax
-from firal.fisher import f_objective, fir, pool_hessian, shifted_fishers
+from firal.fisher import EIG_FLOOR_REL, f_objective, fir, pool_hessian, shifted_fishers
 from firal.model import KronFishers
-from firal.relax import GAP_TOL, _sigma_parts, relax_gradient, relax_solve
+from firal.relax import (
+    GAP_TOL,
+    _sigma_parts,
+    _solve_psd,
+    _step,
+    _Support,
+    relax_gradient,
+    relax_solve,
+)
 
 
 def random_spd(rng, n, jitter=0.3):
@@ -69,6 +77,44 @@ class TestRelaxGradient:
         g = relax_gradient(np.array([1.0]), kron(H[None]), Hp0)
         f1 = f_of_kappa(np.array([1.0]), H[None], Hp0)
         assert g[0] == pytest.approx(-f1, rel=1e-10)
+
+
+class TestSolvePsd:
+    def test_eigenvalue_floor(self):
+        # A positive definite H is solved by Cholesky; where the Cholesky
+        # fails, eigenvalues below EIG_FLOOR_REL times the largest are
+        # raised to that floor, and a zero H gives a zero step.
+        rng = np.random.default_rng(25)
+        b = rng.normal(size=3)
+        full = random_spd(rng, 3)
+        np.testing.assert_allclose(full @ _solve_psd(full, b), b, rtol=1e-12)
+        R = rng.normal(size=(3, 1))
+        deficient = R @ R.T
+        w_ref, V_ref = np.linalg.eigh(deficient)
+        floor = EIG_FLOOR_REL * w_ref[-1]
+        assert np.all(w_ref[:2] < floor)
+        w = np.array([floor, floor, w_ref[-1]])
+        np.testing.assert_array_equal(_solve_psd(deficient, b),
+                                      V_ref @ ((V_ref.T @ b) / w))
+        np.testing.assert_array_equal(_solve_psd(np.zeros((3, 3)), b), np.zeros(3))
+
+
+class TestStep:
+    def test_no_step_along_a_non_descent_direction(self):
+        # Uphill and zero directions give None, however small the slope
+        # is next to f; a tiny descent direction is still taken unchecked.
+        fishers, Hp0 = random_instance(3, m=4)
+        support = _Support(kron(fishers).factors, np.zeros((3, 3)), Hp0)
+        w = np.full(4, 0.25)
+        f, g, _, _ = support.derivatives(w)
+        d = np.array([1.0, -1.0, 0.0, 0.0]) * np.sign(g[0] - g[1])
+        assert g @ d > 0
+        assert _step(support, w, f, g, d) is None
+        assert _step(support, w, f, g, np.zeros(4)) is None
+        tiny = -1e-13 * d
+        assert 0 < -(g @ tiny) <= relax.RESOLVE_REL * f
+        np.testing.assert_allclose(_step(support, w, f, g, tiny), w + tiny,
+                                   rtol=0, atol=1e-16)
 
 
 class TestSigmaParts:

@@ -22,11 +22,9 @@ from firal.model import KronFishers
 from firal.relax import relax_solve
 from firal.sparsify import (
     NU_RESIDUAL_TOL,
-    SelectionAudit,
     _nu_root,
     _scores,
     ftrl_action,
-    regret_audit,
     score_candidate,
     select_batch,
     trace_solve,
@@ -365,9 +363,8 @@ class TestRegretAudit:
     def test_margins_nonnegative_random_instance(self):
         factors, _, _, _ = make_factors(6, c=3, d=2, m=12, budget=8)
         d_tilde = factors.d_tilde
-        _, audit = select_batch(64, 8.0 * np.sqrt(d_tilde), factors,
-                                mask_selected=False)
-        report = regret_audit(audit)
+        _, report = select_batch(64, 8.0 * np.sqrt(d_tilde), factors,
+                                 mask_selected=False)
         assert report.worst_min_eig >= -1e-8
         assert report.worst_trace >= -1e-8
         assert report.holds()
@@ -377,8 +374,7 @@ class TestRegretAudit:
         # lambda_min(C) >= -2 sqrt(d)/eta + gain/eta, checkable directly.
         factors, _, _, _ = make_factors(7, c=2, d=2, m=5, budget=3)
         eta = 4.0
-        picks, audit = select_batch(1, eta, factors, mask_selected=False)
-        report = regret_audit(audit)
+        picks, report = select_batch(1, eta, factors, mask_selected=False)
         i = picks[0]
         C = dense_candidate(factors, i)
         lam_min = np.linalg.eigvalsh(C)[0]
@@ -393,10 +389,25 @@ class TestRegretAudit:
 
     def test_masked_run_has_no_trace_margin(self):
         factors, _, _, _ = make_factors(8, m=8)
-        _, audit = select_batch(3, 2.0, factors, mask_selected=True)
-        report = regret_audit(audit)
+        _, report = select_batch(3, 2.0, factors, mask_selected=True)
         assert report.margin_trace is None
         assert report.worst_trace is None
+
+    @pytest.mark.parametrize("mask", [True, False])
+    def test_min_eig_of_summed_picks(self, mask):
+        # The rate-tuning score: the least eigenvalue of the sum of the
+        # picked whitened candidates, a repeated pick counted each time.
+        factors, _, _, _ = make_factors(8, m=8)
+        picks, report = select_batch(5, 2.0, factors, mask_selected=mask)
+        total = sum(dense_candidate(factors, i) for i in picks)
+        assert report.min_eig == pytest.approx(np.linalg.eigvalsh(total)[0],
+                                               rel=1e-12, abs=1e-12)
+        assert len(report.margin_min_eig) == 5
+
+    def test_two_argument_report_has_no_score(self):
+        report = sparsify.AuditReport(np.array([0.0]), None)
+        assert np.isnan(report.min_eig)
+        assert report.holds()
 
 
 class TestNearOptimality:
@@ -411,10 +422,10 @@ class TestNearOptimality:
         )
         d_tilde = factors.d_tilde
         eta = 8.0 * np.sqrt(d_tilde)
-        picks, audit = select_batch(budget, eta, factors, mask_selected=False)
+        picks, report = select_batch(budget, eta, factors, mask_selected=False)
         f_picked = f_objective(picks, fishers, Hp0)
         assert f_picked <= 2.0 * relaxed.objective + 1e-9
-        assert regret_audit(audit).holds()
+        assert report.holds()
 
     def test_relaxed_lower_bounds_exhaustive(self):
         factors, fishers, Hp0, relaxed = make_factors(10, c=2, d=2, m=9,
