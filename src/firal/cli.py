@@ -207,8 +207,8 @@ def _stratified_init(y_hidden, n_classes, per_class, rng):
     return np.array(sorted(picks), dtype=int)
 
 
-def _pool_accuracy(X, theta, theta_star=None, y_true=None):
-    if y_true is not None:
+def _pool_accuracy(X, theta, theta_star, y_true):
+    if theta_star is None:
         return accuracy(X, y_true, theta)
     # Expected accuracy under the true conditional label law.
     pred = np.argmax(class_probabilities(X, theta), axis=1)
@@ -267,6 +267,28 @@ def _select(config, X_pool, labeled_idx, theta, Hp, round_budget, select_ss):
     return unlabeled[np.asarray(local, dtype=int)], None
 
 
+def _draw_problem(config: RunConfig):
+    """The pool of a run, its hidden labels, the truth (None for a dataset),
+    the initial labeled indices, and the round and risk seed streams, all
+    from ``config.seed``."""
+    root = np.random.SeedSequence(config.seed)
+    pool_ss, theta_ss, init_ss, rounds_ss, risk_ss = root.spawn(5)
+    if config.data == "synthetic":
+        theta_star = synth.make_theta_star(config.classes, config.dim, theta_ss)
+        X_pool = synth.sample_pool(_family_spec(config), config.pool_size, pool_ss)
+        hidden = synth.sample_labels(X_pool, theta_star, init_ss)
+    else:
+        X_pool, hidden = data.load_dataset(config.data)
+        if hidden is None:
+            raise ValueError("active learning on CSV data needs a label column")
+        X_pool = _feature_span(X_pool)
+        theta_star = None
+    n_classes = config.classes if theta_star is not None else int(hidden.max())
+    init_rng = np.random.default_rng(init_ss.spawn(1)[0])
+    labeled_idx = _stratified_init(hidden, n_classes, config.init_per_class, init_rng)
+    return X_pool, hidden, theta_star, labeled_idx, rounds_ss, risk_ss
+
+
 def active_learning_loop(config: RunConfig):
     """Run the configured experiment; returns one record per round.
 
@@ -275,33 +297,15 @@ def active_learning_loop(config: RunConfig):
     records diagnostics.  Deterministic for a fixed seed.
     """
     config.validate()
-    root = np.random.SeedSequence(config.seed)
-    pool_ss, theta_ss, init_ss, rounds_ss, risk_ss = root.spawn(5)
-
-    if config.data == "synthetic":
-        spec_p = _family_spec(config)
-        theta_star = synth.make_theta_star(config.classes, config.dim, theta_ss)
-        X_pool = synth.sample_pool(spec_p, config.pool_size, pool_ss)
-        n_classes = config.classes
-        hidden = synth.sample_labels(X_pool, theta_star, init_ss)
-        # Spawned before the selection streams: the spawn order fixes both.
-        label_streams = rounds_ss.spawn(config.rounds + 1)
-        y_true = None
-    else:
-        X_pool, y_all = data.load_dataset(config.data)
-        if y_all is None:
-            raise ValueError("active learning on CSV data needs a label column")
-        X_pool = _feature_span(X_pool)
-        n_classes = int(y_all.max())
-        theta_star, spec_p = None, None
-        hidden = y_all
-        y_true = y_all
-
-    init_rng = np.random.default_rng(init_ss.spawn(1)[0])
-    labeled_idx = _stratified_init(hidden, n_classes, config.init_per_class, init_rng)
+    X_pool, hidden, theta_star, labeled_idx, rounds_ss, risk_ss = _draw_problem(config)
+    n_classes = int(hidden.max())  # every class has an initial label
     labeled_y = hidden[labeled_idx]
     if config.budget + len(labeled_idx) > len(X_pool):
         raise ValueError("pool too small for init labels plus budget")
+    if theta_star is not None:
+        spec_p = _family_spec(config)
+        # Spawned before the selection streams: the spawn order fixes both.
+        label_streams = rounds_ss.spawn(config.rounds + 1)
 
     risk_streams = risk_ss.spawn(config.rounds + 1)
     select_streams = rounds_ss.spawn(config.rounds + 1)
@@ -326,10 +330,10 @@ def active_learning_loop(config: RunConfig):
                 eta_used, margin1 = diag.eta, diag.report.worst_min_eig
                 if diag.report.worst_trace is not None:
                     margin2 = diag.report.worst_trace
-            if y_true is None:
+            if theta_star is not None:
                 new_y = synth.sample_labels(X_pool[picks], theta_star, label_streams[rnd])
             else:
-                new_y = y_true[picks]
+                new_y = hidden[picks]
             labeled_idx = np.concatenate([labeled_idx, picks])
             labeled_y = np.concatenate([labeled_y, new_y])
             picked = tuple(int(i) for i in picks)
@@ -341,8 +345,8 @@ def active_learning_loop(config: RunConfig):
         Hp = pool_hessian(X_pool, theta)
 
         fir_val, sigma_val = _spectral_diagnostics(Hp, X_pool[labeled_idx], theta)
-        acc = _pool_accuracy(X_pool, theta, theta_star=theta_star, y_true=y_true)
-        if spec_p is not None:
+        acc = _pool_accuracy(X_pool, theta, theta_star, hidden)
+        if theta_star is not None:
             [(risk, risk_se)] = synth.mc_excess_risk(
                 [theta], theta_star, spec_p, n_points=config.risk_points,
                 seed=risk_streams[rnd],
@@ -440,7 +444,6 @@ def _cmd_sweep(args):
     if args.n_mc < args.dim:
         # Fewer draws than dimensions leave the reference Fisher singular.
         raise ValueError("sweep needs --n-mc >= --dim")
-    d_tilde = args.dim * (args.classes - 1)
     if args.targets:
         try:
             targets = [float(t) for t in args.targets.split(",")]
@@ -450,10 +453,8 @@ def _cmd_sweep(args):
         if not all(0 < t < np.inf for t in targets):
             raise ValueError(f"every --targets entry must be finite and > 0, "
                              f"got {args.targets!r}")
-        if args.mode == "translation" and min(targets) < d_tilde:
-            raise ValueError(f"translation --targets must be at least "
-                             f"d(c-1) = {d_tilde}, got {args.targets!r}")
     else:
+        d_tilde = args.dim * (args.classes - 1)
         lo = 0.2 * d_tilde if args.mode == "dilation" else float(d_tilde)
         targets = np.geomspace(lo, 10.0 * d_tilde, args.n_targets).tolist()
     points = synth.risk_ratio_sweep(
@@ -493,16 +494,10 @@ def _cmd_audit(args):
         # The fit starts from two labeled points per class.
         raise ValueError(f"audit needs --pool-size >= 2 * --classes = "
                          f"{2 * args.classes}, got {args.pool_size}")
-    root = np.random.SeedSequence(args.seed)
-    pool_ss, theta_ss, init_ss, _, _ = root.spawn(5)
-    spec_p = synth.gaussian_design(args.dim)
-    theta_star = synth.make_theta_star(args.classes, args.dim, theta_ss)
-    X = synth.sample_pool(spec_p, args.pool_size, pool_ss)
-    hidden = synth.sample_labels(X, theta_star, init_ss)
-    rng = np.random.default_rng(init_ss.spawn(1)[0])
-    init_idx = _stratified_init(hidden, args.classes, 2, rng)
-    theta0 = fit_erm(X[init_idx], hidden[init_idx], args.classes,
-                     ridge=1e-6).theta
+    config = RunConfig(seed=args.seed, classes=args.classes, dim=args.dim,
+                       pool_size=args.pool_size, init_per_class=2)
+    X, hidden, _, init_idx, _, _ = _draw_problem(config)
+    theta0 = fit_erm(X[init_idx], hidden[init_idx], args.classes, ridge=1e-6).theta
 
     _, diag = select_firal(X, init_idx, np.arange(len(X)), theta0,
                            pool_hessian(X, theta0), args.budget,

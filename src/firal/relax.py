@@ -139,11 +139,15 @@ class _Support:
 
 
 def _solve_psd(H, b):
-    """``H x = b`` by Cholesky with one step of iterative refinement, or
-    by a floored eigendecomposition where the Cholesky fails."""
+    """``H x = b`` by Cholesky with one step of iterative refinement, or by
+    a floored eigendecomposition where the Cholesky fails or its squared
+    pivots span more than ``1 / EIG_FLOOR_REL``."""
     try:
         cho = scipy.linalg.cho_factor(H, check_finite=False)
+        pivots = np.diag(cho[0]) ** 2
     except scipy.linalg.LinAlgError:
+        pivots = np.zeros(1)
+    if pivots.min() <= EIG_FLOOR_REL * pivots.max():
         w, V = np.linalg.eigh(0.5 * (H + H.T))
         w = np.maximum(w, EIG_FLOOR_REL * max(float(w[-1]), 0.0))
         return V @ ((V.T @ b) / w) if w[-1] > 0 else np.zeros_like(b)

@@ -6,7 +6,7 @@ coordinate.  A sampling distribution is derived from it either by scaling
 the covariance (dilation) or by shifting the mean along a fixed diagonal
 direction (translation).  :func:`dilation_for_fir` and
 :func:`translation_for_fir` calibrate those knobs so the information
-ratio hits each of a list of targets, from one base draw per call.
+ratio hits each target at the smallest knob that reaches it.
 """
 
 from __future__ import annotations
@@ -209,17 +209,10 @@ def mc_excess_risk(thetas, theta_star, spec_p: DesignSpec, n_points=50_000, seed
 
 
 # Bisection stops once a knob's ratio is within RATIO_TOL (relative) of its
-# target, or after 60 steps; dilation first evaluates the ratio on NU_GRID.
+# target, or after 60 steps.  Dilation walks NU_GRID, translation TAU_GRID.
 RATIO_TOL = 1e-3
 NU_GRID = np.logspace(-2.0, 3.0, 41)
-
-
-def _reference(theta_star, dim, n_mc, seed):
-    """The base reference-design draw every calibrated design is built
-    from, and its Fisher matrix, the denominator of each ratio."""
-    rng = np.random.default_rng(seed)
-    base = np.sqrt(BASE_VARIANCE) * rng.standard_normal((n_mc, dim))
-    return base, pool_hessian(base, theta_star)
+TAU_GRID = np.concatenate([[0.0], 2.0 ** np.arange(20)])
 
 
 def _bisect(ratio, target, lo, hi, mid, rising):
@@ -238,39 +231,64 @@ def _bisect(ratio, target, lo, hi, mid, rising):
     return float(mid(lo, hi))
 
 
+def _calibrate(targets, theta_star, dim, n_mc, seed, grid, design, mid):
+    """The smallest knob of ``grid``, per target, at which the ratio of
+    ``design(base, knob)`` to one base draw of the reference design reaches it.
+
+    The ratio is evaluated once per grid knob, in increasing order, until
+    every target has a knob or the ratio rises past the largest target.  A
+    target within :data:`RATIO_TOL` of the first ratio takes the first
+    knob; any other is bisected, split by ``mid``, in the first grid
+    interval whose end ratios straddle it (ends included).  Returns the
+    knobs, None where a target is not reached, and the ratios walked.
+    """
+    base = np.sqrt(BASE_VARIANCE) * np.random.default_rng(seed).standard_normal((n_mc, dim))
+    Hp = pool_hessian(base, theta_star)
+
+    def ratio(knob):
+        return fir(pool_hessian(design(base, knob), theta_star), Hp)
+
+    vals = [ratio(grid[0])]
+    knobs = [float(grid[0]) if abs(vals[0] - t) <= RATIO_TOL * t else None
+             for t in targets]
+    for lo, x in zip(grid, grid[1:]):
+        if None not in knobs:
+            break
+        v = ratio(x)
+        for j, target in enumerate(targets):
+            if knobs[j] is None and (vals[-1] - target) * (v - target) <= 0:
+                knobs[j] = _bisect(ratio, target, lo, x, mid, rising=v > vals[-1])
+        vals.append(v)
+        if v > vals[-2] and v > max(targets):
+            break
+    return knobs, vals
+
+
+def _reached(targets, knobs, vals):
+    """``knobs``; raises ``ValueError`` for the first target without one."""
+    for target, knob in zip(targets, knobs):
+        if knob is None:
+            raise ValueError(f"target ratio {target:.3g} not reached; the ratios "
+                             f"on the grid span [{min(vals):.3g}, {max(vals):.3g}]")
+    return knobs
+
+
 def dilation_for_fir(targets, theta_star, dim, n_mc=100_000, seed=0):
     """Covariance multiplier, per target, whose sampling design hits it.
 
     The ratio is U-shaped in the multiplier: it falls from the shrinking
     branch down to a strictly positive floor, then rises again as
     saturation starves the boundary-normal curvature.  Each target is
-    bracketed on the decreasing branch of :data:`NU_GRID`, evaluated once
-    for all targets, and refined by geometric bisection; the same base
-    normal draw is reused across evaluations.  Targets below the floor get
-    the floor's multiplier; targets above the ratio at the grid's smallest
-    multiplier raise.
+    reached first on the falling branch of :data:`NU_GRID`, refined by
+    geometric bisection.  Targets below the floor get the floor's
+    multiplier; targets above every grid ratio raise ``ValueError``.
     """
-    base, Hp = _reference(theta_star, dim, n_mc, seed)
-
-    def ratio(nu):
-        return fir(pool_hessian(np.sqrt(nu) * base, theta_star), Hp)
-
-    vals = np.array([ratio(nu) for nu in NU_GRID])
-    knobs = []
-    for target in targets:
-        if target < vals.min():
-            knobs.append(float(NU_GRID[int(np.argmin(vals))]))
-            continue
-        falling = np.flatnonzero((vals[:-1] >= target) & (target >= vals[1:]))
-        if falling.size == 0:
-            raise ValueError(
-                f"target ratio {target:.3g} not bracketed; grid spans "
-                f"[{vals.min():.3g}, {vals.max():.3g}] on the decreasing branch"
-            )
-        i = falling[0]
-        knobs.append(_bisect(ratio, target, NU_GRID[i], NU_GRID[i + 1],
-                             lambda lo, hi: np.sqrt(lo * hi), rising=False))
-    return knobs
+    knobs, vals = _calibrate(targets, theta_star, dim, n_mc, seed, NU_GRID,
+                             lambda base, nu: np.sqrt(nu) * base,
+                             lambda lo, hi: np.sqrt(lo * hi))
+    knobs = [float(NU_GRID[int(np.argmin(vals))]) if t < min(vals) else k
+             for t, k in zip(targets, knobs)]
+    return _reached(targets, knobs, vals)
 
 
 def translation_for_fir(targets, theta_star, dim, n_mc=100_000, seed=0):
@@ -278,34 +296,16 @@ def translation_for_fir(targets, theta_star, dim, n_mc=100_000, seed=0):
 
     The ratio is ``d(c-1)`` at zero shift but is not monotone in it: it
     first dips below ``d(c-1)`` and only then grows (at ``c = 2``,
-    ``d = 8``: 8.0 at 0, 7.0 at 128, 7.9 at 2048, 11.3 at 4096).  It is
-    evaluated once at the shifts 1, 2, 4, ... up to the first that reaches
-    the largest target; each target is bracketed below the first of those
-    shifts that reaches it and refined by arithmetic bisection, so the
-    calibration takes the rising branch past the dip.  A target of
-    ``d(c-1)`` itself then gets a shift past the dip (2144 in the example),
-    not 0.
+    ``d = 8``: 8.0 at 0, 7.0 at 128, 7.9 at 2048, 11.3 at 4096).  Targets
+    are refined by arithmetic bisection: ``d(c-1)`` itself gets 0, and a
+    target inside the dip a shift on its falling side.  A target below the
+    dip raises ``ValueError``; one above the ratios of :data:`TAU_GRID`
+    raises too, as a ``LinAlgError`` if a shift saturates the design.
     """
-    if any(t < theta_star.shape[0] * dim for t in targets):
-        raise ValueError("translation targets must be at least d(c-1)")
-    base, Hp = _reference(theta_star, dim, n_mc, seed)
     a = translation_direction(dim)
-
-    def ratio(tau):
-        return fir(pool_hessian(base + tau * a, theta_star), Hp)
-
-    taus, vals = [1.0], [ratio(1.0)]
-    while vals[-1] < max(targets, default=0.0):
-        if 2.0 * taus[-1] > 1e6:
-            raise ValueError("target ratio unreachable by translation")
-        taus.append(2.0 * taus[-1])
-        vals.append(ratio(taus[-1]))
-    knobs = []
-    for target in targets:
-        i = next(j for j, v in enumerate(vals) if v >= target)
-        knobs.append(_bisect(ratio, target, taus[i - 1] if i else 0.0, taus[i],
-                             lambda lo, hi: 0.5 * (lo + hi), rising=True))
-    return knobs
+    return _reached(targets, *_calibrate(targets, theta_star, dim, n_mc, seed, TAU_GRID,
+                                          lambda base, tau: base + tau * a,
+                                          lambda lo, hi: 0.5 * (lo + hi)))
 
 
 @dataclass

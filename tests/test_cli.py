@@ -392,6 +392,14 @@ class TestCliCommands:
         assert code == 0
         assert "guarantees hold" in out
 
+    def test_audit_of_a_saturated_fit_is_certified(self, capsys):
+        # The fit's pool Hessian has eigenvalues near 1e-6, and a reduced
+        # Newton Hessian of the relaxation is singular to working precision
+        # though its Cholesky succeeds.
+        assert main(["audit", "--classes", "3", "--dim", "2", "--pool-size", "10",
+                     "--budget", "5"]) == 0
+        assert "guarantees hold" in capsys.readouterr().out
+
     def test_config_error_exit_code(self):
         assert main(["run", "--budget", "7", "--rounds", "2",
                      "--pool-size", "30"]) == 2
@@ -447,17 +455,20 @@ class TestCliCommands:
         assert main(["audit", "--classes", "3", "--pool-size", pool]) == 2
         assert "--pool-size >= 2 * --classes = 6" in capsys.readouterr().err
 
-    def test_translation_target_checked_before_any_work(self, monkeypatch, capsys):
-        # Translation targets start at the ratio of the unshifted design,
-        # d(c-1) = 8 here; the bound itself is accepted.
-        monkeypatch.setattr(cli.synth, "make_theta_star", pytest.fail)
-        monkeypatch.setattr(cli.synth, "risk_ratio_sweep", pytest.fail)
-        args = ["sweep", "--mode", "translation", "--classes", "3", "--dim", "4"]
-        assert main(args + ["--targets", "12,7.5"]) == 2
-        err = capsys.readouterr().err
-        assert "--targets" in err and "d(c-1) = 8" in err
-        monkeypatch.setattr(cli.synth, "risk_ratio_sweep", lambda *a, **k: [])
-        assert main(args + ["--targets", "8,12"]) == 0
+    def test_unreachable_translation_target_exit_code(self, monkeypatch, tmp_path, capsys):
+        # The calibration rejects a target below every ratio a shift reaches
+        # before any fit; d(c-1) = 8 here, the unshifted design's ratio,
+        # calibrates to shift 0.
+        args = ["sweep", "--mode", "translation", "--classes", "3", "--dim", "4",
+                "--n", "200", "--seeds", "1", "--n-mc", "5000", "--risk-points", "200"]
+        with monkeypatch.context() as m:
+            m.setattr(cli.synth, "fit_erm", pytest.fail)
+            assert main(args + ["--targets", "12,1"]) == 2
+        assert "target ratio 1 not reached" in capsys.readouterr().err
+        out = tmp_path / "sweep.csv"
+        assert main(args + ["--targets", "8", "--out", str(out)]) == 0
+        header, row = out.read_text().splitlines()
+        assert row.split(",")[header.split(",").index("scale_param")] == "0"
 
     def test_misspelled_boolean_checked_before_any_work(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(cli, "active_learning_loop", pytest.fail)
@@ -554,9 +565,9 @@ class TestCliCommands:
         assert "not certified" in capsys.readouterr().err
 
     def test_stalled_relaxation_exits_at_once(self, monkeypatch, capsys):
-        # A saturated fit (pool Hessian eigenvalues near 1e-6) whose first
-        # outer round of the relaxation changes nothing; repeating it would
-        # idle up to MAX_NEWTON_STEPS.
+        # Newton directions that never move leave the first outer round,
+        # whose support is the whole 10-point pool, unchanged; repeating it
+        # would idle up to MAX_NEWTON_STEPS.
         derivatives, calls = relax._Support.derivatives, []
 
         def counted(self, w):
@@ -564,6 +575,8 @@ class TestCliCommands:
             return derivatives(self, w)
 
         monkeypatch.setattr(relax._Support, "derivatives", counted)
+        monkeypatch.setattr(relax, "_newton_direction",
+                            lambda w, g, H: np.zeros_like(w))
         assert main(["audit", "--classes", "3", "--dim", "2", "--pool-size", "10",
                      "--budget", "5"]) == 3
         err = capsys.readouterr().err

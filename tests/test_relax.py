@@ -6,6 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -97,6 +98,21 @@ class TestSolvePsd:
         np.testing.assert_array_equal(_solve_psd(deficient, b),
                                       V_ref @ ((V_ref.T @ b) / w))
         np.testing.assert_array_equal(_solve_psd(np.zeros((3, 3)), b), np.zeros(3))
+
+    def test_numerically_singular_factor_takes_the_floor(self):
+        # The Cholesky of a PSD matrix with an eigenvalue far below the
+        # floor can succeed; its pivots show the singularity, and the solve
+        # floors that eigenvalue instead of dividing by it.
+        rng = np.random.default_rng(26)
+        b = rng.normal(size=3)
+        V, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        H = (V * np.array([1e-14, 0.5, 2.0])) @ V.T
+        H = 0.5 * (H + H.T)
+        scipy.linalg.cho_factor(H)
+        w_ref, V_ref = np.linalg.eigh(H)
+        w = np.maximum(w_ref, EIG_FLOOR_REL * w_ref[-1])
+        assert w[0] == EIG_FLOOR_REL * w_ref[-1]
+        np.testing.assert_array_equal(_solve_psd(H, b), V_ref @ ((V_ref.T @ b) / w))
 
 
 class TestStep:

@@ -276,6 +276,19 @@ def test_reference_share_bitwise_equal_to_axis_reductions():
         assert synth._reference_share(0.3, w, 10.0) == float(p[:, -1].mean())
 
 
+def calibration_ratio(theta, dim, n_mc, seed, design):
+    """The ratio the calibration walks, rebuilt from the public pieces: the
+    Fisher matrix of ``design(base, knob)`` against that of one base draw
+    of the reference design."""
+    base = np.sqrt(BASE_VARIANCE) * np.random.default_rng(seed).standard_normal((n_mc, dim))
+    Hp = pool_hessian(base, theta)
+    return lambda knob: fir(pool_hessian(design(base, knob), theta), Hp)
+
+
+def dilated(base, nu):
+    return np.sqrt(nu) * base
+
+
 class TestRatioCalibration:
     def test_dilation_hits_target(self):
         theta = make_theta_star(2, 4, seed=29)
@@ -292,12 +305,32 @@ class TestRatioCalibration:
         # the floor's multiplier, the grid point of least ratio; a ratio
         # above the whole decreasing branch raises.
         theta = make_theta_star(2, 4, seed=29)
-        base, Hp = synth._reference(theta, 4, 20_000, 30)
-        vals = [fir(pool_hessian(np.sqrt(nu) * base, theta), Hp) for nu in synth.NU_GRID]
+        ratio = calibration_ratio(theta, 4, 20_000, 30, dilated)
+        vals = [ratio(nu) for nu in synth.NU_GRID]
         nu = dilation_for_fir([0.1], theta, 4, n_mc=20_000, seed=30)[0]
         assert nu == synth.NU_GRID[int(np.argmin(vals))]
-        with pytest.raises(ValueError, match="not bracketed"):
+        with pytest.raises(ValueError, match="not reached"):
             dilation_for_fir([2.0 * vals[0]], theta, 4, n_mc=20_000, seed=30)
+
+    @pytest.mark.parametrize("theta_seed", [0, 1, 2])
+    def test_default_dilation_targets_keep_their_knobs(self, theta_seed):
+        # The knobs of the default sweep targets are those of the bracket
+        # rule: the whole grid, then geometric bisection in the first
+        # falling interval (ends included), the floor's multiplier below it.
+        theta = make_theta_star(2, 8, seed=theta_seed)
+        targets = np.geomspace(1.6, 80.0, 5).tolist()
+        ratio = calibration_ratio(theta, 8, 20_000, 0, dilated)
+        vals = np.array([ratio(nu) for nu in synth.NU_GRID])
+        expected = []
+        for target in targets:
+            if target < vals.min():
+                expected.append(float(synth.NU_GRID[int(np.argmin(vals))]))
+                continue
+            i = np.flatnonzero((vals[:-1] >= target) & (target >= vals[1:]))[0]
+            expected.append(synth._bisect(ratio, target, synth.NU_GRID[i],
+                                          synth.NU_GRID[i + 1],
+                                          lambda lo, hi: np.sqrt(lo * hi), rising=False))
+        assert dilation_for_fir(targets, theta, 8, n_mc=20_000) == expected
 
     def test_translation_hits_target(self):
         theta = make_theta_star(2, 4, seed=32)
@@ -310,9 +343,32 @@ class TestRatioCalibration:
         assert fir(Hq, Hp) == pytest.approx(target, rel=0.08)
 
     def test_translation_rejects_small_target(self):
+        # The walk stops once the ratio rises past the target, before the
+        # shifts whose designs saturate the Fisher matrix (LinAlgError).
         theta = make_theta_star(2, 4, seed=35)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not reached") as info:
             translation_for_fir([1.0], theta, 4, n_mc=5000)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("c, d", [(2, 4), (3, 4), (2, 8)])
+    def test_unshifted_ratio_calibrates_to_zero_shift(self, c, d):
+        # The unshifted design has ratio d(c-1), so that target's smallest
+        # shift is 0, not one on the rising branch past the dip.
+        theta = make_theta_star(c, d, seed=29)
+        assert translation_for_fir([d * (c - 1)], theta, d, n_mc=5000, seed=33) == [0.0]
+
+    def test_dip_target_reached_at_its_smallest_shift(self):
+        # At c = 2, d = 8 the ratio dips from 8 to about 7.0; a target in
+        # the dip is reached on its falling side, and no smaller grid shift
+        # reaches it.
+        theta = make_theta_star(2, 8, seed=0)
+        a = translation_direction(8)
+        ratio = calibration_ratio(theta, 8, 5000, 0, lambda base, tau: base + tau * a)
+        for target in (7.5, 7.2):
+            tau = translation_for_fir([target], theta, 8, n_mc=5000, seed=0)[0]
+            assert abs(ratio(tau) - target) <= synth.RATIO_TOL * target
+            assert all(ratio(t) > target for t in synth.TAU_GRID if t < tau)
+            assert ratio(2.0 * tau) < ratio(tau)
 
     def test_several_targets_equal_one_call_each(self):
         # One call calibrates a list of targets to exactly the knobs that
@@ -322,15 +378,16 @@ class TestRatioCalibration:
         knobs = dilation_for_fir(targets, theta, 4, n_mc=5000, seed=30)
         assert knobs == [dilation_for_fir([t], theta, 4, n_mc=5000, seed=30)[0]
                          for t in targets]
-        targets = [12.0, 5.0]
+        targets = [12.0, 5.0, 4.0]
         taus = translation_for_fir(targets, theta, 4, n_mc=5000, seed=33)
         assert taus == [translation_for_fir([t], theta, 4, n_mc=5000, seed=33)[0]
                         for t in targets]
 
 
     def test_translation_evaluates_each_doubling_point_once(self, monkeypatch):
-        # Every target is bracketed on one shared run of shifts 1, 2, 4, ...;
-        # bisection midpoints are never powers of two at or above 1.
+        # Every target is calibrated on one shared walk of the shifts 0, 1,
+        # 2, 4, ...; bisection midpoints are never 0 or powers of two at or
+        # above 1.
         theta = make_theta_star(2, 4, seed=29)
         a = translation_direction(4)
         rows = []
@@ -342,8 +399,8 @@ class TestRatioCalibration:
         monkeypatch.setattr(synth, "pool_hessian", recording)
         translation_for_fir([12.0, 5.0, 40.0], theta, 4, n_mc=5000, seed=33)
         taus = [round(float((row - rows[0]) @ a), 9) for row in rows[1:]]
-        doubling = [t for t in taus if t >= 1 and np.log2(t).is_integer()]
-        assert doubling == [2.0**j for j in range(len(doubling))]
+        grid = [t for t in taus if t == 0 or t >= 1 and np.log2(t).is_integer()]
+        assert grid == [0.0] + [2.0**j for j in range(len(grid) - 1)]
 
 
 class TestRiskRatioSweep:
