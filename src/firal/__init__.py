@@ -25,7 +25,6 @@ from .fisher import (
     fir,
     labeled_shift,
     pool_hessian,
-    shifted_fishers,
     sigma_max,
     whiten_factors,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "sample_pool",
     "score_candidate",
     "select_batch",
-    "shifted_fishers",
     "sigma_max",
     "whiten_factors",
 ]

@@ -13,7 +13,7 @@ import numpy as np
 
 from .fisher import EIG_FLOOR_REL, pool_hessian
 from .model import KronFishers, class_probabilities
-from .sparsify import trace_solve
+from .sparsify import _woodbury_terms, trace_solve
 
 
 def _check_budget(budget, m):
@@ -124,55 +124,59 @@ def _clamped_trace_objective(A, Hp0):
     return np.sum(proj / w, axis=1)
 
 
-def _woodbury_objective(A, G, Hp0, sign):
+def _woodbury_objective(A, P, Hp0, sign):
     """``<(A + sign G_i G_i^T)^{-1}, Hp0>`` for each tall factor ``G_i`` of
-    ``G (n, d_tilde, k)`` by the Woodbury identity, and the mask of the
-    ``i`` for which the clamp of :func:`_clamped_trace_objective` cannot
-    fire, so that both compute the same quantity (the Woodbury value
+    class-major ``P (k, n, d_tilde)`` by the Woodbury identity, and the
+    mask of the ``i`` for which the clamp of :func:`_clamped_trace_objective`
+    cannot fire, so that both compute the same quantity (the Woodbury value
     rounds less when ``A +- G_i G_i^T`` is ill conditioned).  Values
     outside the mask are left at zero.
 
     With ``T_i = G_i^T A^{-1} G_i`` and ``U_i = G_i^T A^{-1} Hp0 A^{-1} G_i``
-    the value is ``tr(A^{-1} Hp0) -+ tr((I +- T_i)^{-1} U_i)``.  By Weyl an
-    add keeps every eigenvalue above the floor when ``lam_min(A) >=
-    floor * (lam_max(A) + ||G_i||_F^2)``; a removal does when
-    ``lam_min(A) * min(1, lam_min(I - T_i)) >= floor * lam_max(A)``,
-    since ``A - G_i G_i^T = A^{1/2} (I - A^{-1/2} G_i G_i^T A^{-1/2})
-    A^{1/2}`` and the nonzero spectrum of the middle term is that of
-    ``T_i``.
+    (the rounding's kernel on ``Y = P A^{-1}`` and ``Z = Y Hp0``) the value
+    is ``tr(A^{-1} Hp0) -+ tr((I +- T_i)^{-1} U_i)``.  By Weyl an add keeps
+    every eigenvalue above the floor when ``lam_min(A) >= floor *
+    (lam_max(A) + ||G_i||_F^2)``; a removal does when ``lam_min(A) * min(1,
+    lam_min(I - T_i)) >= floor * lam_max(A)``, since ``A - G_i G_i^T =
+    A^{1/2} (I - A^{-1/2} G_i G_i^T A^{-1/2}) A^{1/2}`` and the nonzero
+    spectrum of the middle term is that of ``T_i``.
     """
-    n, _, k = G.shape
+    k, n, dt = P.shape
     values = np.zeros(n)
     w, V = np.linalg.eigh(0.5 * (A + A.T))
     lam_min, lam_max = w[0], w[-1]
     if lam_min < EIG_FLOOR_REL * max(lam_max, EIG_FLOOR_REL):
         return values, np.zeros(n, dtype=bool)
     A_inv = (V / w) @ V.T
-    Y = np.matmul(A_inv, G)
-    M = np.eye(k) + sign * np.matmul(G.transpose(0, 2, 1), Y)
+    Y = (P.reshape(k * n, dt) @ A_inv).reshape(k, n, dt)
+    Z = (Y.reshape(k * n, dt) @ Hp0).reshape(k, n, dt)
+    M, U = _woodbury_terms(P, Y, Z, sign)
     if sign > 0:
-        reach = lam_max + np.einsum("ijk,ijk->i", G, G)
+        reach = lam_max + np.einsum("aij,aij->i", P, P)
         exact = lam_min >= EIG_FLOOR_REL * np.maximum(reach, EIG_FLOOR_REL)
     else:
-        shrink = np.minimum(1.0, np.linalg.eigvalsh(M)[:, 0])
+        shrink = np.minimum(1.0, np.linalg.eigvalsh(M.transpose(2, 0, 1))[:, 0])
         exact = lam_min * shrink >= EIG_FLOOR_REL * max(lam_max, EIG_FLOOR_REL)
-    Y, M = Y[exact], M[exact]
-    U = np.matmul(Y.transpose(0, 2, 1), np.matmul(Hp0, Y))
-    values[exact] = np.sum(A_inv * Hp0) - sign * trace_solve(M.transpose(1, 2, 0),
-                                                             U.transpose(1, 2, 0))
+    values[exact] = np.sum(A_inv * Hp0) - sign * trace_solve(M[..., exact], U[..., exact])
     return values, exact
 
 
-def _best_update(A, fishers, G, idx, Hp0, sign):
+def _outer(P, rows):
+    """The dense ``G_i G_i^T`` of the given rows of class-major ``P``."""
+    G = P[:, rows].transpose(1, 2, 0)
+    return G @ G.transpose(0, 2, 1)
+
+
+def _best_update(A, P, idx, Hp0, sign):
     """The index in ``idx`` whose Fisher matrix, added (``sign=1``) or
     removed (``sign=-1``), gives the lowest clamped objective; ties go to
     the earliest position in ``idx``.  Candidates the Woodbury path cannot
     score exactly are scored on their dense matrices, in blocks."""
-    values, exact = _woodbury_objective(A, G[idx], Hp0, sign)
+    values, exact = _woodbury_objective(A, P[:, idx], Hp0, sign)
     slow = np.flatnonzero(~exact)
     for s in range(0, len(slow), GREEDY_BLOCK):
         pos = slow[s:s + GREEDY_BLOCK]
-        values[pos] = _clamped_trace_objective(A + sign * fishers.dense(idx[pos]), Hp0)
+        values[pos] = _clamped_trace_objective(A + sign * _outer(P, idx[pos]), Hp0)
     return idx[int(np.argmin(values))]
 
 
@@ -185,16 +189,16 @@ def select_greedy_fb(X, theta, shift, budget):
     scores stay finite; remaining rank deficiency is handled by a clamped
     inverse and reported through a warning.  Each step scores its
     candidates by rank-``(c-1)`` Woodbury updates of one factored
-    aggregate, and falls back to a clamped eigendecomposition of the
-    dense candidate matrices only where the clamp could change a value.
+    aggregate (the FIRAL rounding's kernel), and falls back to a clamped
+    eigendecomposition of the dense candidate matrices only where the
+    clamp could change a value.
     """
     X = np.asarray(X, dtype=float)
     m = len(X)
     if not 1 <= budget <= m // 2:
         raise ValueError(f"budget {budget} outside 1..{m // 2}")
     Hp0 = pool_hessian(X, theta)
-    fishers = KronFishers.at(X, theta)
-    G = fishers.factors
+    P = np.ascontiguousarray(KronFishers.at(X, theta).factors.transpose(2, 0, 1))
     shift = np.asarray(shift, dtype=float)
 
     w0 = np.linalg.eigvalsh(shift)
@@ -208,13 +212,13 @@ def select_greedy_fb(X, theta, shift, budget):
     A = shift.copy()
     in_set = np.zeros(m, dtype=bool)
     for _ in range(2 * budget):
-        best_i = _best_update(A, fishers, G, np.flatnonzero(~in_set), Hp0, 1.0)
+        best_i = _best_update(A, P, np.flatnonzero(~in_set), Hp0, 1.0)
         in_set[best_i] = True
-        A = A + fishers.dense([best_i])[0]
+        A = A + _outer(P, [best_i])[0]
 
     for _ in range(budget):
-        best_i = _best_update(A, fishers, G, np.flatnonzero(in_set), Hp0, -1.0)
+        best_i = _best_update(A, P, np.flatnonzero(in_set), Hp0, -1.0)
         in_set[best_i] = False
-        A = A - fishers.dense([best_i])[0]
+        A = A - _outer(P, [best_i])[0]
 
     return np.nonzero(in_set)[0]

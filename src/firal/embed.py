@@ -9,11 +9,10 @@ corpora up to a few thousand points.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse
 
 
 def knn_graph(X, k):
-    """Symmetric 0/1 adjacency of the k-nearest-neighbor graph.
+    """Dense symmetric 0/1 adjacency of the k-nearest-neighbor graph.
 
     Edge ``(i, j)`` is present iff ``j`` is among the ``k`` Euclidean
     nearest neighbors of ``i`` or vice versa.  Distance ties break by
@@ -28,18 +27,14 @@ def knn_graph(X, k):
     np.fill_diagonal(d2, np.inf)
     order = np.argsort(d2, axis=1, kind="stable")[:, :k]
 
-    rows = np.repeat(np.arange(n), k)
-    A = scipy.sparse.csr_matrix(
-        (np.ones(n * k), (rows, order.ravel())), shape=(n, n)
-    )
-    A = A.maximum(A.T)
-    A.data[:] = 1.0
-    return A
+    A = np.zeros((n, n))
+    A[np.repeat(np.arange(n), k), order.ravel()] = 1.0
+    return np.maximum(A, A.T)
 
 
 def normalized_laplacian(adj):
     """Dense ``I - D^{-1/2} A D^{-1/2}`` for a symmetric adjacency."""
-    A = scipy.sparse.csr_matrix(adj).toarray()
+    A = np.asarray(adj, dtype=float)
     deg = A.sum(axis=1)
     if np.any(deg <= 0):
         isolated = np.nonzero(deg <= 0)[0]

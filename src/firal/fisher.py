@@ -3,9 +3,10 @@
 All matrices here live in the vectorized parameter space of dimension
 ``d_tilde = d(c-1)``.  Both search selectors, the FIRAL round and the
 forward-backward greedy, read the candidates through
-:class:`~firal.model.KronFishers`.  The dense ``(m, d_tilde, d_tilde)``
-stack of :func:`shifted_fishers`, and :func:`f_objective` on such a
-stack, are kept as references; only the tests call them.
+:class:`~firal.model.KronFishers` and never build the dense ``(m,
+d_tilde, d_tilde)`` stack.  :func:`f_objective` on such a stack is kept as
+a reference for the tests, which build it from the ``np.kron`` oracle
+:func:`~firal.model.point_fisher`.
 """
 
 from __future__ import annotations
@@ -77,12 +78,6 @@ def labeled_shift(X0, theta, budget):
     theta = _as_theta(theta)
     X0 = np.asarray(X0, dtype=float).reshape(-1, theta.shape[1])
     return KronFishers.at(X0, theta).aggregate(np.full(len(X0), 1.0 / budget))
-
-
-def shifted_fishers(X, theta, shift):
-    """Dense stack of shifted candidate matrices for a whole pool,
-    ``(m, d_tilde, d_tilde)``."""
-    return KronFishers.at(X, theta, shift).dense() + shift
 
 
 def fir(Hq, Hp):

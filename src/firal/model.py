@@ -214,13 +214,6 @@ class KronFishers:
         T = np.einsum("iabq,iq->iab", Y, self.X)
         return np.einsum("iab,iab->i", self.W, T) + np.sum(self.shift * M)
 
-    def dense(self, rows=slice(None)):
-        """The dense ``W_i kron x_i x_i^T`` (no shift) of the given rows,
-        ``(n, d_tilde, d_tilde)``; each matrix is the same whatever rows
-        come with it."""
-        W, X = self.W[rows], self.X[rows]
-        return np.einsum("iab,ip,iq->iapbq", W, X, X).reshape((len(X),) + self.shift.shape)
-
     @cached_property
     def factors(self):
         """Tall ``G_i = Q_i kron x_i``, ``(m, d_tilde, c-1)``, with

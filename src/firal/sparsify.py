@@ -104,26 +104,33 @@ def score_candidate(B_sqrt, B, P_i, eta):
     return float(np.trace(np.linalg.solve(np.eye(k) + eta * T, U)))
 
 
-def _scores(B_sqrt, P, eta):
-    """Vectorized :func:`score_candidate` over batch-major factors.
-
-    ``P`` has shape ``(k, m, d_tilde)``: ``P[a]`` stacks column ``a`` of
-    every candidate's factor as rows, so that ``Y = B^{1/2} P_i`` for all
-    candidates is one flat ``(k m, d_tilde) @ B^{1/2}`` GEMM (``B^{1/2}`` is
-    symmetric) and ``B`` itself is never formed.  The ``k(k+1)`` distinct
-    entries of ``T = P^T Y`` and ``U = Y^T Y = P^T B P`` are row dots, each
-    a length-``m`` vector, which :func:`trace_solve` reads as they are.
+def _woodbury_terms(P, Y, Z, s):
+    """``M = I + s P^T Y`` and ``U = Z^T Y`` of a Woodbury-reduced score,
+    batch last as :func:`trace_solve` reads them, from class-major ``P``,
+    ``Y`` and ``Z`` (``P[a, i]`` is column ``a`` of candidate ``i``'s tall
+    factor).  Both are symmetric when ``Y`` and ``Z`` are ``P`` times
+    symmetric matrices, so only the ``k(k+1)`` distinct entries are formed,
+    each a length-``n`` row dot.
     """
-    k, m, dt = P.shape
-    Y = (P.reshape(k * m, dt) @ B_sqrt).reshape(k, m, dt)
-    M = np.empty((k, k, m))
-    U = np.empty((k, k, m))
+    k, n, _ = P.shape
+    M = np.empty((k, k, n))
+    U = np.empty((k, k, n))
     for a in range(k):
         for b in range(a, k):
-            M[a, b] = M[b, a] = eta * np.einsum("ij,ij->i", P[a], Y[b])
-            U[a, b] = U[b, a] = np.einsum("ij,ij->i", Y[a], Y[b])
+            M[a, b] = M[b, a] = s * np.einsum("ij,ij->i", P[a], Y[b])
+            U[a, b] = U[b, a] = np.einsum("ij,ij->i", Z[a], Y[b])
         M[a, a] += 1.0
-    return trace_solve(M, U)
+    return M, U
+
+
+def _scores(B_sqrt, P, eta):
+    """Vectorized :func:`score_candidate` over class-major factors
+    ``P (k, m, d_tilde)``: ``Y = B^{1/2} P_i`` for all candidates is one
+    flat GEMM (``B^{1/2}`` is symmetric), ``U = Y^T Y = P^T B P``, and
+    ``B`` itself is never formed."""
+    k, m, dt = P.shape
+    Y = (P.reshape(k * m, dt) @ B_sqrt).reshape(k, m, dt)
+    return trace_solve(*_woodbury_terms(P, Y, Y, eta))
 
 
 def trace_solve(M, U):

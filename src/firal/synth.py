@@ -236,7 +236,8 @@ def _calibrate(targets, theta_star, dim, n_mc, seed, grid, design, mid):
     ``design(base, knob)`` to one base draw of the reference design reaches it.
 
     The ratio is evaluated once per grid knob, in increasing order, until
-    every target has a knob or the ratio rises past the largest target.  A
+    every target has a knob, the ratio rises past the largest target, or a
+    knob's design Fisher matrix is singular, which ends the walk.  A
     target within :data:`RATIO_TOL` of the first ratio takes the first
     knob; any other is bisected, split by ``mid``, in the first grid
     interval whose end ratios straddle it (ends included).  Returns the
@@ -254,7 +255,10 @@ def _calibrate(targets, theta_star, dim, n_mc, seed, grid, design, mid):
     for lo, x in zip(grid, grid[1:]):
         if None not in knobs:
             break
-        v = ratio(x)
+        try:
+            v = ratio(x)
+        except np.linalg.LinAlgError:
+            break  # the design saturates: no larger knob has a ratio
         for j, target in enumerate(targets):
             if knobs[j] is None and (vals[-1] - target) * (v - target) <= 0:
                 knobs[j] = _bisect(ratio, target, lo, x, mid, rising=v > vals[-1])
@@ -299,8 +303,8 @@ def translation_for_fir(targets, theta_star, dim, n_mc=100_000, seed=0):
     ``d = 8``: 8.0 at 0, 7.0 at 128, 7.9 at 2048, 11.3 at 4096).  Targets
     are refined by arithmetic bisection: ``d(c-1)`` itself gets 0, and a
     target inside the dip a shift on its falling side.  A target below the
-    dip raises ``ValueError``; one above the ratios of :data:`TAU_GRID`
-    raises too, as a ``LinAlgError`` if a shift saturates the design.
+    dip raises ``ValueError``; so does one above the ratios of
+    :data:`TAU_GRID` that are walked before a shift saturates the design.
     """
     a = translation_direction(dim)
     return _reached(targets, *_calibrate(targets, theta_star, dim, n_mc, seed, TAU_GRID,

@@ -19,13 +19,14 @@ from firal.fisher import (
     fir,
     labeled_shift,
     pool_hessian,
-    shifted_fishers,
     whiten_factors,
 )
 from firal.model import KronFishers, loss_gradient, nll_loss, point_fisher, predict_proba
 from firal.relax import relax_solve
 from firal.sparsify import ftrl_action, score_candidate, select_batch
 from firal.synth import gaussian_design, risk_ratio_sweep, sample_pool
+
+from oracle import dense_fishers
 
 
 def _report(number, name, passed, detail=""):
@@ -46,7 +47,7 @@ def _pipeline_factors(seed, c, d, m, budget, scale=2.0):
     X0 = rng.normal(size=(3, d)) * scale
     shift = labeled_shift(X0, theta, budget)
     Hp0 = pool_hessian(X, theta)
-    fishers = shifted_fishers(X, theta, shift)
+    fishers = dense_fishers(X, theta, shift)
     kron = KronFishers.at(X, theta, shift)
     relaxed = relax_solve(budget, Hp0, kron)
     return whiten_factors(relaxed.z, kron), fishers, Hp0, relaxed

@@ -22,15 +22,16 @@ from firal.fisher import (
     f_objective,
     labeled_shift,
     pool_hessian,
-    shifted_fishers,
 )
 from firal.model import KronFishers
+
+from oracle import dense_fishers
 
 
 def greedy_fb_reference(X, theta, shift, budget):
     """Forward-backward greedy scoring one candidate at a time."""
     Hp0 = pool_hessian(X, theta)
-    F = KronFishers.at(X, theta).dense()
+    F = dense_fishers(X, theta)
 
     def value(A):
         return _clamped_trace_objective(A[None], Hp0)[0]
@@ -173,7 +174,7 @@ class TestSelectGreedyFb:
         shift = labeled_shift(X0, theta, b)
         picks = select_greedy_fb(X, theta, shift, b)
         Hp0 = pool_hessian(X, theta)
-        fishers = shifted_fishers(X, theta, shift)
+        fishers = dense_fishers(X, theta, shift)
         values = [
             f_objective(np.array(s, dtype=int), fishers, Hp0)
             for s in itertools.combinations(range(8), b)
@@ -224,8 +225,8 @@ class TestSelectGreedyFb:
         calls = []
         inner = baselines._woodbury_objective
 
-        def spy(A, G, Hp0, sign):
-            values, exact = inner(A, G, Hp0, sign)
+        def spy(A, P, Hp0, sign):
+            values, exact = inner(A, P, Hp0, sign)
             calls.append((sign, exact))
             return values, exact
 
@@ -272,12 +273,12 @@ class TestSelectGreedyFb:
     @pytest.mark.parametrize("seed", range(5))
     def test_woodbury_equals_clamped_objective_where_admitted(self, seed):
         X, theta, X0 = self._instance(seed, m=40, d=3, c=3)
-        fishers = KronFishers.at(X, theta)
-        G, F = fishers.factors, fishers.dense()
+        P = KronFishers.at(X, theta).factors.transpose(2, 0, 1)
+        F = dense_fishers(X, theta)
         Hp0 = pool_hessian(X, theta)
         A = labeled_shift(X0, theta, 3) + F[:4].sum(axis=0)
         for sign, idx in ((1.0, np.arange(4, 40)), (-1.0, np.arange(4))):
-            values, exact = _woodbury_objective(A, G[idx], Hp0, sign)
+            values, exact = _woodbury_objective(A, P[:, idx], Hp0, sign)
             assert exact.any()
             expected = _clamped_trace_objective(A + sign * F[idx[exact]], Hp0)
             np.testing.assert_allclose(values[exact], expected, rtol=1e-12)

@@ -456,15 +456,20 @@ class TestCliCommands:
         assert "--pool-size >= 2 * --classes = 6" in capsys.readouterr().err
 
     def test_unreachable_translation_target_exit_code(self, monkeypatch, tmp_path, capsys):
-        # The calibration rejects a target below every ratio a shift reaches
-        # before any fit; d(c-1) = 8 here, the unshifted design's ratio,
-        # calibrates to shift 0.
+        # The calibration rejects, before any fit, a target below every
+        # ratio a shift reaches and one above every ratio reached before a
+        # shift saturates the design; d(c-1) = 8 here, the unshifted
+        # design's ratio, calibrates to shift 0.
         args = ["sweep", "--mode", "translation", "--classes", "3", "--dim", "4",
                 "--n", "200", "--seeds", "1", "--n-mc", "5000", "--risk-points", "200"]
         with monkeypatch.context() as m:
             m.setattr(cli.synth, "fit_erm", pytest.fail)
             assert main(args + ["--targets", "12,1"]) == 2
         assert "target ratio 1 not reached" in capsys.readouterr().err
+        with monkeypatch.context() as m:
+            m.setattr(cli.synth, "fit_erm", pytest.fail)
+            assert main(args + ["--targets", "1e30"]) == 2
+        assert "target ratio 1e+30 not reached" in capsys.readouterr().err
         out = tmp_path / "sweep.csv"
         assert main(args + ["--targets", "8", "--out", str(out)]) == 0
         header, row = out.read_text().splitlines()

@@ -20,7 +20,7 @@ class TestKnnGraph:
         # distance tie breaks to the smaller index, and OR-symmetrization
         # yields the path 0-1-2.
         X = np.array([[0.0], [1.0], [2.0]])
-        A = knn_graph(X, 1).toarray()
+        A = knn_graph(X, 1)
         expected = np.array([
             [0, 1, 0],
             [1, 0, 1],
@@ -30,12 +30,12 @@ class TestKnnGraph:
 
     def test_full_neighborhood_is_complete(self):
         X = np.random.default_rng(1).normal(size=(6, 2))
-        A = knn_graph(X, 5).toarray()
+        A = knn_graph(X, 5)
         np.testing.assert_array_equal(A, 1 - np.eye(6))
 
     def test_symmetric_no_self_loops(self):
         X = np.random.default_rng(2).normal(size=(20, 3))
-        A = knn_graph(X, 4).toarray()
+        A = knn_graph(X, 4)
         np.testing.assert_array_equal(A, A.T)
         assert np.all(np.diag(A) == 0)
         assert set(np.unique(A)) <= {0.0, 1.0}

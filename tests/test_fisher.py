@@ -14,11 +14,12 @@ from firal.fisher import (
     inv_sqrt_psd,
     labeled_shift,
     pool_hessian,
-    shifted_fishers,
     sigma_max,
     whiten_factors,
 )
 from firal.model import KronFishers, point_fisher
+
+from oracle import dense_fishers
 
 
 def random_spd(rng, n, jitter=0.1):
@@ -89,15 +90,6 @@ class TestShiftedFisher:
             rtol=1e-12,
         )
 
-    def test_stacked_matches_scalar(self):
-        rng = np.random.default_rng(6)
-        theta = rng.normal(size=(2, 2))
-        X = rng.normal(size=(5, 2))
-        shift = labeled_shift(rng.normal(size=(2, 2)), theta, 3)
-        stacked = shifted_fishers(X, theta, shift)
-        for i, x in enumerate(X):
-            np.testing.assert_allclose(stacked[i], point_fisher(x, theta) + shift)
-
 
 def kron_instance(seed, c, m=7, d=3, empty=False):
     """Candidates with two rows pushed to logits of magnitude 700, and a
@@ -123,7 +115,7 @@ class TestKronFishers:
     def test_aggregate_and_inner_match_dense_stack(self, c):
         X, theta, shift = kron_instance(30 + c, c)
         kf = KronFishers.at(X, theta, shift)
-        dense = shifted_fishers(X, theta, shift)
+        dense = dense_fishers(X, theta, shift)
         assert kf.shape == dense.shape
         z = np.random.default_rng(c).random(len(X))
         near(kf.aggregate(z), np.einsum("i,ijk->jk", z, dense))
@@ -274,7 +266,7 @@ class TestWhitenFactors:
         # shift_w + P_i P_i^T is the dense candidate conjugated by sigma^-1/2.
         z, X, theta, shift = self._instance(17)
         wf = whiten_factors(z, KronFishers.at(X, theta, shift))
-        fishers = shifted_fishers(X, theta, shift)
+        fishers = dense_fishers(X, theta, shift)
         S = inv_sqrt_psd(np.einsum("i,ijk->jk", z, fishers))
         for i, P in enumerate(wf.factors):
             np.testing.assert_allclose(

@@ -15,7 +15,6 @@ from firal.fisher import (
     f_objective,
     labeled_shift,
     pool_hessian,
-    shifted_fishers,
     whiten_factors,
 )
 from firal.model import KronFishers
@@ -29,6 +28,8 @@ from firal.sparsify import (
     select_batch,
     trace_solve,
 )
+
+from oracle import dense_fishers
 
 
 def random_psd(rng, n, rank=None):
@@ -44,7 +45,7 @@ def make_factors(seed, c=2, d=2, m=8, n_labeled=3, budget=4):
     X0 = rng.normal(size=(n_labeled, d)) * 2.0
     shift = labeled_shift(X0, theta, budget)
     Hp0 = pool_hessian(X, theta)
-    fishers = shifted_fishers(X, theta, shift)
+    fishers = dense_fishers(X, theta, shift)
     kron = KronFishers.at(X, theta, shift)
     relaxed = relax_solve(budget, Hp0, kron)
     factors = whiten_factors(relaxed.z, kron)

@@ -350,6 +350,15 @@ class TestRatioCalibration:
             translation_for_fir([1.0], theta, 4, n_mc=5000)
         assert not isinstance(info.value, np.linalg.LinAlgError)
 
+    def test_translation_rejects_target_past_saturation(self):
+        # At c = 3, d = 4 the ratio climbs to about 340 at shift 32 and the
+        # design's Fisher matrix is singular at 64; the walk ends there and
+        # the target is unreached.
+        theta = make_theta_star(3, 4, seed=35)
+        with pytest.raises(ValueError, match="not reached") as info:
+            translation_for_fir([1e30], theta, 4, n_mc=5000)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+
     @pytest.mark.parametrize("c, d", [(2, 4), (3, 4), (2, 8)])
     def test_unshifted_ratio_calibrates_to_zero_shift(self, c, d):
         # The unshifted design has ratio d(c-1), so that target's smallest
