@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .model import KronFishers, _as_theta
 
@@ -27,19 +26,15 @@ EIG_FLOOR_REL = 1e-12
 WHITEN_RESIDUAL_TOL = 1e-8
 
 
-def _check_pd(w, context):
+def _eigh_pd(A, context):
+    """``eigh`` of the symmetrized ``A``, which must be positive definite."""
+    A = np.asarray(A, dtype=float)
+    w, V = np.linalg.eigh(0.5 * (A + A.T))
     if w[-1] <= 0 or w[0] <= EIG_FLOOR_REL * w[-1]:
         raise np.linalg.LinAlgError(
             f"{context}: matrix is singular to working precision "
             f"(min/max eigenvalue {w[0]:.3e}/{w[-1]:.3e})"
         )
-
-
-def _eigh_pd(A, context):
-    """``eigh`` of the symmetrized ``A``, which must be positive definite."""
-    A = np.asarray(A, dtype=float)
-    w, V = np.linalg.eigh(0.5 * (A + A.T))
-    _check_pd(w, context)
     return w, V
 
 
@@ -81,16 +76,13 @@ def labeled_shift(X0, theta, budget):
 
 
 def fir(Hq, Hp):
-    """Fisher information ratio ``Trace(Hq^{-1} Hp)`` via Cholesky solves.
+    """Fisher information ratio ``Trace(Hq^{-1} Hp)`` from the
+    eigendecomposition ``Hq = V diag(w) V^T``, as ``sum_j (V^T Hp V)_jj / w_j``.
 
     Raises ``LinAlgError`` when ``Hq`` is singular to working precision.
     """
-    Hq = np.asarray(Hq, dtype=float)
-    Hp = np.asarray(Hp, dtype=float)
-    w = np.linalg.eigvalsh(0.5 * (Hq + Hq.T))
-    _check_pd(w, "fir")
-    c, low = scipy.linalg.cho_factor(Hq)
-    return float(np.trace(scipy.linalg.cho_solve((c, low), Hp)))
+    w, V = _eigh_pd(Hq, "fir")
+    return float(np.sum((np.asarray(Hp, dtype=float) @ V * V).sum(axis=0) / w))
 
 
 def f_objective(weights_or_indices, fishers, Hp0):

@@ -205,13 +205,13 @@ class KronFishers:
         return 0.5 * (H + H.T)
 
     def inner(self, M):
-        """``<F_i, M>`` for every ``i``: one ``X @ M`` GEMM, then a
-        contraction over ``(m, c-1, c-1)``."""
+        """``<F_i, M>`` for every ``i``: one ``X @ M`` GEMM, a batched
+        matmul with ``x_i``, then a contraction over ``(m, c-1, c-1)``."""
         (m, k, _), d = self.W.shape, self.X.shape[1]
-        # Y[i, a, b, q] = sum_p x_ip M[(a, p), (b, q)]
+        # Y[i, (a, b), q] = sum_p x_ip M[(a, p), (b, q)]
         M4 = np.asarray(M, dtype=float).reshape(k, d, k, d)
-        Y = (self.X @ M4.transpose(1, 0, 2, 3).reshape(d, -1)).reshape(m, k, k, d)
-        T = np.einsum("iabq,iq->iab", Y, self.X)
+        Y = (self.X @ M4.transpose(1, 0, 2, 3).reshape(d, -1)).reshape(m, k * k, d)
+        T = (Y @ self.X[:, :, None]).reshape(m, k, k)
         return np.einsum("iab,iab->i", self.W, T) + np.sum(self.shift * M)
 
     @cached_property

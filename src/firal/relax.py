@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .fisher import EIG_FLOOR_REL
 
@@ -37,22 +36,23 @@ RESOLVE_REL = 1e-12
 
 
 def _inverse_parts(sigma, Hp0):
-    """``tr(sigma^{-1} Hp0)``, ``sigma^{-1} Hp0 sigma^{-1}`` and the
-    Cholesky factor of ``sigma``.
+    """``tr(sigma^{-1} Hp0)``, ``sigma^{-1} Hp0 sigma^{-1}`` and
+    ``sigma^{-1}``.
 
     Saturated pools make the aggregate badly conditioned while still
     positive definite; the Cholesky factorization itself is the
-    singularity test.
+    singularity test, and the inverse is formed from its factor.
     """
     try:
-        cho = scipy.linalg.cho_factor(sigma)
-    except scipy.linalg.LinAlgError:
+        L_inv = np.linalg.inv(np.linalg.cholesky(sigma))
+    except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError(
             "relaxed aggregate is singular; selection under-determined"
         ) from None
-    A = scipy.linalg.cho_solve(cho, Hp0)          # sigma^{-1} Hp0
-    M = scipy.linalg.cho_solve(cho, A.T).T        # sigma^{-1} Hp0 sigma^{-1}
-    return float(np.trace(A)), 0.5 * (M + M.T), cho
+    S_inv = L_inv.T @ L_inv
+    A = S_inv @ Hp0                               # sigma^{-1} Hp0
+    M = A @ S_inv                                 # sigma^{-1} Hp0 sigma^{-1}
+    return float(np.trace(A)), 0.5 * (M + M.T), S_inv
 
 
 def _sigma_parts(kappa, fishers, Hp0):
@@ -124,9 +124,8 @@ class _Support:
         ``H_ij = 2 sum_ab (G_i^T S^-1 G_j)_ab (G_i^T M G_j)_ab`` summed
         from ``k^2`` blocks of size ``(s, s)``, and
         ``M = S^-1 Hp0 S^-1``."""
-        f, M, cho = _inverse_parts(self.sigma(w), self.Hp0)
+        f, M, S_inv = _inverse_parts(self.sigma(w), self.Hp0)
         k, s, dt = self.rows.shape
-        S_inv = scipy.linalg.cho_solve(cho, np.eye(dt))
         Y = (S_inv @ self.flat).reshape(dt, k, s)
         MG = (M @ self.flat).reshape(dt, k, s)
         g = -np.einsum("as,as->s", self.flat, MG.reshape(dt, -1)).reshape(k, s).sum(0)
@@ -139,20 +138,18 @@ class _Support:
 
 
 def _solve_psd(H, b):
-    """``H x = b`` by Cholesky with one step of iterative refinement, or by
-    a floored eigendecomposition where the Cholesky fails or its squared
-    pivots span more than ``1 / EIG_FLOOR_REL``."""
+    """``H x = b`` by one LU solve, or by a floored eigendecomposition where
+    the Cholesky factorization of ``H`` fails or its squared pivots span
+    more than ``1 / EIG_FLOOR_REL``."""
     try:
-        cho = scipy.linalg.cho_factor(H, check_finite=False)
-        pivots = np.diag(cho[0]) ** 2
-    except scipy.linalg.LinAlgError:
+        pivots = np.diag(np.linalg.cholesky(H)) ** 2
+    except np.linalg.LinAlgError:
         pivots = np.zeros(1)
     if pivots.min() <= EIG_FLOOR_REL * pivots.max():
         w, V = np.linalg.eigh(0.5 * (H + H.T))
         w = np.maximum(w, EIG_FLOOR_REL * max(float(w[-1]), 0.0))
         return V @ ((V.T @ b) / w) if w[-1] > 0 else np.zeros_like(b)
-    x = scipy.linalg.cho_solve(cho, b, check_finite=False)
-    return x + scipy.linalg.cho_solve(cho, b - H @ x, check_finite=False)
+    return np.linalg.solve(H, b)
 
 
 def _newton_direction(w, g, H):

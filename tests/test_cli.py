@@ -596,14 +596,30 @@ class TestCliCommands:
         assert "data row 2" in capsys.readouterr().err
 
     def test_module_entry_point(self):
-        # The subprocess imports the same firal as this test, installed or not.
-        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "firal", "run", "--seed", "1",
              "--selector", "random", "--budget", "2", "--rounds", "1",
              "--pool-size", "30", "--classes", "2", "--dim", "2"],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, env=_firal_env(),
         )
         assert proc.returncode == 0
         assert "round=1" in proc.stdout
+
+    def test_package_imports_no_scipy(self):
+        # numpy is the only runtime dependency.  A fresh interpreter, since
+        # the test modules import scipy themselves.
+        code = ("import sys, firal, firal.cli; "
+                "print(sorted(n for n in sys.modules "
+                "if n == 'scipy' or n.startswith('scipy.')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=_firal_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
+def _firal_env():
+    """Environment for a subprocess that imports the same firal as these
+    tests, installed or not."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
