@@ -2,7 +2,8 @@
 
 Library layout:
 
-- :mod:`firal.model` -- the classifier, its derivatives, and Newton ERM
+- :mod:`firal.linalg` -- PSD inverses and solves under one near-singular rule
+- :mod:`firal.model` -- the classifier, its loss, and Newton ERM
 - :mod:`firal.fisher` -- information aggregation and the design objective
 - :mod:`firal.relax` -- the relaxed design, solved to a certificate
 - :mod:`firal.sparsify` -- regret-minimization rounding with audits
@@ -21,7 +22,6 @@ from .bounds import (
     rho_spectral,
 )
 from .fisher import (
-    f_objective,
     fir,
     labeled_shift,
     pool_hessian,
@@ -32,13 +32,9 @@ from .model import (
     FitResult,
     KronFishers,
     fit_erm,
-    loss_gradient,
-    nll_loss,
-    point_fisher,
-    predict_proba,
 )
-from .relax import RelaxResult, relax_gradient, relax_solve
-from .sparsify import ftrl_action, score_candidate, select_batch
+from .relax import RelaxResult, relax_solve
+from .sparsify import ftrl_action, select_batch
 from .synth import (
     DesignSpec,
     make_theta_star,
@@ -54,28 +50,21 @@ __all__ = [
     "FitResult",
     "KronFishers",
     "RelaxResult",
-    "f_objective",
     "fir",
     "fit_erm",
     "ftrl_action",
     "heavy_epsilons",
     "labeled_shift",
-    "loss_gradient",
     "make_theta_star",
     "mc_excess_risk",
     "nine_fifths_envelope",
-    "nll_loss",
-    "point_fisher",
     "pool_hessian",
-    "predict_proba",
     "prefactor_lower",
     "prefactor_upper",
-    "relax_gradient",
     "relax_solve",
     "rho_spectral",
     "sample_labels",
     "sample_pool",
-    "score_candidate",
     "select_batch",
     "sigma_max",
     "whiten_factors",

@@ -11,7 +11,8 @@ import warnings
 
 import numpy as np
 
-from .fisher import EIG_FLOOR_REL, pool_hessian
+from .fisher import pool_hessian
+from .linalg import eig_floor
 from .model import KronFishers, class_probabilities
 from .sparsify import _woodbury_terms, trace_solve
 
@@ -118,8 +119,7 @@ def _clamped_trace_objective(A, Hp0):
     ``(n, d_tilde, d_tilde)``, with each matrix's eigenvalues floored
     relative to its own largest, for rank-deficient ``A_n``."""
     w, V = np.linalg.eigh(0.5 * (A + A.transpose(0, 2, 1)))
-    lam_max = np.maximum(w[:, -1:], EIG_FLOOR_REL)
-    w = np.maximum(w, EIG_FLOOR_REL * lam_max)
+    w = np.maximum(w, eig_floor(w[:, -1:]))
     proj = np.einsum("nji,jk,nki->ni", V, Hp0, V)
     return np.sum(proj / w, axis=1)
 
@@ -145,7 +145,7 @@ def _woodbury_objective(A, P, Hp0, sign):
     values = np.zeros(n)
     w, V = np.linalg.eigh(0.5 * (A + A.T))
     lam_min, lam_max = w[0], w[-1]
-    if lam_min < EIG_FLOOR_REL * max(lam_max, EIG_FLOOR_REL):
+    if lam_min <= eig_floor(lam_max):
         return values, np.zeros(n, dtype=bool)
     A_inv = (V / w) @ V.T
     Y = (P.reshape(k * n, dt) @ A_inv).reshape(k, n, dt)
@@ -153,10 +153,10 @@ def _woodbury_objective(A, P, Hp0, sign):
     M, U = _woodbury_terms(P, Y, Z, sign)
     if sign > 0:
         reach = lam_max + np.einsum("aij,aij->i", P, P)
-        exact = lam_min >= EIG_FLOOR_REL * np.maximum(reach, EIG_FLOOR_REL)
+        exact = lam_min >= eig_floor(reach)
     else:
         shrink = np.minimum(1.0, np.linalg.eigvalsh(M.transpose(2, 0, 1))[:, 0])
-        exact = lam_min * shrink >= EIG_FLOOR_REL * max(lam_max, EIG_FLOOR_REL)
+        exact = lam_min * shrink >= eig_floor(lam_max)
     values[exact] = np.sum(A_inv * Hp0) - sign * trace_solve(M[..., exact], U[..., exact])
     return values, exact
 
@@ -202,7 +202,7 @@ def select_greedy_fb(X, theta, shift, budget):
     shift = np.asarray(shift, dtype=float)
 
     w0 = np.linalg.eigvalsh(shift)
-    if w0[0] <= EIG_FLOOR_REL * max(w0[-1], 1e-30):
+    if w0[0] <= eig_floor(w0[-1]):
         warnings.warn(
             "greedy seed matrix is rank deficient; scores use a clamped inverse",
             RuntimeWarning,

@@ -52,7 +52,7 @@ def _fix_signs(V):
     return V * signs[None, :]
 
 
-def spectral_embed(X, k, d_out, return_eigenvalues=False):
+def spectral_embed(X, k, d_out):
     """Embed points by the lowest eigenvectors of the normalized Laplacian.
 
     Columns are ordered by ascending eigenvalue, starting at the zero
@@ -63,8 +63,5 @@ def spectral_embed(X, k, d_out, return_eigenvalues=False):
     if not 1 <= d_out <= n:
         raise ValueError(f"need 1 <= d_out <= n, got d_out={d_out}, n={n}")
     L = normalized_laplacian(knn_graph(X, k))
-    w, V = np.linalg.eigh(L)
-    emb = _fix_signs(V[:, :d_out])
-    if return_eigenvalues:
-        return emb, w[:d_out]
-    return emb
+    _, V = np.linalg.eigh(L)
+    return _fix_signs(V[:, :d_out])

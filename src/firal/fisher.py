@@ -4,9 +4,7 @@ All matrices here live in the vectorized parameter space of dimension
 ``d_tilde = d(c-1)``.  Both search selectors, the FIRAL round and the
 forward-backward greedy, read the candidates through
 :class:`~firal.model.KronFishers` and never build the dense ``(m,
-d_tilde, d_tilde)`` stack.  :func:`f_objective` on such a stack is kept as
-a reference for the tests, which build it from the ``np.kron`` oracle
-:func:`~firal.model.point_fisher`.
+d_tilde, d_tilde)`` stack.
 """
 
 from __future__ import annotations
@@ -15,46 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import eigh_pd, inv_sqrt_psd
 from .model import KronFishers, _as_theta
 
-# A symmetric matrix whose smallest eigenvalue is at most EIG_FLOOR_REL
-# times its largest is singular to working precision.
-EIG_FLOOR_REL = 1e-12
 # Largest entry of |S sigma S - I| that whiten_factors accepts.  Well-posed
 # rounds whiten to about 1e-13; a sigma that is nonsingular but badly
 # conditioned can miss the identity by more.
 WHITEN_RESIDUAL_TOL = 1e-8
-
-
-def _eigh_pd(A, context):
-    """``eigh`` of the symmetrized ``A``, which must be positive definite."""
-    A = np.asarray(A, dtype=float)
-    w, V = np.linalg.eigh(0.5 * (A + A.T))
-    if w[-1] <= 0 or w[0] <= EIG_FLOOR_REL * w[-1]:
-        raise np.linalg.LinAlgError(
-            f"{context}: matrix is singular to working precision "
-            f"(min/max eigenvalue {w[0]:.3e}/{w[-1]:.3e})"
-        )
-    return w, V
-
-
-def inv_sqrt_psd(A):
-    """Inverse matrix square root ``S = A^{-1/2}`` via symmetric
-    eigendecomposition.
-
-    Raises ``LinAlgError`` when ``A`` is singular to working precision, by
-    the same rule as :func:`inv_psd` and :func:`fir`.
-    """
-    w, V = _eigh_pd(A, "inv_sqrt_psd")
-    S = (V / np.sqrt(w)) @ V.T
-    return 0.5 * (S + S.T)
-
-
-def inv_psd(A):
-    """Inverse of a symmetric positive definite matrix, symmetrized."""
-    w, V = _eigh_pd(A, "inv_psd")
-    M = (V / w) @ V.T
-    return 0.5 * (M + M.T)
 
 
 def pool_hessian(X, theta):
@@ -81,28 +46,8 @@ def fir(Hq, Hp):
 
     Raises ``LinAlgError`` when ``Hq`` is singular to working precision.
     """
-    w, V = _eigh_pd(Hq, "fir")
+    w, V = eigh_pd(Hq, "fir")
     return float(np.sum((np.asarray(Hp, dtype=float) @ V * V).sum(axis=0) / w))
-
-
-def f_objective(weights_or_indices, fishers, Hp0):
-    """Design objective ``<(sum_i z_i H(x_i))^{-1}, Hp0>``.
-
-    ``weights_or_indices`` is either a length-``m`` real weight vector or
-    an integer index sequence (a multiset; repeated indices accumulate).
-    """
-    fishers = np.asarray(fishers, dtype=float)
-    z = np.asarray(weights_or_indices)
-    if z.dtype.kind in "iu":
-        if z.ndim != 1 or (z.size and (z.min() < 0 or z.max() >= len(fishers))):
-            raise ValueError("index set entries must lie in [0, m)")
-        z = np.bincount(z, minlength=len(fishers)).astype(float)
-    else:
-        z = z.astype(float)
-        if z.shape != (len(fishers),):
-            raise ValueError("weights must have one entry per candidate")
-    sigma = np.einsum("i,ijk->jk", z, fishers)
-    return fir(sigma, Hp0)
 
 
 def sigma_max(Hq, Hp):

@@ -1,0 +1,64 @@
+"""Inverses and solves of symmetric positive (semi)definite matrices, under
+one rule: a symmetric matrix is singular to working precision when its
+smallest eigenvalue is at most :func:`eig_floor` of its largest.
+:func:`eigh_pd` and the inverses built on it raise for such a matrix;
+:func:`solve_psd` floors its eigenvalues there instead.  Imports nothing
+from the rest of the package.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+EIG_FLOOR_REL = 1e-12
+
+
+def eig_floor(lam_max):
+    """``EIG_FLOOR_REL`` times the largest eigenvalue ``lam_max``, or zero
+    where it is not positive.  Broadcasts."""
+    return EIG_FLOOR_REL * np.maximum(lam_max, 0.0)
+
+
+def eigh_pd(A, context):
+    """``eigh`` of the symmetrized ``A``, which must be positive definite;
+    raises ``LinAlgError``, naming ``context``, where it is singular."""
+    A = np.asarray(A, dtype=float)
+    w, V = np.linalg.eigh(0.5 * (A + A.T))
+    if w[0] <= eig_floor(w[-1]):
+        raise np.linalg.LinAlgError(
+            f"{context}: matrix is singular to working precision "
+            f"(min/max eigenvalue {w[0]:.3e}/{w[-1]:.3e})"
+        )
+    return w, V
+
+
+def inv_sqrt_psd(A):
+    """Inverse matrix square root ``S = A^{-1/2}`` via symmetric
+    eigendecomposition."""
+    w, V = eigh_pd(A, "inv_sqrt_psd")
+    S = (V / np.sqrt(w)) @ V.T
+    return 0.5 * (S + S.T)
+
+
+def inv_psd(A):
+    """Inverse of a symmetric positive definite matrix, symmetrized."""
+    w, V = eigh_pd(A, "inv_psd")
+    M = (V / w) @ V.T
+    return 0.5 * (M + M.T)
+
+
+def solve_psd(H, b):
+    """``H x = b`` for a symmetric PSD ``H`` by one LU solve, or, where the
+    Cholesky factorization of ``H`` fails or its squared pivots show it
+    singular, by its eigendecomposition with the eigenvalues floored at
+    :func:`eig_floor` (the zero vector if none is positive)."""
+    try:
+        pivots = np.diag(np.linalg.cholesky(H)) ** 2
+    except np.linalg.LinAlgError:
+        pivots = np.zeros(1)
+    if pivots.min() <= eig_floor(pivots.max()):
+        w, V = np.linalg.eigh(0.5 * (H + H.T))
+        if w[-1] <= 0:
+            return np.zeros_like(b)
+        return V @ ((V.T @ b) / np.maximum(w, eig_floor(w[-1])))
+    return np.linalg.solve(H, b)

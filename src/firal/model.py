@@ -1,4 +1,6 @@
-"""Multinomial logistic regression: likelihood, derivatives, and Newton ERM.
+"""Multinomial logistic regression: class probabilities, the empirical loss
+and its gradient, the per-point Fisher information in Kronecker form, and
+Newton ERM.
 
 The parameter matrix ``theta`` has shape ``(c - 1, d)`` for a ``c``-class
 model on ``d``-dimensional features.  Class ``c`` is the reference class
@@ -18,6 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .linalg import solve_psd
 
 # Probabilities are floored before taking logs so the loss stays finite
 # even for logits of magnitude several hundred.
@@ -90,53 +94,6 @@ def row_sums(A):
     for j in range(A.shape[1]):
         total += A[:, j]
     return total
-
-
-def predict_proba(x, theta):
-    """Class probabilities for a single point, length ``c``."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"x must be a vector, got shape {x.shape}")
-    return class_probabilities(x[None, :], theta)[0]
-
-
-def _check_label(y, n_classes):
-    y = int(y)
-    if not 1 <= y <= n_classes:
-        raise ValueError(f"label {y} outside 1..{n_classes}")
-    return y
-
-
-def nll_loss(x, y, theta):
-    """Negative log-likelihood of label ``y`` (1-based) at ``theta``."""
-    p = predict_proba(x, theta)
-    y = _check_label(y, p.size)
-    return -np.log(max(p[y - 1], PROB_FLOOR))
-
-
-def loss_gradient(x, y, theta):
-    """Gradient of the per-example loss, shape ``(c-1, d)``.
-
-    Row ``i`` equals ``beta_i * x`` with ``beta_i = -1{y=i} + h_i(x)``.
-    """
-    theta = _as_theta(theta)
-    x = np.asarray(x, dtype=float)
-    p = predict_proba(x, theta)
-    y = _check_label(y, p.size)
-    beta = p[:-1].copy()
-    if y <= theta.shape[0]:
-        beta[y - 1] -= 1.0
-    return np.outer(beta, x)
-
-
-def point_fisher(x, theta):
-    """Per-point Fisher information, a PSD matrix of size ``d(c-1)``.
-
-    Equals ``(diag(h) - h h^T) kron (x x^T)``; independent of any label.
-    """
-    x = np.asarray(x, dtype=float)
-    h = predict_proba(x, theta)[:-1]
-    return np.kron(np.diag(h) - np.outer(h, h), np.outer(x, x))
 
 
 def empirical_loss(X, y, theta, ridge=0.0):
@@ -248,9 +205,11 @@ def fit_erm(X, y, n_classes, ridge=1e-8):
     """Empirical risk minimization by damped Newton iteration.
 
     Full-Hessian Newton with Armijo backtracking (c = 1e-4, step halving).
-    Deterministic given its inputs; the objective is non-increasing across
-    iterations.  Exhausting :data:`FIT_MAX_ITER` is reported via the result
-    flag, not raised.
+    The Newton system is solved by :func:`~firal.linalg.solve_psd`, which
+    floors the eigenvalues of a Hessian singular to working precision
+    (``ridge=0`` on a rank-deficient design).  Deterministic given its
+    inputs; the objective is non-increasing across iterations.  Exhausting
+    :data:`FIT_MAX_ITER` is reported via the result flag, not raised.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -276,7 +235,7 @@ def fit_erm(X, y, n_classes, ridge=1e-8):
         if gnorm <= FIT_TOL:
             return FitResult(theta, True, n_iter - 1, gnorm)
         H = KronFishers.at(X, theta).aggregate(np.full(len(X), 1 / len(X)))
-        step = _newton_step(H + ridge * np.eye(k * d), grad.ravel()).reshape(k, d)
+        step = solve_psd(H + ridge * np.eye(k * d), -grad.ravel()).reshape(k, d)
 
         # Armijo backtracking; reject any step that fails to decrease.
         slope = float(np.sum(grad * step))
@@ -298,22 +257,6 @@ def fit_erm(X, y, n_classes, ridge=1e-8):
         gnorm = float(np.abs(grad).max())
 
     return FitResult(theta, gnorm <= FIT_TOL, n_iter, gnorm)
-
-
-def _newton_step(H, g):
-    """Solve ``H s = -g`` with escalating jitter if ``H`` is singular."""
-    dim = H.shape[0]
-    jitter = 0.0
-    scale = max(float(np.trace(H)) / dim, 1e-30)
-    for _ in range(8):
-        try:
-            L = np.linalg.cholesky(H + jitter * np.eye(dim))
-        except np.linalg.LinAlgError:
-            jitter = scale * 1e-12 if jitter == 0.0 else jitter * 100.0
-            continue
-        z = np.linalg.solve(L, -g)
-        return np.linalg.solve(L.T, z)
-    raise np.linalg.LinAlgError("Newton system could not be factorized")
 
 
 def accuracy(X, y, theta):

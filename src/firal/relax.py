@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fisher import EIG_FLOOR_REL
+from .linalg import solve_psd
 
 GAP_TOL = 1e-8
 MAX_NEWTON_STEPS = 500
@@ -55,26 +55,11 @@ def _inverse_parts(sigma, Hp0):
     return float(np.trace(A)), 0.5 * (M + M.T), S_inv
 
 
-def _sigma_parts(kappa, fishers, Hp0):
-    """Objective value and ``sigma^{-1} Hp0 sigma^{-1}`` at ``kappa``."""
-    f, M, _ = _inverse_parts(fishers.aggregate(kappa), Hp0)
-    return f, M
-
-
 def _gradient(fishers, M):
     g = -fishers.inner(M)
     if not np.all(np.isfinite(g)):
         raise FloatingPointError("non-finite relaxation gradient")
     return g
-
-
-def relax_gradient(kappa, fishers, Hp0):
-    """Exact gradient of ``f(kappa) = <(sum kappa_i H_i)^{-1}, Hp0>``.
-
-    Entry ``i`` equals ``-<H_i, sigma^{-1} Hp0 sigma^{-1}>``.
-    """
-    _, M = _sigma_parts(kappa, fishers, Hp0)
-    return -fishers.inner(M)
 
 
 @dataclass
@@ -137,21 +122,6 @@ class _Support:
         return f, g - np.sum(self.shift * M), 2.0 * H, M
 
 
-def _solve_psd(H, b):
-    """``H x = b`` by one LU solve, or by a floored eigendecomposition where
-    the Cholesky factorization of ``H`` fails or its squared pivots span
-    more than ``1 / EIG_FLOOR_REL``."""
-    try:
-        pivots = np.diag(np.linalg.cholesky(H)) ** 2
-    except np.linalg.LinAlgError:
-        pivots = np.zeros(1)
-    if pivots.min() <= EIG_FLOOR_REL * pivots.max():
-        w, V = np.linalg.eigh(0.5 * (H + H.T))
-        w = np.maximum(w, EIG_FLOOR_REL * max(float(w[-1]), 0.0))
-        return V @ ((V.T @ b) / w) if w[-1] > 0 else np.zeros_like(b)
-    return np.linalg.solve(H, b)
-
-
 def _newton_direction(w, g, H):
     """Newton move on ``sum(d) = 0`` over the free points.
 
@@ -169,7 +139,7 @@ def _newton_direction(w, g, H):
         rest = idx[idx != r]
         Hr = (H[np.ix_(rest, rest)] - H[rest, r][:, None] - H[r, rest][None, :]
               + H[r, r])
-        d[rest] = _solve_psd(Hr, g[r] - g[rest])
+        d[rest] = solve_psd(Hr, g[r] - g[rest])
         d[r] = -d[rest].sum()
         enter = (w == 0) & (d < 0)
         if not enter.any():
@@ -231,7 +201,7 @@ def relax_solve(budget, Hp0, fishers):
     if budget <= 0:
         raise ValueError("budget must be positive")
 
-    f, M = _sigma_parts(np.full(m, 1.0 / m), fishers, Hp0)
+    f, M, _ = _inverse_parts(fishers.aggregate(np.full(m, 1.0 / m)), Hp0)
     g = _gradient(fishers, M)
     G = fishers.factors
     _, dt, k = G.shape

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fisher import WhitenedFactors, inv_psd
+from .fisher import WhitenedFactors
+from .linalg import inv_psd
 
 NU_RESIDUAL_TOL = 1e-13
 NU_MAX_ITER = 200
@@ -91,19 +92,6 @@ def ftrl_action(cum_loss, eta):
     return 0.5 * (A_inv_sqrt + A_inv_sqrt.T), x - lam_min, float(np.sum(1.0 / shifted))
 
 
-def score_candidate(B_sqrt, B, P_i, eta):
-    """Woodbury-reduced selection score for one candidate factor.
-
-    Equals ``<(I + eta P^T B^{1/2} P)^{-1}, P^T B P>``; the argmax over
-    candidates coincides with the argmin of the direct trace objective.
-    """
-    P_i = np.asarray(P_i, dtype=float)
-    k = P_i.shape[1]
-    T = P_i.T @ B_sqrt @ P_i
-    U = P_i.T @ B @ P_i
-    return float(np.trace(np.linalg.solve(np.eye(k) + eta * T, U)))
-
-
 def _woodbury_terms(P, Y, Z, s):
     """``M = I + s P^T Y`` and ``U = Z^T Y`` of a Woodbury-reduced score,
     batch last as :func:`trace_solve` reads them, from class-major ``P``,
@@ -124,8 +112,10 @@ def _woodbury_terms(P, Y, Z, s):
 
 
 def _scores(B_sqrt, P, eta):
-    """Vectorized :func:`score_candidate` over class-major factors
-    ``P (k, m, d_tilde)``: ``Y = B^{1/2} P_i`` for all candidates is one
+    """Woodbury-reduced selection scores ``<(I + eta P_i^T B^{1/2}
+    P_i)^{-1}, P_i^T B P_i>``, whose argmax over candidates is the argmin of
+    the direct trace objective, for class-major factors
+    ``P (k, m, d_tilde)``.  ``Y = B^{1/2} P_i`` for all candidates is one
     flat GEMM (``B^{1/2}`` is symmetric), ``U = Y^T Y = P^T B P``, and
     ``B`` itself is never formed."""
     k, m, dt = P.shape

@@ -1,13 +1,110 @@
-"""Dense reference for the candidate Fisher matrices, built point by point
-from the ``np.kron`` oracle :func:`firal.model.point_fisher`, independently
-of the factored :class:`firal.model.KronFishers` the selectors read."""
+"""Per-point and dense references the tests check the package against.
+
+Single-point probabilities, loss, gradient and the ``np.kron`` Fisher
+matrix :func:`point_fisher`; the dense candidate stack built from it
+point by point, independently of the factored
+:class:`firal.model.KronFishers` the selectors read; the design objective
+on such a stack; the per-candidate Woodbury score; and the exact
+relaxation gradient.
+"""
 
 import numpy as np
 
-from firal.model import point_fisher
+from firal.fisher import fir
+from firal.model import PROB_FLOOR, _as_theta, class_probabilities
+from firal.relax import _inverse_parts
+
+
+def predict_proba(x, theta):
+    """Class probabilities for a single point, length ``c``."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"x must be a vector, got shape {x.shape}")
+    return class_probabilities(x[None, :], theta)[0]
+
+
+def _check_label(y, n_classes):
+    y = int(y)
+    if not 1 <= y <= n_classes:
+        raise ValueError(f"label {y} outside 1..{n_classes}")
+    return y
+
+
+def nll_loss(x, y, theta):
+    """Negative log-likelihood of label ``y`` (1-based) at ``theta``."""
+    p = predict_proba(x, theta)
+    y = _check_label(y, p.size)
+    return -np.log(max(p[y - 1], PROB_FLOOR))
+
+
+def loss_gradient(x, y, theta):
+    """Gradient of the per-example loss, shape ``(c-1, d)``.
+
+    Row ``i`` equals ``beta_i * x`` with ``beta_i = -1{y=i} + h_i(x)``.
+    """
+    theta = _as_theta(theta)
+    x = np.asarray(x, dtype=float)
+    p = predict_proba(x, theta)
+    y = _check_label(y, p.size)
+    beta = p[:-1].copy()
+    if y <= theta.shape[0]:
+        beta[y - 1] -= 1.0
+    return np.outer(beta, x)
+
+
+def point_fisher(x, theta):
+    """Per-point Fisher information, a PSD matrix of size ``d(c-1)``.
+
+    Equals ``(diag(h) - h h^T) kron (x x^T)``; independent of any label.
+    """
+    x = np.asarray(x, dtype=float)
+    h = predict_proba(x, theta)[:-1]
+    return np.kron(np.diag(h) - np.outer(h, h), np.outer(x, x))
 
 
 def dense_fishers(X, theta, shift=0.0):
     """``point_fisher(x_i, theta) + shift`` for every row of ``X``, stacked
     as ``(m, d_tilde, d_tilde)``."""
     return np.array([point_fisher(x, theta) + shift for x in X])
+
+
+def f_objective(weights_or_indices, fishers, Hp0):
+    """Design objective ``<(sum_i z_i H(x_i))^{-1}, Hp0>``.
+
+    ``weights_or_indices`` is either a length-``m`` real weight vector or
+    an integer index sequence (a multiset; repeated indices accumulate).
+    """
+    fishers = np.asarray(fishers, dtype=float)
+    z = np.asarray(weights_or_indices)
+    if z.dtype.kind in "iu":
+        if z.ndim != 1 or (z.size and (z.min() < 0 or z.max() >= len(fishers))):
+            raise ValueError("index set entries must lie in [0, m)")
+        z = np.bincount(z, minlength=len(fishers)).astype(float)
+    else:
+        z = z.astype(float)
+        if z.shape != (len(fishers),):
+            raise ValueError("weights must have one entry per candidate")
+    sigma = np.einsum("i,ijk->jk", z, fishers)
+    return fir(sigma, Hp0)
+
+
+def score_candidate(B_sqrt, B, P_i, eta):
+    """Woodbury-reduced selection score for one candidate factor.
+
+    Equals ``<(I + eta P^T B^{1/2} P)^{-1}, P^T B P>``; the argmax over
+    candidates coincides with the argmin of the direct trace objective.
+    """
+    P_i = np.asarray(P_i, dtype=float)
+    k = P_i.shape[1]
+    T = P_i.T @ B_sqrt @ P_i
+    U = P_i.T @ B @ P_i
+    return float(np.trace(np.linalg.solve(np.eye(k) + eta * T, U)))
+
+
+def relax_gradient(kappa, fishers, Hp0):
+    """Exact gradient of ``f(kappa) = <(sum kappa_i H_i)^{-1}, Hp0>``.
+
+    Entry ``i`` equals ``-<H_i, sigma^{-1} Hp0 sigma^{-1}>``.
+    """
+    _, M, _ = _inverse_parts(fishers.aggregate(kappa), Hp0)
+    return -fishers.inner(M)

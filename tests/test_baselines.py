@@ -18,14 +18,10 @@ from firal.baselines import (
     select_random,
     select_var_ratios,
 )
-from firal.fisher import (
-    f_objective,
-    labeled_shift,
-    pool_hessian,
-)
+from firal.fisher import labeled_shift, pool_hessian
 from firal.model import KronFishers
 
-from oracle import dense_fishers
+from oracle import dense_fishers, f_objective
 
 
 def greedy_fb_reference(X, theta, shift, budget):

@@ -81,7 +81,8 @@ class TestNormalizedLaplacian:
 class TestSpectralEmbed:
     def test_two_cliques_two_zero_eigenvalues(self):
         X = two_clusters()
-        emb, vals = spectral_embed(X, k=3, d_out=2, return_eigenvalues=True)
+        emb = spectral_embed(X, k=3, d_out=2)
+        vals = np.linalg.eigvalsh(normalized_laplacian(knn_graph(X, 3)))
         assert vals[0] < 1e-8
         assert vals[1] < 1e-8
         # The 2-d embedding is linearly separable: projecting onto the
@@ -94,14 +95,15 @@ class TestSpectralEmbed:
     def test_eigenpair_residuals(self):
         X = np.random.default_rng(5).normal(size=(40, 3))
         L = normalized_laplacian(knn_graph(X, 6))
-        emb, vals = spectral_embed(X, k=6, d_out=5, return_eigenvalues=True)
+        emb = spectral_embed(X, k=6, d_out=5)
+        vals = np.linalg.eigvalsh(L)
         for j in range(5):
             resid = np.linalg.norm(L @ emb[:, j] - vals[j] * emb[:, j])
             assert resid <= 1e-8
 
     def test_eigenvalues_ascending_from_zero(self):
         X = np.random.default_rng(6).normal(size=(30, 2))
-        _, vals = spectral_embed(X, k=5, d_out=4, return_eigenvalues=True)
+        vals = np.linalg.eigvalsh(normalized_laplacian(knn_graph(X, 5)))[:4]
         assert abs(vals[0]) < 1e-10
         assert np.all(np.diff(vals) >= -1e-12)
 

@@ -9,17 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firal.fisher import (
-    f_objective,
     fir,
-    inv_sqrt_psd,
     labeled_shift,
     pool_hessian,
     sigma_max,
     whiten_factors,
 )
-from firal.model import KronFishers, point_fisher
+from firal.linalg import inv_sqrt_psd
+from firal.model import KronFishers
 
-from oracle import dense_fishers
+from oracle import dense_fishers, f_objective, point_fisher
 
 
 def random_spd(rng, n, jitter=0.1):

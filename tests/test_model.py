@@ -12,13 +12,11 @@ from firal.model import (
     class_probabilities,
     empirical_loss,
     fit_erm,
-    loss_gradient,
-    nll_loss,
-    point_fisher,
-    predict_proba,
     reference_softmax,
     row_sums,
 )
+
+from oracle import loss_gradient, nll_loss, point_fisher, predict_proba
 
 
 def random_instance(rng, n_classes, dim):
@@ -301,6 +299,28 @@ class TestFitErm:
         y = rng.integers(1, 4, size=500)
         res = fit_erm(X, y, 3, ridge=0.0)
         assert np.all(np.isfinite(res.theta))
+
+    @pytest.mark.parametrize("extra", ["duplicate", "zero"])
+    def test_ridge_zero_singular_hessian(self, monkeypatch, extra):
+        # A duplicated or zero feature column makes every Hessian exactly
+        # singular at ridge 0, so each Newton system takes the floored
+        # eigendecomposition; the fit still converges, to the loss of the
+        # fit without that column.
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(300, 2))
+        y = rng.integers(1, 4, size=300)
+        column = X[:, :1] if extra == "duplicate" else np.zeros((300, 1))
+        Xs = np.hstack([X, column])
+        eighs = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda A: eighs.append(1) or eigh(A))
+        res = fit_erm(Xs, y, 3, ridge=0.0)
+        assert res.converged and res.grad_norm <= FIT_TOL
+        assert len(eighs) >= res.n_iter
+        monkeypatch.undo()
+        reduced = fit_erm(X, y, 3, ridge=0.0)
+        assert empirical_loss(Xs, y, res.theta) == pytest.approx(
+            empirical_loss(X, y, reduced.theta), rel=0, abs=1e-12)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

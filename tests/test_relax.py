@@ -10,19 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firal import relax
-from firal.fisher import EIG_FLOOR_REL, f_objective, fir, pool_hessian
+from firal.baselines import _clamped_trace_objective
+from firal.fisher import fir, pool_hessian
+from firal.linalg import EIG_FLOOR_REL, solve_psd
 from firal.model import KronFishers
 from firal.relax import (
     GAP_TOL,
-    _sigma_parts,
-    _solve_psd,
+    _inverse_parts,
     _step,
     _Support,
-    relax_gradient,
     relax_solve,
 )
 
-from oracle import dense_fishers
+from oracle import dense_fishers, f_objective, relax_gradient
 
 
 def random_spd(rng, n, jitter=0.3):
@@ -89,16 +89,16 @@ class TestSolvePsd:
         rng = np.random.default_rng(25)
         b = rng.normal(size=3)
         full = random_spd(rng, 3)
-        np.testing.assert_allclose(full @ _solve_psd(full, b), b, rtol=1e-12)
+        np.testing.assert_allclose(full @ solve_psd(full, b), b, rtol=1e-12)
         R = rng.normal(size=(3, 1))
         deficient = R @ R.T
         w_ref, V_ref = np.linalg.eigh(deficient)
         floor = EIG_FLOOR_REL * w_ref[-1]
         assert np.all(w_ref[:2] < floor)
         w = np.array([floor, floor, w_ref[-1]])
-        np.testing.assert_array_equal(_solve_psd(deficient, b),
+        np.testing.assert_array_equal(solve_psd(deficient, b),
                                       V_ref @ ((V_ref.T @ b) / w))
-        np.testing.assert_array_equal(_solve_psd(np.zeros((3, 3)), b), np.zeros(3))
+        np.testing.assert_array_equal(solve_psd(np.zeros((3, 3)), b), np.zeros(3))
 
     def test_numerically_singular_factor_takes_the_floor(self):
         # The Cholesky of a PSD matrix with an eigenvalue far below the
@@ -113,7 +113,29 @@ class TestSolvePsd:
         w_ref, V_ref = np.linalg.eigh(H)
         w = np.maximum(w_ref, EIG_FLOOR_REL * w_ref[-1])
         assert w[0] == EIG_FLOOR_REL * w_ref[-1]
-        np.testing.assert_array_equal(_solve_psd(H, b), V_ref @ ((V_ref.T @ b) / w))
+        np.testing.assert_array_equal(solve_psd(H, b), V_ref @ ((V_ref.T @ b) / w))
+
+    @pytest.mark.parametrize("ratio", [0.5e-12, 2e-12])
+    def test_one_floor_for_raise_solve_and_clamp(self, ratio):
+        # On a diagonal matrix the squared Cholesky pivots are the
+        # eigenvalues, so the solve's pivot screen, fir's singularity test
+        # and the greedy's clamp all read lam_min / lam_max: fir raises
+        # exactly where the other two floor lam_min at EIG_FLOOR_REL lam_max.
+        w = np.array([2.0 * ratio, 1.0, 2.0])
+        H = np.diag(w)
+        b = np.array([1.0, -2.0, 3.0])
+        Hp = np.diag([0.5, 1.5, 1.0])
+        singular = ratio < EIG_FLOOR_REL
+        floored = np.maximum(w, EIG_FLOOR_REL * w[-1])
+        assert (floored[0] != w[0]) == singular
+        np.testing.assert_allclose(solve_psd(H, b), b / floored, rtol=1e-12)
+        assert _clamped_trace_objective(H[None], Hp)[0] == pytest.approx(
+            np.sum(np.diag(Hp) / floored), rel=1e-12)
+        if singular:
+            with pytest.raises(np.linalg.LinAlgError, match="fir: matrix is singular"):
+                fir(H, Hp)
+        else:
+            assert fir(H, Hp) == pytest.approx(np.sum(np.diag(Hp) / w), rel=1e-12)
 
 
 class TestStep:
@@ -143,7 +165,7 @@ class TestSigmaParts:
         Hp0 = pool_hessian(X, theta)
         kappa = rng.random(len(X))
         kappa /= kappa.sum()
-        f, M = _sigma_parts(kappa, KronFishers.at(X, theta, shift), Hp0)
+        f, M, _ = _inverse_parts(KronFishers.at(X, theta, shift).aggregate(kappa), Hp0)
         dense = dense_fishers(X, theta, shift)
         sigma_inv = np.linalg.inv(np.einsum("i,ijk->jk", kappa, dense))
         assert f == pytest.approx(np.trace(sigma_inv @ Hp0), rel=1e-10)

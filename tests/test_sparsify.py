@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from firal import sparsify
 from firal.fisher import (
-    f_objective,
     labeled_shift,
     pool_hessian,
     whiten_factors,
@@ -24,12 +23,11 @@ from firal.sparsify import (
     _nu_root,
     _scores,
     ftrl_action,
-    score_candidate,
     select_batch,
     trace_solve,
 )
 
-from oracle import dense_fishers
+from oracle import dense_fishers, f_objective, score_candidate
 
 
 def random_psd(rng, n, rank=None):
