@@ -1,5 +1,5 @@
 """Comparison selectors: random, k-means, entropy, variation ratios, and a
-forward-backward greedy on the inverse-trace objective.
+forward-backward greedy on the design objective of FIRAL's relaxation.
 
 Every selector returns ``budget`` distinct, in-range pool indices.  Ties
 break to the smallest index for determinism.
@@ -11,9 +11,8 @@ import warnings
 
 import numpy as np
 
-from .fisher import pool_hessian
 from .linalg import eig_floor
-from .model import KronFishers, class_probabilities
+from .model import class_probabilities
 from .sparsify import _woodbury_terms, trace_solve
 
 
@@ -180,28 +179,25 @@ def _best_update(A, P, idx, Hp0, sign):
     return idx[int(np.argmin(values))]
 
 
-def select_greedy_fb(X, theta, shift, budget):
-    """Forward-backward greedy on the inverse-trace objective.
+def select_greedy_fb(budget, Hp, fishers):
+    """Forward-backward greedy on ``<A^{-1}, Hp>`` from the inputs of
+    :func:`~firal.relax.relax_solve`; ``A`` starts at ``budget * shift``, the
+    labeled Fisher sum, so at ``budget`` picks its value is the relaxed ``f``.
 
-    Greedily adds ``2 * budget`` points minimizing the running objective,
-    then greedily removes ``budget`` whose removal increases it least.
-    The running aggregate is seeded with the labeled-set shift so early
-    scores stay finite; remaining rank deficiency is handled by a clamped
-    inverse and reported through a warning.  Each step scores its
-    candidates by rank-``(c-1)`` Woodbury updates of one factored
-    aggregate (the FIRAL rounding's kernel), and falls back to a clamped
-    eigendecomposition of the dense candidate matrices only where the
-    clamp could change a value.
+    Greedily adds ``2 * budget`` candidates minimizing the objective, then
+    removes ``budget`` whose removal increases it least.  Remaining rank
+    deficiency is handled by a clamped inverse and reported through a
+    warning.  Each step scores its candidates by rank-``(c-1)`` Woodbury
+    updates of one factored aggregate (the FIRAL rounding's kernel), and
+    falls back to a clamped eigendecomposition of the dense candidate
+    matrices only where the clamp could change a value.
     """
-    X = np.asarray(X, dtype=float)
-    m = len(X)
-    if not 1 <= budget <= m // 2:
-        raise ValueError(f"budget {budget} outside 1..{m // 2}")
-    Hp0 = pool_hessian(X, theta)
-    P = np.ascontiguousarray(KronFishers.at(X, theta).factors.transpose(2, 0, 1))
-    shift = np.asarray(shift, dtype=float)
+    m = fishers.shape[0]
+    _check_budget(budget, m // 2)
+    P = np.ascontiguousarray(fishers.factors.transpose(2, 0, 1))
+    A = budget * fishers.shift
 
-    w0 = np.linalg.eigvalsh(shift)
+    w0 = np.linalg.eigvalsh(A)
     if w0[0] <= eig_floor(w0[-1]):
         warnings.warn(
             "greedy seed matrix is rank deficient; scores use a clamped inverse",
@@ -209,16 +205,11 @@ def select_greedy_fb(X, theta, shift, budget):
             stacklevel=2,
         )
 
-    A = shift.copy()
     in_set = np.zeros(m, dtype=bool)
-    for _ in range(2 * budget):
-        best_i = _best_update(A, P, np.flatnonzero(~in_set), Hp0, 1.0)
-        in_set[best_i] = True
-        A = A + _outer(P, [best_i])[0]
-
-    for _ in range(budget):
-        best_i = _best_update(A, P, np.flatnonzero(in_set), Hp0, -1.0)
-        in_set[best_i] = False
-        A = A - _outer(P, [best_i])[0]
-
+    for add, steps in ((True, 2 * budget), (False, budget)):
+        sign = 1.0 if add else -1.0
+        for _ in range(steps):
+            best_i = _best_update(A, P, np.flatnonzero(in_set != add), Hp, sign)
+            in_set[best_i] = add
+            A = A + sign * _outer(P, [best_i])[0]
     return np.nonzero(in_set)[0]

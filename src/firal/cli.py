@@ -68,10 +68,16 @@ class RunConfig:
         if self.data == "synthetic":
             if self.classes < 2 or self.dim < 2:
                 raise ValueError("synthetic runs need classes >= 2, dim >= 2")
-            n_init = self.init_per_class * self.classes
-            if n_init + self.budget > self.pool_size:
-                raise ValueError("pool too small for init labels plus budget")
+            self.check_room(self.init_per_class * self.classes, self.pool_size)
         return self
+
+    def check_room(self, n_init, pool_size):
+        """Reject a pool without room for the initial labels and the budget;
+        ``greedy_fb`` needs twice the round budget unlabeled in its last round."""
+        need = n_init + self.budget + (self.budget // self.rounds
+                                       if self.selector == "greedy_fb" and self.rounds else 0)
+        if need > pool_size:
+            raise ValueError(f"{self.selector} needs a pool of {need} points, got {pool_size}")
 
 
 DEFAULT_ETA_GRID_POWERS = range(-2, 6)
@@ -114,23 +120,27 @@ class Diagnostics:
     relax_gap: float           # Frank-Wolfe gap of the relaxation / its objective
 
 
+def round_fishers(X_pool, labeled, candidates, theta, budget):
+    """The round's candidate Fishers with the labeled shift, as both search selectors read them."""
+    X_pool = np.asarray(X_pool, dtype=float)
+    shift = labeled_shift(X_pool[np.sort(labeled)], theta, budget)
+    return KronFishers.at(X_pool[candidates], theta, shift)
+
+
 def select_firal(X_pool, labeled, candidates, theta, Hp, budget, *, eta=None,
                  repeats=False):
     """One FIRAL round: labeled shift, candidate Fishers, relaxation,
     whitening, then FTRL rounding of ``budget`` picks.
 
     ``Hp`` is ``pool_hessian(X_pool, theta)``, which the caller usually
-    has already.  ``labeled`` and ``candidates`` index ``X_pool``
-    (labeled rows are summed in ascending order); ``picks`` are
-    ``X_pool`` indices.  With ``repeats`` a candidate may be picked again.
+    has already.  ``labeled`` and ``candidates`` index ``X_pool``, and so
+    do the ``picks``.  With ``repeats`` a candidate may be picked again.
     ``eta=None`` tunes the rate over :func:`eta_grid`, or uses
     ``8 sqrt(d_tilde)`` with repeats.  Raises ``FloatingPointError``, naming
     both worst margins, when the rounding breaks its regret guarantees.
     """
-    X_pool = np.asarray(X_pool, dtype=float)
     candidates = np.asarray(candidates, dtype=int)
-    shift = labeled_shift(X_pool[np.sort(labeled)], theta, budget)
-    fishers = KronFishers.at(X_pool[candidates], theta, shift)
+    fishers = round_fishers(X_pool, labeled, candidates, theta, budget)
     relaxed = relax_solve(budget, Hp, fishers)
     factors = whiten_factors(relaxed.z, fishers)
     if eta is None and not repeats:
@@ -246,10 +256,9 @@ def _select(config, X_pool, labeled_idx, theta, Hp, round_budget, select_ss):
     """Run the configured selector; returns global indices and, for
     ``firal`` only, its :class:`Diagnostics`.  ``Hp`` is the pool Hessian
     at ``theta``."""
-    labeled = np.sort(labeled_idx)
-    unlabeled = np.setdiff1d(np.arange(len(X_pool)), labeled)
+    unlabeled = np.setdiff1d(np.arange(len(X_pool)), labeled_idx)
     if config.selector == "firal":
-        return select_firal(X_pool, labeled, unlabeled, theta, Hp, round_budget,
+        return select_firal(X_pool, labeled_idx, unlabeled, theta, Hp, round_budget,
                             eta=config.eta, repeats=config.theory_mode)
     Xu = X_pool[unlabeled]
     if config.selector == "random":
@@ -261,8 +270,8 @@ def _select(config, X_pool, labeled_idx, theta, Hp, round_budget, select_ss):
     elif config.selector == "var_ratios":
         local = baselines.select_var_ratios(Xu, theta, round_budget)
     else:  # greedy_fb
-        shift = labeled_shift(X_pool[labeled], theta, round_budget)
-        local = baselines.select_greedy_fb(Xu, theta, shift, round_budget)
+        fishers = round_fishers(X_pool, labeled_idx, unlabeled, theta, round_budget)
+        local = baselines.select_greedy_fb(round_budget, Hp, fishers)
 
     return unlabeled[np.asarray(local, dtype=int)], None
 
@@ -300,8 +309,7 @@ def active_learning_loop(config: RunConfig):
     X_pool, hidden, theta_star, labeled_idx, rounds_ss, risk_ss = _draw_problem(config)
     n_classes = int(hidden.max())  # every class has an initial label
     labeled_y = hidden[labeled_idx]
-    if config.budget + len(labeled_idx) > len(X_pool):
-        raise ValueError("pool too small for init labels plus budget")
+    config.check_room(len(labeled_idx), len(X_pool))
     if theta_star is not None:
         spec_p = _family_spec(config)
         # Spawned before the selection streams: the spawn order fixes both.

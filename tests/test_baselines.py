@@ -1,5 +1,6 @@
-"""Baseline selector tests: contracts, hand-built orderings, and the
-forward-backward greedy sanity against exhaustive enumeration."""
+"""Baseline selector tests: contracts, hand-built orderings, the
+forward-backward greedy sanity against exhaustive enumeration, and the
+greedy against FIRAL's certified relaxation on the same round."""
 
 import itertools
 import warnings
@@ -18,21 +19,23 @@ from firal.baselines import (
     select_random,
     select_var_ratios,
 )
+from firal.cli import round_fishers
 from firal.fisher import labeled_shift, pool_hessian
 from firal.model import KronFishers
+from firal.relax import relax_solve
 
 from oracle import dense_fishers, f_objective
 
 
-def greedy_fb_reference(X, theta, shift, budget):
-    """Forward-backward greedy scoring one candidate at a time."""
-    Hp0 = pool_hessian(X, theta)
+def greedy_fb_reference(budget, Hp, X, theta, shift):
+    """Forward-backward greedy scoring one candidate at a time, on the
+    dense Fishers of ``X`` from ``budget * shift``."""
     F = dense_fishers(X, theta)
 
     def value(A):
-        return _clamped_trace_objective(A[None], Hp0)[0]
+        return _clamped_trace_objective(A[None], Hp)[0]
 
-    A = np.asarray(shift, dtype=float).copy()
+    A = budget * np.asarray(shift, dtype=float)
     in_set = np.zeros(len(X), dtype=bool)
     for _ in range(2 * budget):
         best_i, best_val = -1, np.inf
@@ -155,12 +158,25 @@ class TestSelectGreedyFb:
         X0 = rng.normal(size=(4, d)) * 2.0
         return X, theta, X0
 
+    @staticmethod
+    def _inputs(X, theta, X0, shift):
+        """The round's inputs as the loop builds them: the Hessian of the
+        whole pool (labeled rows ``X0`` and candidates ``X``) and the
+        candidates' Fishers with ``shift``."""
+        return pool_hessian(np.vstack([X0, X]), theta), KronFishers.at(X, theta, shift)
+
+    def _greedy(self, X, theta, X0, shift, budget):
+        """``(select_greedy_fb picks, reference picks)`` on one round's inputs."""
+        Hp, fishers = self._inputs(X, theta, X0, shift)
+        return (select_greedy_fb(budget, Hp, fishers),
+                greedy_fb_reference(budget, Hp, X, theta, shift))
+
     def test_minimal_pool_structure(self):
         # With m = 2b the forward pass takes everything, so the result is
         # the complement of the backward removals: exactly b indices.
         X, theta, X0 = self._instance(9, m=4)
         shift = labeled_shift(X0, theta, 2)
-        picks = select_greedy_fb(X, theta, shift, 2)
+        picks = select_greedy_fb(2, *self._inputs(X, theta, X0, shift))
         assert len(picks) == 2
         assert len(set(picks.tolist())) == 2
 
@@ -168,28 +184,29 @@ class TestSelectGreedyFb:
         X, theta, X0 = self._instance(10, m=8)
         b = 2
         shift = labeled_shift(X0, theta, b)
-        picks = select_greedy_fb(X, theta, shift, b)
-        Hp0 = pool_hessian(X, theta)
+        Hp, kron = self._inputs(X, theta, X0, shift)
+        picks = select_greedy_fb(b, Hp, kron)
+        # The greedy's objective: the labeled sum b * shift plus the picks.
         fishers = dense_fishers(X, theta, shift)
         values = [
-            f_objective(np.array(s, dtype=int), fishers, Hp0)
+            f_objective(np.array(s, dtype=int), fishers, Hp)
             for s in itertools.combinations(range(8), b)
         ]
-        f_picked = f_objective(np.asarray(picks, dtype=int), fishers, Hp0)
+        f_picked = f_objective(np.asarray(picks, dtype=int), fishers, Hp)
         assert f_picked >= min(values) - 1e-9
         assert f_picked <= max(values) + 1e-9
 
     def test_deterministic(self):
         X, theta, X0 = self._instance(11)
-        shift = labeled_shift(X0, theta, 2)
-        a = select_greedy_fb(X, theta, shift, 2)
-        b = select_greedy_fb(X, theta, shift, 2)
+        inputs = self._inputs(X, theta, X0, labeled_shift(X0, theta, 2))
+        a = select_greedy_fb(2, *inputs)
+        b = select_greedy_fb(2, *inputs)
         np.testing.assert_array_equal(a, b)
 
     def test_rank_deficient_seed_warns(self):
-        X, theta, _ = self._instance(12, m=6, d=3)
+        X, theta, X0 = self._instance(12, m=6, d=3)
         with pytest.warns(RuntimeWarning):
-            select_greedy_fb(X, theta, np.zeros((3, 3)), 2)
+            select_greedy_fb(2, *self._inputs(X, theta, X0, np.zeros((3, 3))))
 
     @pytest.mark.parametrize("rank_deficient", [False, True])
     def test_blocked_equals_per_candidate_reference(self, rank_deficient):
@@ -201,8 +218,8 @@ class TestSelectGreedyFb:
                  else labeled_shift(X0, theta, b))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            picks = select_greedy_fb(X, theta, shift, b)
-        np.testing.assert_array_equal(picks, greedy_fb_reference(X, theta, shift, b))
+            picks, reference = self._greedy(X, theta, X0, shift, b)
+        np.testing.assert_array_equal(picks, reference)
 
     def test_clamp_is_per_matrix(self):
         # A stacked call must give each matrix the value it gets alone,
@@ -243,8 +260,8 @@ class TestSelectGreedyFb:
         calls = self._spy_paths(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            picks = select_greedy_fb(X, theta, shift, b)
-        np.testing.assert_array_equal(picks, greedy_fb_reference(X, theta, shift, b))
+            picks, reference = self._greedy(X, theta, X0, shift, b)
+        np.testing.assert_array_equal(picks, reference)
         assert 7 in picks
         assert not calls[0][1].any()
         backward = [exact for sign, exact in calls if sign < 0]
@@ -255,14 +272,14 @@ class TestSelectGreedyFb:
         # d_tilde = 10 and four rank-2 adds: the aggregate never reaches
         # full rank, so no candidate of any step is scored by Woodbury.
         m = GREEDY_BLOCK + GREEDY_BLOCK // 3
-        X, theta, _ = self._instance(17, m=m, d=5, c=3)
+        X, theta, X0 = self._instance(17, m=m, d=5, c=3)
         b = 2
         shift = np.zeros((10, 10))
         calls = self._spy_paths(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            picks = select_greedy_fb(X, theta, shift, b)
-        np.testing.assert_array_equal(picks, greedy_fb_reference(X, theta, shift, b))
+            picks, reference = self._greedy(X, theta, X0, shift, b)
+        np.testing.assert_array_equal(picks, reference)
         assert len(calls) == 3 * b
         assert not any(exact.any() for _, exact in calls)
 
@@ -281,6 +298,29 @@ class TestSelectGreedyFb:
 
     def test_budget_validation(self):
         X, theta, X0 = self._instance(13, m=6)
-        shift = labeled_shift(X0, theta, 4)
-        with pytest.raises(ValueError):
-            select_greedy_fb(X, theta, shift, 4)
+        inputs = self._inputs(X, theta, X0, labeled_shift(X0, theta, 4))
+        with pytest.raises(ValueError, match=r"budget 4 outside 1\.\.3"):
+            select_greedy_fb(4, *inputs)
+
+
+class TestGreedyAgainstRelaxation:
+    @pytest.mark.parametrize("c, d, m, budget, seed", [
+        (2, 2, 20, 3, 0), (3, 2, 30, 4, 1), (3, 3, 40, 3, 2), (4, 2, 36, 2, 3),
+    ])
+    def test_relaxation_bounds_greedy_picks_from_below(self, c, d, m, budget, seed):
+        # Both selectors read one round's inputs, and the 0/1 weights of the
+        # greedy's picks are feasible for the relaxation, so the certified
+        # relaxed objective minus its gap bounds their objective from below.
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(m, d)) * 2.0
+        theta = rng.normal(size=(c - 1, d))
+        labeled = rng.choice(m, size=2 * c, replace=False)
+        unlabeled = np.setdiff1d(np.arange(m), labeled)
+        Hp = pool_hessian(X, theta)
+        fishers = round_fishers(X, labeled, unlabeled, theta, budget)
+        relaxed = relax_solve(budget, Hp, fishers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            picks = select_greedy_fb(budget, Hp, fishers)
+        dense = dense_fishers(X[unlabeled], theta, fishers.shift)
+        assert f_objective(picks, dense, Hp) >= relaxed.objective - relaxed.gap

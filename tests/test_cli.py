@@ -84,6 +84,12 @@ class TestConfig:
             RunConfig(selector="magic").validate()
         with pytest.raises(ValueError):
             RunConfig(pool_size=5, budget=10, rounds=1).validate()
+        # The greedy's last round adds twice the round budget, 20 of the
+        # 40 - 3 - 20 = 17 points still unlabeled.
+        with pytest.raises(ValueError, match="greedy_fb needs a pool of 43 points, got 40"):
+            RunConfig(selector="greedy_fb", pool_size=40, rounds=3).validate()
+        RunConfig(selector="greedy_fb", pool_size=43, rounds=3).validate()
+        RunConfig(selector="firal", pool_size=40, rounds=3).validate()
 
 
 class TestLoop:
@@ -165,6 +171,18 @@ class TestLoop:
         assert main(["run", "--data", str(path), "--selector", "firal",
                      "--budget", "4", "--rounds", "2"]) == 0
         assert f"dropped 1 of {X.shape[1]} dimensions" in capsys.readouterr().err
+
+    def test_small_dataset_pool_for_greedy_rejected_before_fit(self, monkeypatch,
+                                                                 tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(19, 2))
+        y = 1 + (X[:, 0] > 0).astype(int)
+        path = tmp_path / "pool.csv"
+        save_dataset(path, X, y)
+        monkeypatch.setattr(cli, "fit_erm", pytest.fail)
+        assert main(["run", "--data", str(path), "--selector", "greedy_fb",
+                     "--budget", "12", "--rounds", "2"]) == 2
+        assert "greedy_fb needs a pool of 20 points, got 19" in capsys.readouterr().err
 
     def test_all_zero_features_config_error(self, tmp_path, capsys):
         path = tmp_path / "pool.csv"
@@ -415,6 +433,7 @@ class TestCliCommands:
         ["run", "--ridge", "nan"],
         ["run", "--ridge", "inf"],
         ["run", "--ridge", "-0.5"],
+        ["run", "--selector", "greedy_fb", "--pool-size", "40", "--rounds", "3"],
         ["audit", "--eta", "nan"],
         ["audit", "--eta", "inf"],
         ["audit", "--eta", "0"],
