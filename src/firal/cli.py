@@ -72,10 +72,13 @@ class RunConfig:
         return self
 
     def check_room(self, n_init, pool_size):
-        """Reject a pool without room for the initial labels and the budget;
-        ``greedy_fb`` needs twice the round budget unlabeled in its last round."""
-        need = n_init + self.budget + (self.budget // self.rounds
-                                       if self.selector == "greedy_fb" and self.rounds else 0)
+        """Reject a pool without room for the initial labels and, when any
+        round selects, the budget; ``greedy_fb`` needs twice the round
+        budget unlabeled in its last round."""
+        need = n_init
+        if self.rounds:
+            need += self.budget + (self.budget // self.rounds
+                                   if self.selector == "greedy_fb" else 0)
         if need > pool_size:
             raise ValueError(f"{self.selector} needs a pool of {need} points, got {pool_size}")
 
@@ -127,34 +130,30 @@ def round_fishers(X_pool, labeled, candidates, theta, budget):
     return KronFishers.at(X_pool[candidates], theta, shift)
 
 
-def select_firal(X_pool, labeled, candidates, theta, Hp, budget, *, eta=None,
-                 repeats=False):
-    """One FIRAL round: labeled shift, candidate Fishers, relaxation,
-    whitening, then FTRL rounding of ``budget`` picks.
+def select_firal(budget, Hp, fishers, *, eta=None, repeats=False):
+    """One FIRAL round on the round's input: relaxation, whitening, then
+    FTRL rounding of ``budget`` picks.
 
-    ``Hp`` is ``pool_hessian(X_pool, theta)``, which the caller usually
-    has already.  ``labeled`` and ``candidates`` index ``X_pool``, and so
-    do the ``picks``.  With ``repeats`` a candidate may be picked again.
+    ``Hp`` is the pool Hessian and ``fishers`` the candidates' shifted
+    Fishers, as :func:`round_fishers` builds them; the ``picks`` index
+    ``fishers``.  With ``repeats`` a candidate may be picked again.
     ``eta=None`` tunes the rate over :func:`eta_grid`, or uses
     ``8 sqrt(d_tilde)`` with repeats.  Raises ``FloatingPointError``, naming
     both worst margins, when the rounding breaks its regret guarantees.
     """
-    candidates = np.asarray(candidates, dtype=int)
-    fishers = round_fishers(X_pool, labeled, candidates, theta, budget)
     relaxed = relax_solve(budget, Hp, fishers)
     factors = whiten_factors(relaxed.z, fishers)
     if eta is None and not repeats:
-        eta, local, report = tune_eta(eta_grid(factors.d_tilde), factors, budget)
+        eta, picks, report = tune_eta(eta_grid(factors.d_tilde), factors, budget)
     else:
         if eta is None:
             eta = 8.0 * np.sqrt(factors.d_tilde)
-        local, report = select_batch(budget, eta, factors, mask_selected=not repeats)
+        picks, report = select_batch(budget, eta, factors, mask_selected=not repeats)
     if not report.holds():
         raise FloatingPointError(
             f"regret guarantee violated: worst_min_eig_margin={report.worst_min_eig:.6e} "
             f"worst_trace_margin={report.worst_trace}")
-    return candidates[local], Diagnostics(float(eta), report,
-                                          relaxed.gap / relaxed.objective)
+    return picks, Diagnostics(float(eta), report, relaxed.gap / relaxed.objective)
 
 
 @dataclass
@@ -253,15 +252,18 @@ def _spectral_diagnostics(Hp, X_labeled, theta):
 
 
 def _select(config, X_pool, labeled_idx, theta, Hp, round_budget, select_ss):
-    """Run the configured selector; returns global indices and, for
+    """Run the configured selector; returns pool indices and, for
     ``firal`` only, its :class:`Diagnostics`.  ``Hp`` is the pool Hessian
     at ``theta``."""
     unlabeled = np.setdiff1d(np.arange(len(X_pool)), labeled_idx)
-    if config.selector == "firal":
-        return select_firal(X_pool, labeled_idx, unlabeled, theta, Hp, round_budget,
-                            eta=config.eta, repeats=config.theory_mode)
     Xu = X_pool[unlabeled]
-    if config.selector == "random":
+    diag = None
+    if config.selector in ("firal", "greedy_fb"):
+        fishers = round_fishers(X_pool, labeled_idx, unlabeled, theta, round_budget)
+    if config.selector == "firal":
+        local, diag = select_firal(round_budget, Hp, fishers, eta=config.eta,
+                                   repeats=config.theory_mode)
+    elif config.selector == "random":
         local = baselines.select_random(Xu, round_budget, select_ss)
     elif config.selector == "kmeans":
         local = baselines.select_kmeans(Xu, round_budget, select_ss)
@@ -270,10 +272,8 @@ def _select(config, X_pool, labeled_idx, theta, Hp, round_budget, select_ss):
     elif config.selector == "var_ratios":
         local = baselines.select_var_ratios(Xu, theta, round_budget)
     else:  # greedy_fb
-        fishers = round_fishers(X_pool, labeled_idx, unlabeled, theta, round_budget)
         local = baselines.select_greedy_fb(round_budget, Hp, fishers)
-
-    return unlabeled[np.asarray(local, dtype=int)], None
+    return unlabeled[np.asarray(local, dtype=int)], diag
 
 
 def _draw_problem(config: RunConfig):
@@ -507,8 +507,8 @@ def _cmd_audit(args):
     X, hidden, _, init_idx, _, _ = _draw_problem(config)
     theta0 = fit_erm(X[init_idx], hidden[init_idx], args.classes, ridge=1e-6).theta
 
-    _, diag = select_firal(X, init_idx, np.arange(len(X)), theta0,
-                           pool_hessian(X, theta0), args.budget,
+    fishers = round_fishers(X, init_idx, np.arange(len(X)), theta0, args.budget)
+    _, diag = select_firal(args.budget, pool_hessian(X, theta0), fishers,
                            eta=args.eta, repeats=True)
     print(f"eta={diag.eta:.6g} budget={args.budget} "
           f"d_tilde={args.dim * (args.classes - 1)}")

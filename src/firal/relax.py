@@ -7,12 +7,16 @@ the budget, ``z = budget * kappa`` with ``kappa`` on the simplex, and
 The solver is the active-set scheme of Yang, Biedermann & Tang (JASA
 2013).  Projected Newton steps move the weights of a small support; one
 full-pool gradient per outer round then adds the candidates whose
-gradient is below ``<g, kappa>``.  The solve stops when the Frank-Wolfe
-gap ``<g, kappa> - min_i g_i``, an upper bound on ``f - f*`` for this
-convex objective (Jaggi 2013), is at most ``GAP_TOL * f``, and raises
-``FloatingPointError`` when it cannot get there within
-``MAX_NEWTON_STEPS``.  The box ``z_i <= 1`` of the relaxed program is
-not imposed; entries above it are counted on the result.
+gradient is below ``<g, kappa>``.  Where a near-singular reduced Hessian
+gives a Newton move that cannot descend, one pairwise Frank-Wolfe step
+(Lacoste-Julien & Jaggi, NeurIPS 2015) moves weight from the weighted
+point with the largest gradient to the point with the smallest.  The
+solve stops when the Frank-Wolfe gap ``<g, kappa> - min_i g_i``, an
+upper bound on ``f - f*`` for this convex objective (Jaggi 2013), is at
+most ``GAP_TOL * f``, and raises ``FloatingPointError`` when it cannot
+get there within ``MAX_NEWTON_STEPS``.  The box ``z_i <= 1`` of the
+relaxed program is not imposed; entries above it are counted on the
+result.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ class RelaxResult:
     z: np.ndarray            # weights, nonnegative, summing to budget
     objective: float         # f at z (the budget-scaled weights)
     gap: float               # Frank-Wolfe gap at z, in the units of objective
-    n_iter: int              # Newton steps tried
+    n_iter: int              # Newton and pairwise steps tried
     best_iter: int           # the step that produced z; the last one
     box_violations: int      # number of entries with z_i > 1
 
@@ -147,6 +151,15 @@ def _newton_direction(w, g, H):
         free &= ~enter
 
 
+def _pairwise_direction(w, g):
+    """Move the weight of the weighted point with the largest gradient to
+    the point with the smallest."""
+    away = np.flatnonzero(w > 0)[np.argmax(g[w > 0])]
+    d = np.zeros_like(w)
+    d[away], d[np.argmin(g)] = -w[away], w[away]
+    return d
+
+
 def _step(support, w, f, g, d):
     """Next support weights along ``d``, or ``None`` if no step decreases f.
 
@@ -189,10 +202,11 @@ def relax_solve(budget, Hp0, fishers):
 
     ``fishers`` is a :class:`~firal.model.KronFishers`.  The gradient at
     uniform weights picks the first support.  Each outer round solves on
-    the support by projected Newton until the gradient of every weighted
-    point is within ``0.1 * GAP_TOL * f`` of the support's least, then
-    checks the gap over all candidates.  Returns the certified weights,
-    scaled by the budget.
+    the support by projected Newton, or a pairwise step where Newton
+    cannot descend, until the gradient of every weighted point is within
+    ``0.1 * GAP_TOL * f`` of the support's least, then checks the gap
+    over all candidates.  Returns the certified weights, scaled by the
+    budget.
     """
     Hp0 = np.asarray(Hp0, dtype=float)
     m = fishers.shape[0]
@@ -227,6 +241,9 @@ def relax_solve(budget, Hp0, fishers):
                 break
             steps += 1
             nxt = _step(state, w, f, g_s, _newton_direction(w, g_s, H))
+            if nxt is None and steps < MAX_NEWTON_STEPS:
+                steps += 1
+                nxt = _step(state, w, f, g_s, _pairwise_direction(w, g_s))
             if nxt is None:
                 break
             w = nxt

@@ -19,6 +19,7 @@ from firal.cli import (
     eta_grid,
     load_config,
     main,
+    round_fishers,
     select_firal,
     tune_eta,
 )
@@ -90,6 +91,9 @@ class TestConfig:
             RunConfig(selector="greedy_fb", pool_size=40, rounds=3).validate()
         RunConfig(selector="greedy_fb", pool_size=43, rounds=3).validate()
         RunConfig(selector="firal", pool_size=40, rounds=3).validate()
+        # No round selects, so the pool needs room for the initial labels only.
+        RunConfig(pool_size=20, rounds=0).validate()
+        RunConfig(selector="greedy_fb", pool_size=20, rounds=0).validate()
 
 
 class TestLoop:
@@ -98,6 +102,32 @@ class TestLoop:
         assert len(recs) == 1
         assert recs[0].round == 0
         assert recs[0].selected == ()
+
+    @pytest.mark.parametrize("overrides", [
+        *(dict(seed=seed, classes=c, dim=d, pool_size=20, budget=6, rounds=2,
+               theory_mode=theory, eta=eta)
+          for seed, c, d, theory, eta in [
+              (1, 2, 2, False, None), (1, 2, 2, False, 4.0), (1, 3, 3, False, None),
+              (3, 2, 2, True, None), (3, 2, 2, True, 4.0),
+              (4, 2, 2, False, None), (4, 2, 2, False, 4.0)]),
+        dict(theory_mode=True, pool_size=40),
+    ])
+    def test_saturated_small_pool_certifies(self, monkeypatch, overrides):
+        # On these saturated pools the reduced Hessian of the last round is
+        # so near-singular that no Newton step descends; pairwise steps must
+        # still take every round to its certificate.
+        relaxed, real = [], cli.relax_solve
+
+        def captured(*args):
+            relaxed.append(real(*args))
+            return relaxed[-1]
+
+        monkeypatch.setattr(cli, "relax_solve", captured)
+        config = RunConfig(risk_points=1000, **overrides)
+        assert len(active_learning_loop(config)) == config.rounds + 1
+        assert len(relaxed) == config.rounds
+        for res in relaxed:
+            assert res.gap <= relax.GAP_TOL * res.objective
 
     def test_labeled_set_sizes(self):
         cfg = small_config()
@@ -283,9 +313,10 @@ class TestSelectFiral:
             "fixed_eta_repeats": (unlabeled, 3.0, True, 6),
             "whole_pool": (np.arange(len(X)), None, True, 8),
         }[case]
-        picks, diag = select_firal(X, labeled, candidates, theta,
-                                   pool_hessian(X, theta), budget,
+        fishers = round_fishers(X, labeled, candidates, theta, budget)
+        local, diag = select_firal(budget, pool_hessian(X, theta), fishers,
                                    eta=eta, repeats=repeats)
+        picks = candidates[local]
         want_picks, want_eta, want = hand_chain(X, labeled, candidates, theta,
                                                 budget, eta, repeats)
         np.testing.assert_array_equal(picks, want_picks)
@@ -301,8 +332,9 @@ class TestSelectFiral:
         X, theta, labeled = firal_problem(seed=5)
         unlabeled = np.setdiff1d(np.arange(len(X)), labeled)
         Hp = pool_hessian(X, theta)
-        picks, diag = select_firal(X, labeled, unlabeled, theta, Hp, 4)
-        sorted_picks, sorted_diag = select_firal(X, np.sort(labeled), unlabeled, theta, Hp, 4)
+        picks, diag = select_firal(4, Hp, round_fishers(X, labeled, unlabeled, theta, 4))
+        sorted_picks, sorted_diag = select_firal(
+            4, Hp, round_fishers(X, np.sort(labeled), unlabeled, theta, 4))
         np.testing.assert_array_equal(picks, sorted_picks)
         assert diag.eta == sorted_diag.eta
         np.testing.assert_array_equal(diag.report.margin_min_eig,
@@ -320,7 +352,7 @@ class TestSelectFiral:
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        select_firal(X, labeled, unlabeled, theta, pool_hessian(X, theta), 4)
+        select_firal(4, pool_hessian(X, theta), round_fishers(X, labeled, unlabeled, theta, 4))
         assert len(stacks) == 1
 
     def test_violated_guarantee_raises(self, monkeypatch):
@@ -331,8 +363,8 @@ class TestSelectFiral:
         unlabeled = np.setdiff1d(np.arange(len(X)), labeled)
         with pytest.raises(FloatingPointError, match=r"regret guarantee violated: "
                            r"worst_min_eig_margin=-1\.000000e\+00 worst_trace_margin=-0\.25"):
-            select_firal(X, labeled, unlabeled, theta, pool_hessian(X, theta), 4,
-                         repeats=True)
+            select_firal(4, pool_hessian(X, theta),
+                         round_fishers(X, labeled, unlabeled, theta, 4), repeats=True)
 
 
 class TestEmitResults:
@@ -589,9 +621,9 @@ class TestCliCommands:
         assert "not certified" in capsys.readouterr().err
 
     def test_stalled_relaxation_exits_at_once(self, monkeypatch, capsys):
-        # Newton directions that never move leave the first outer round,
-        # whose support is the whole 10-point pool, unchanged; repeating it
-        # would idle up to MAX_NEWTON_STEPS.
+        # Newton and pairwise steps that never move leave the first outer
+        # round, whose support is the whole 10-point pool, unchanged;
+        # repeating it would idle up to MAX_NEWTON_STEPS.
         derivatives, calls = relax._Support.derivatives, []
 
         def counted(self, w):
@@ -601,6 +633,7 @@ class TestCliCommands:
         monkeypatch.setattr(relax._Support, "derivatives", counted)
         monkeypatch.setattr(relax, "_newton_direction",
                             lambda w, g, H: np.zeros_like(w))
+        monkeypatch.setattr(relax, "_step", lambda support, w, f, g, d: None)
         assert main(["audit", "--classes", "3", "--dim", "2", "--pool-size", "10",
                      "--budget", "5"]) == 3
         err = capsys.readouterr().err

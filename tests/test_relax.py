@@ -17,6 +17,7 @@ from firal.model import KronFishers
 from firal.relax import (
     GAP_TOL,
     _inverse_parts,
+    _pairwise_direction,
     _step,
     _Support,
     relax_solve,
@@ -154,6 +155,22 @@ class TestStep:
         assert 0 < -(g @ tiny) <= relax.RESOLVE_REL * f
         np.testing.assert_allclose(_step(support, w, f, g, tiny), w + tiny,
                                    rtol=0, atol=1e-16)
+
+
+    def test_pairwise_direction_descends(self):
+        # The fallback moves the whole weight of the weighted point with the
+        # largest gradient to the point with the smallest, weighted or not.
+        fishers, Hp0 = random_instance(5, m=5)
+        support = _Support(kron(fishers).factors, np.zeros((3, 3)), Hp0)
+        w = np.array([0.4, 0.3, 0.3, 0.0, 0.0])
+        f, g, _, _ = support.derivatives(w)
+        away, toward = np.argmax(np.where(w > 0, g, -np.inf)), np.argmin(g)
+        assert g[away] > g[toward]
+        d = _pairwise_direction(w, g)
+        want = np.zeros(5)
+        want[away], want[toward] = -w[away], w[away]
+        np.testing.assert_array_equal(d, want)
+        assert support.value(_step(support, w, f, g, d)) < f
 
 
 class TestSigmaParts:
