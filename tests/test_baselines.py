@@ -5,13 +5,18 @@ greedy against FIRAL's certified relaxation on the same round."""
 import itertools
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from firal import baselines
 from firal.baselines import (
+    BOUND_SLACK,
     GREEDY_BLOCK,
+    _best_update,
     _clamped_trace_objective,
+    _floor_bound,
+    _outer,
     _woodbury_objective,
     select_entropy,
     select_greedy_fb,
@@ -21,6 +26,7 @@ from firal.baselines import (
 )
 from firal.cli import round_fishers
 from firal.fisher import labeled_shift, pool_hessian
+from firal.linalg import eig_floor
 from firal.model import KronFishers
 from firal.relax import relax_solve
 
@@ -276,12 +282,107 @@ class TestSelectGreedyFb:
         b = 2
         shift = np.zeros((10, 10))
         calls = self._spy_paths(monkeypatch)
+        dense = np.zeros(3 * b, dtype=int)
+        inner = baselines._clamped_trace_objective
+
+        def spy(A, Hp0):
+            dense[len(calls) - 1] += len(A)
+            return inner(A, Hp0)
+
+        monkeypatch.setattr(baselines, "_clamped_trace_objective", spy)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             picks, reference = self._greedy(X, theta, X0, shift, b)
         np.testing.assert_array_equal(picks, reference)
         assert len(calls) == 3 * b
         assert not any(exact.any() for _, exact in calls)
+        # The bound-ordered scan leaves some candidate of some step unscored.
+        assert any(dense[t] < np.sum(~exact) for t, (_, exact) in enumerate(calls))
+
+    @staticmethod
+    def _deficient_step(seed, n_set, n_out):
+        """A rank-deficient aggregate ``A``, class-major factors ``P`` and a
+        PD ``Hp0`` in a random coordinate order.  The first ``n_set``
+        candidates span six of the ten coordinates and are summed into
+        ``A``; two more coordinates carry eigenvalues at 0.3 and 0.9 of the
+        floor, and the last two are exactly null.  The other ``n_out``
+        candidates are dense."""
+        dt, k, rank = 10, 2, 6
+        rng = np.random.default_rng(seed)
+        P = rng.normal(size=(k, n_set + n_out, dt))
+        P[:, :n_set, rank:] = 0.0
+        A = np.einsum("aij,aik->jk", P[:, :n_set], P[:, :n_set])
+        floor = eig_floor(np.linalg.eigvalsh(A)[-1])
+        A[rank, rank], A[rank + 1, rank + 1] = 0.3 * floor, 0.9 * floor
+        R = rng.normal(size=(dt, dt))
+        perm = rng.permutation(dt)
+        return A[np.ix_(perm, perm)], P[:, :, perm], R @ R.T / dt + 0.1 * np.eye(dt)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_floor_bound_is_below_clamped_objective(self, seed, sign):
+        n_set = 40
+        A, P, Hp0 = self._deficient_step(seed, n_set, 40)
+        # A removal takes a summand of A; an add takes any candidate.
+        idx = np.arange(n_set) if sign < 0 else np.arange(P.shape[1])
+        bound = _floor_bound(A, P[:, idx], Hp0, sign)
+        clamped = _clamped_trace_objective(A + sign * _outer(P, idx), Hp0)
+        assert np.all((1.0 - BOUND_SLACK) * bound <= clamped)
+        # The computed bound is the shifted objective it stands for.
+        lam_max = np.linalg.eigvalsh(A)[-1]
+        with mpmath.workdps(50):
+            Am, Hm = mpmath.matrix(A.tolist()), mpmath.matrix(Hp0.tolist())
+            for i in idx[::13]:
+                G = P[:, i].T
+                f = eig_floor(lam_max + (np.sum(G * G) if sign > 0 else 0.0))
+                Gm = mpmath.matrix(G.tolist())
+                S = Am + sign * (Gm * Gm.T) + mpmath.mpf(float(f)) * mpmath.eye(len(A))
+                ref = sum((mpmath.inverse(S) * Hm)[j, j] for j in range(len(A)))
+                assert abs(float((bound[i] - ref) / ref)) <= BOUND_SLACK / 10
+
+    def _tied_step(self, seed, sign):
+        """A rank-deficient step over more than four blocks of candidates,
+        each of them twice in a random order, so the winner ties with a
+        copy of itself.  Removals take both copies from ``A``.  Returns
+        ``(A, P, idx, Hp0)``."""
+        half = 2 * GREEDY_BLOCK + 19
+        if sign > 0:
+            A, P, Hp0 = self._deficient_step(seed, 3, half)
+            P = P[:, 3:]
+        else:
+            A, P, Hp0 = self._deficient_step(seed, half, 0)
+            A = A + np.einsum("aij,aik->jk", P, P)
+        order = np.random.default_rng(seed).permutation(np.tile(np.arange(half), 2))
+        return A, P[:, order], np.arange(2 * half), Hp0
+
+    @staticmethod
+    def _full_scan(A, P, idx, Hp0, sign):
+        """The argmin, earliest on ties, of every candidate's value: Woodbury
+        where it is exact, dense and clamped everywhere else."""
+        values, exact = _woodbury_objective(A, P[:, idx], Hp0, sign)
+        slow = np.flatnonzero(~exact)
+        values[slow] = _clamped_trace_objective(A + sign * _outer(P, idx[slow]), Hp0)
+        return idx[int(np.argmin(values))]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_best_update_equals_full_scan(self, seed, sign):
+        A, P, idx, Hp0 = self._tied_step(seed, sign)
+        assert _best_update(A, P, idx, Hp0, sign) == self._full_scan(A, P, idx, Hp0, sign)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_bound_does_not_prune(self, monkeypatch, bad):
+        A, P, idx, Hp0 = self._tied_step(3, 1.0)
+        winner = self._full_scan(A, P, idx, Hp0, 1.0)
+        inner = baselines._floor_bound
+
+        def spoiled(A, P, Hp0, sign):
+            bound = inner(A, P, Hp0, sign)
+            bound[np.flatnonzero(idx == winner)] = bad
+            return bound
+
+        monkeypatch.setattr(baselines, "_floor_bound", spoiled)
+        assert _best_update(A, P, idx, Hp0, 1.0) == winner
 
     @pytest.mark.parametrize("seed", range(5))
     def test_woodbury_equals_clamped_objective_where_admitted(self, seed):
