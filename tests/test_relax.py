@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from firal import relax
@@ -16,6 +16,7 @@ from firal.linalg import EIG_FLOOR_REL, solve_psd
 from firal.model import KronFishers
 from firal.relax import (
     GAP_TOL,
+    SUPPORT_BLOCK,
     _inverse_parts,
     _pairwise_direction,
     _step,
@@ -257,7 +258,17 @@ class TestRelaxSolve:
         with pytest.raises(ValueError):
             relax_solve(1, np.eye(2), kron(np.empty((0, 2, 2))))
 
+    @pytest.mark.parametrize("budget", [0, -1, np.nan, np.inf])
+    def test_rejects_budget_outside_zero_to_inf(self, budget):
+        fishers, Hp0 = random_instance(8)
+        with pytest.raises(ValueError, match="budget"):
+            relax_solve(budget, Hp0, kron(fishers))
+
     @settings(max_examples=60, deadline=None)
+    # An inexact support solve that the gap already certifies: returning
+    # it without an exact last solve leaves a support spread of 9.1e-7
+    # against a tolerance of 1.6e-7.
+    @example(c=5, m=3, shifted=True, budget=1, seed=3)
     @given(
         c=st.sampled_from([2, 3, 5]),
         m=st.integers(1, 40),
@@ -299,8 +310,69 @@ class TestRelaxSolve:
         # f = 1 / kappa_1 + 1e-6 / kappa_2 is least at kappa_2 = 1e-3 / 1.001.
         assert res.z[30:].sum() == pytest.approx(1e-3 / 1.001, rel=1e-6)
 
+    def test_small_pool_is_one_support(self):
+        # With m <= SUPPORT_BLOCK the first support is the whole pool, and
+        # the first round, solved to an infinite tolerance, takes no step
+        # and admits no point: only its tolerance tells the next round apart.
+        rng = np.random.default_rng(12)
+        m = SUPPORT_BLOCK - 5
+        fishers = KronFishers.at(rng.normal(size=(m, 2)), rng.normal(size=(2, 2)),
+                                 0.05 * random_spd(rng, 4))
+        Hp0 = random_spd(rng, 4)
+        res = relax_solve(2, Hp0, fishers)
+        kappa = res.z / 2
+        g = relax_gradient(kappa, fishers, Hp0)
+        assert g @ kappa - g.min() <= GAP_TOL * res.objective * 2
+        assert res.n_iter > 0
+
     def test_uncertified_solve_raises(self, monkeypatch):
         fishers, Hp0 = random_instance(9)
         monkeypatch.setattr(relax, "MAX_NEWTON_STEPS", 1)
         with pytest.raises(FloatingPointError, match="not certified"):
             relax_solve(2, Hp0, kron(fishers))
+
+
+def wide_instance(seed, m, d, c):
+    """Kronecker candidates at a random ``theta`` with a small labeled
+    shift, and the pool Hessian of a second draw."""
+    rng = np.random.default_rng(seed)
+    theta = rng.normal(size=(c - 1, d))
+    shift = 0.01 * random_spd(rng, d * (c - 1))
+    fishers = KronFishers.at(rng.normal(size=(m, d)), theta, shift)
+    return pool_hessian(rng.normal(size=(2 * m, d)), theta), fishers
+
+
+class TestInexactInnerSolves:
+    """Intermediate supports are solved to ``INNER_GAP_FRAC`` of the last
+    full-pool gap; ``INNER_GAP_FRAC = 0`` gives the exact inner solves."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_certified_objective_as_exact_inner_solves(self, seed, monkeypatch):
+        rng = np.random.default_rng(300 + seed)
+        m, c = int(rng.integers(20, 400)), int(rng.choice([3, 4]))
+        Hp0, fishers = wide_instance(seed, m, d=int(rng.integers(2, 7)), c=c)
+        budget = int(rng.integers(1, 6))
+        inexact = relax_solve(budget, Hp0, fishers)
+        monkeypatch.setattr(relax, "INNER_GAP_FRAC", 0.0)
+        exact = relax_solve(budget, Hp0, fishers)
+        for res in (inexact, exact):
+            assert res.gap <= GAP_TOL * res.objective
+        f = max(inexact.objective, exact.objective)
+        assert abs(inexact.objective - exact.objective) <= GAP_TOL * f
+
+    def test_fewer_support_derivatives(self, monkeypatch):
+        Hp0, fishers = wide_instance(7, m=600, d=16, c=4)
+        calls = []
+        derivatives = _Support.derivatives
+
+        def counted(self, w):
+            calls.append(len(w))
+            return derivatives(self, w)
+
+        monkeypatch.setattr(_Support, "derivatives", counted)
+        relax_solve(3, Hp0, fishers)
+        inexact = len(calls)
+        calls.clear()
+        monkeypatch.setattr(relax, "INNER_GAP_FRAC", 0.0)
+        relax_solve(3, Hp0, fishers)
+        assert inexact < len(calls)
