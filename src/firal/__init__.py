@@ -7,11 +7,12 @@ Library layout:
 - :mod:`firal.fisher` -- information aggregation and the design objective
 - :mod:`firal.relax` -- the relaxed design, solved to a certificate
 - :mod:`firal.sparsify` -- regret-minimization rounding with audits
+- :mod:`firal.round` -- one FIRAL round, ``round_fishers`` and ``select_firal``
 - :mod:`firal.baselines` -- comparison selectors
 - :mod:`firal.synth` -- synthetic protocols and Monte-Carlo risk
 - :mod:`firal.embed` -- k-NN normalized-Laplacian spectral embedding
 - :mod:`firal.bounds` -- computable quantities from the risk analysis
-- :mod:`firal.cli` -- ``select_firal`` (one round), harness and command line
+- :mod:`firal.cli` -- experiment harness and command line
 """
 
 from .bounds import (
@@ -34,6 +35,7 @@ from .model import (
     fit_erm,
 )
 from .relax import RelaxResult, relax_solve
+from .round import round_fishers, select_firal
 from .sparsify import ftrl_action, select_batch
 from .synth import (
     DesignSpec,
@@ -63,9 +65,11 @@ __all__ = [
     "prefactor_upper",
     "relax_solve",
     "rho_spectral",
+    "round_fishers",
     "sample_labels",
     "sample_pool",
     "select_batch",
+    "select_firal",
     "sigma_max",
     "whiten_factors",
 ]

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import baselines, data, embed, synth
-from .fisher import fir, labeled_shift, pool_hessian, sigma_max, whiten_factors
-from .model import KronFishers, accuracy, class_probabilities, fit_erm
-from .relax import relax_solve
-from .sparsify import AuditReport, select_batch
+from .fisher import fir, pool_hessian, sigma_max
+from .model import accuracy, class_probabilities, fit_erm
+# tune_eta is bound here for perfbench, whose tracer finds it as firal.cli.tune_eta.
+from .round import round_fishers, select_firal, tune_eta  # noqa: F401
 
 SELECTORS = ("firal", "random", "kmeans", "entropy", "var_ratios", "greedy_fb")
 
@@ -81,79 +81,6 @@ class RunConfig:
                                    if self.selector == "greedy_fb" else 0)
         if need > pool_size:
             raise ValueError(f"{self.selector} needs a pool of {need} points, got {pool_size}")
-
-
-DEFAULT_ETA_GRID_POWERS = range(-2, 6)
-# Rates that pick one set in different orders score equally in exact
-# arithmetic; a later rate must win by this relative margin, not by rounding.
-ETA_TIE_REL = 1e-12
-
-
-def eta_grid(d_tilde):
-    """Default learning-rate grid ``{2^j sqrt(d_tilde), j = -2..5}``."""
-    return [2.0**j * np.sqrt(d_tilde) for j in DEFAULT_ETA_GRID_POWERS]
-
-
-def tune_eta(etas, factors, budget):
-    """Pick the rate whose masked selection maximizes the smallest
-    eigenvalue of the summed whitened picks.  Ties, scores within a
-    relative :data:`ETA_TIE_REL`, keep the earlier grid position, so a
-    duplicate grid entry never replaces its first occurrence.
-
-    Returns ``(eta, picks, report)``, the winning rate with the
-    :func:`select_batch` result it was scored on.
-    """
-    best = best_val = None
-    for e in map(float, etas):
-        picks, report = select_batch(budget, e, factors)
-        val = report.min_eig
-        if best is None or val > best_val + ETA_TIE_REL * abs(best_val):
-            best, best_val = (e, picks, report), val
-    if best is None:
-        raise ValueError("eta grid must be nonempty")
-    return best
-
-
-@dataclass
-class Diagnostics:
-    """What a FIRAL round reports besides its picks."""
-
-    eta: float                 # the rounding rate used
-    report: AuditReport        # regret-guarantee margins of the rounding
-    relax_gap: float           # Frank-Wolfe gap of the relaxation / its objective
-
-
-def round_fishers(X_pool, labeled, candidates, theta, budget):
-    """The round's candidate Fishers with the labeled shift, as both search selectors read them."""
-    X_pool = np.asarray(X_pool, dtype=float)
-    shift = labeled_shift(X_pool[np.sort(labeled)], theta, budget)
-    return KronFishers.at(X_pool[candidates], theta, shift)
-
-
-def select_firal(budget, Hp, fishers, *, eta=None, repeats=False):
-    """One FIRAL round on the round's input: relaxation, whitening, then
-    FTRL rounding of ``budget`` picks.
-
-    ``Hp`` is the pool Hessian and ``fishers`` the candidates' shifted
-    Fishers, as :func:`round_fishers` builds them; the ``picks`` index
-    ``fishers``.  With ``repeats`` a candidate may be picked again.
-    ``eta=None`` tunes the rate over :func:`eta_grid`, or uses
-    ``8 sqrt(d_tilde)`` with repeats.  Raises ``FloatingPointError``, naming
-    both worst margins, when the rounding breaks its regret guarantees.
-    """
-    relaxed = relax_solve(budget, Hp, fishers)
-    factors = whiten_factors(relaxed.z, fishers)
-    if eta is None and not repeats:
-        eta, picks, report = tune_eta(eta_grid(factors.d_tilde), factors, budget)
-    else:
-        if eta is None:
-            eta = 8.0 * np.sqrt(factors.d_tilde)
-        picks, report = select_batch(budget, eta, factors, mask_selected=not repeats)
-    if not report.holds():
-        raise FloatingPointError(
-            f"regret guarantee violated: worst_min_eig_margin={report.worst_min_eig:.6e} "
-            f"worst_trace_margin={report.worst_trace}")
-    return picks, Diagnostics(float(eta), report, relaxed.gap / relaxed.objective)
 
 
 @dataclass
@@ -253,8 +180,8 @@ def _spectral_diagnostics(Hp, X_labeled, theta):
 
 def _select(config, X_pool, labeled_idx, theta, Hp, round_budget, select_ss):
     """Run the configured selector; returns pool indices and, for
-    ``firal`` only, its :class:`Diagnostics`.  ``Hp`` is the pool Hessian
-    at ``theta``."""
+    ``firal`` only, its :class:`firal.round.Diagnostics`.  ``Hp`` is the
+    pool Hessian at ``theta``."""
     unlabeled = np.setdiff1d(np.arange(len(X_pool)), labeled_idx)
     Xu = X_pool[unlabeled]
     diag = None
@@ -383,27 +310,25 @@ def _family_spec(config: RunConfig):
 
 
 def load_config(path):
-    """Parse a flat ``key=value`` config file into a :class:`RunConfig`."""
-    values = {}
+    """Parse a flat ``key=value`` config file into a :class:`RunConfig`.
+    A bad line is reported by its ``path:lineno`` and its key."""
+    by_name = {f.name: f for f in fields(RunConfig)}
+    kwargs = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
+                raise ValueError(f"{where}: expected key=value")
             key, raw = (s.strip() for s in line.split("=", 1))
-            values[key] = raw
-    return _config_from_strings(values)
-
-
-def _config_from_strings(values):
-    kwargs = {}
-    by_name = {f.name: f for f in fields(RunConfig)}
-    for key, raw in values.items():
-        if key not in by_name:
-            raise ValueError(f"unknown config key {key!r}")
-        kwargs[key] = _coerce(by_name[key], raw)
+            if key not in by_name:
+                raise ValueError(f"{where}: unknown config key {key!r}")
+            try:
+                kwargs[key] = _coerce(by_name[key], raw)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {key}: {exc}") from None
     return RunConfig(**kwargs)
 
 
@@ -421,7 +346,7 @@ def _coerce(field_info, raw):
         kind = kind.removesuffix(" | None")
     if kind == "bool":
         if text.lower() not in BOOL_WORDS:
-            raise ValueError(f"{field_info.name}: expected a boolean, got {text!r}")
+            raise ValueError(f"expected a boolean, got {text!r}")
         return BOOL_WORDS[text.lower()]
     return {"int": int, "float": float}.get(kind, str)(text)
 

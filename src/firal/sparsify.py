@@ -223,7 +223,7 @@ class AuditReport:
     ``margin_trace[t]`` is the slack of the best candidate's trace gain
     over its per-step lower bound, and is only populated when repeats
     were allowed during selection.  ``min_eig`` is the smallest eigenvalue
-    of the summed whitened picks, the score :func:`firal.cli.tune_eta`
+    of the summed whitened picks, the score :func:`firal.round.tune_eta`
     maximizes.
     """
 

@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from firal import baselines
+from firal import baselines, round_fishers
 from firal.baselines import (
     BOUND_SLACK,
     GREEDY_BLOCK,
@@ -24,7 +24,6 @@ from firal.baselines import (
     select_random,
     select_var_ratios,
 )
-from firal.cli import round_fishers
 from firal.fisher import labeled_shift, pool_hessian
 from firal.linalg import eig_floor
 from firal.model import KronFishers

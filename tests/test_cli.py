@@ -1,33 +1,29 @@
-"""Harness tests: config parsing and validation, loop bookkeeping, rate
-tuning, output format, CLI exit codes, and determinism."""
+"""Harness tests: config parsing and validation, loop bookkeeping, output
+format, CLI exit codes, and determinism."""
 
 import os
 import pathlib
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from firal import cli, relax
+from firal import round as firal_round
 from firal.cli import (
     CSV_COLUMNS,
     RunConfig,
     active_learning_loop,
     emit_results,
-    eta_grid,
     load_config,
     main,
-    round_fishers,
-    select_firal,
-    tune_eta,
 )
 from firal.data import save_dataset
-from firal.fisher import labeled_shift, pool_hessian, whiten_factors
-from firal.model import KronFishers
-from firal.relax import RelaxResult, relax_solve
-from firal.sparsify import AuditReport, select_batch
+from firal.relax import RelaxResult
+from firal.sparsify import AuditReport
+
+from test_round import inject_report
 
 
 def small_config(**overrides):
@@ -37,17 +33,6 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return RunConfig(**base)
-
-
-def make_factors(seed=0, m=10, budget=4):
-    rng = np.random.default_rng(seed)
-    theta = rng.normal(size=(1, 2))
-    X = rng.normal(size=(m, 2)) * 2
-    X0 = rng.normal(size=(3, 2)) * 2
-    shift = labeled_shift(X0, theta, budget)
-    fishers = KronFishers.at(X, theta, shift)
-    relaxed = relax_solve(budget, pool_hessian(X, theta), fishers)
-    return whiten_factors(relaxed.z, fishers)
 
 
 class TestConfig:
@@ -64,11 +49,16 @@ class TestConfig:
         assert cfg.theory_mode is True
         assert cfg.eta == 3.5
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("line, key", [
+        ("not_a_key=1", "not_a_key"), ("seed = 1.5", "seed"), ("theory_mode = maybe", "theory_mode"),
+    ], ids=["unknown_key", "int_key", "bool_key"])
+    def test_bad_line_names_its_key(self, tmp_path, line, key):
         path = tmp_path / "run.cfg"
-        path.write_text("not_a_key=1\n")
-        with pytest.raises(ValueError):
+        path.write_text(f"# header\n{line}\n")
+        with pytest.raises(ValueError) as exc:
             load_config(path)
+        assert str(exc.value).startswith(f"{path}:2: ")
+        assert key in str(exc.value)
 
     @pytest.mark.parametrize("word, value", [
         ("1", True), ("Yes", True), ("on", True), ("0", False), ("NO", False), ("off", False),
@@ -116,13 +106,13 @@ class TestLoop:
         # On these saturated pools the reduced Hessian of the last round is
         # so near-singular that no Newton step descends; pairwise steps must
         # still take every round to its certificate.
-        relaxed, real = [], cli.relax_solve
+        relaxed, real = [], firal_round.relax_solve
 
         def captured(*args):
             relaxed.append(real(*args))
             return relaxed[-1]
 
-        monkeypatch.setattr(cli, "relax_solve", captured)
+        monkeypatch.setattr(firal_round, "relax_solve", captured)
         config = RunConfig(risk_points=1000, **overrides)
         assert len(active_learning_loop(config)) == config.rounds + 1
         assert len(relaxed) == config.rounds
@@ -225,146 +215,6 @@ class TestLoop:
         rng = np.random.default_rng(7)
         X = np.column_stack([rng.normal(size=(40, 3)), np.ones(40)])
         assert cli._feature_span(X) is X
-
-
-class TestTuneEta:
-    def test_singleton_grid(self):
-        factors = make_factors()
-        assert tune_eta([2.5], factors, 3)[0] == 2.5
-
-    def test_duplicates_keep_first(self):
-        factors = make_factors()
-        assert tune_eta([2.5, 2.5, 2.5], factors, 3)[0] == 2.5
-
-    def test_winner_maximizes_min_eigenvalue(self):
-        factors = make_factors(seed=1)
-        grid = eta_grid(factors.d_tilde)
-        best, _, _ = tune_eta(grid, factors, 4)
-        _, best_report = select_batch(4, best, factors)
-        for e in grid:
-            _, report = select_batch(4, e, factors)
-            assert best_report.min_eig >= report.min_eig - 1e-12
-
-    def test_returned_selection_equals_fresh_run(self):
-        factors = make_factors(seed=2)
-        eta, picks, report = tune_eta(eta_grid(factors.d_tilde), factors, 4)
-        fresh_picks, fresh = select_batch(4, eta, factors)
-        np.testing.assert_array_equal(picks, fresh_picks)
-        assert report.min_eig == fresh.min_eig
-        np.testing.assert_array_equal(report.margin_min_eig, fresh.margin_min_eig)
-        assert report.margin_trace is None and fresh.margin_trace is None
-
-    @pytest.mark.parametrize("rel, winner", [(1e-15, 1.0), (1e-9, 2.0)])
-    def test_near_tie_keeps_earlier_rate(self, monkeypatch, rel, winner):
-        v = 0.37
-        scores = {1.0: v, 2.0: v * (1 + rel)}
-
-        def scored(budget, eta, factors):
-            return np.array([int(eta)]), SimpleNamespace(min_eig=scores[eta])
-
-        monkeypatch.setattr(cli, "select_batch", scored)
-        eta, picks, _ = tune_eta([1.0, 2.0], None, 1)
-        assert eta == winner
-        assert picks.tolist() == [int(winner)]
-
-
-def inject_report(monkeypatch, name, report):
-    """Make ``cli.<name>`` (``select_batch`` or ``tune_eta``) keep its picks
-    but return ``report`` as their regret audit."""
-    real = getattr(cli, name)
-
-    def violated(*args, **kwargs):
-        *picks, _ = real(*args, **kwargs)
-        return (*picks, report)
-
-    monkeypatch.setattr(cli, name, violated)
-
-
-def firal_problem(seed=4, m=30, c=3, d=2):
-    """A small pool, parameters, and a labeled set given out of order."""
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(m, d)) * 2.0
-    theta = rng.normal(size=(c - 1, d))
-    labeled = np.array([17, 3, 25, 9, 0])
-    return X, theta, labeled
-
-
-def hand_chain(X, labeled, candidates, theta, budget, eta, repeats):
-    """The FIRAL round composed by hand from the layer functions."""
-    shift = labeled_shift(X[np.sort(labeled)], theta, budget)
-    fishers = KronFishers.at(X[candidates], theta, shift)
-    relaxed = relax_solve(budget, pool_hessian(X, theta), fishers)
-    factors = whiten_factors(relaxed.z, fishers)
-    if eta is None and not repeats:
-        eta, local, report = tune_eta(eta_grid(factors.d_tilde), factors, budget)
-    else:
-        eta = 8.0 * np.sqrt(factors.d_tilde) if eta is None else eta
-        local, report = select_batch(budget, eta, factors, mask_selected=not repeats)
-    return candidates[local], eta, report
-
-
-class TestSelectFiral:
-    @pytest.mark.parametrize("case", ["tuned_masked", "fixed_eta_repeats", "whole_pool"])
-    def test_equals_hand_composed_chain(self, case):
-        X, theta, labeled = firal_problem()
-        unlabeled = np.setdiff1d(np.arange(len(X)), labeled)
-        candidates, eta, repeats, budget = {
-            "tuned_masked": (unlabeled, None, False, 4),
-            "fixed_eta_repeats": (unlabeled, 3.0, True, 6),
-            "whole_pool": (np.arange(len(X)), None, True, 8),
-        }[case]
-        fishers = round_fishers(X, labeled, candidates, theta, budget)
-        local, diag = select_firal(budget, pool_hessian(X, theta), fishers,
-                                   eta=eta, repeats=repeats)
-        picks = candidates[local]
-        want_picks, want_eta, want = hand_chain(X, labeled, candidates, theta,
-                                                budget, eta, repeats)
-        np.testing.assert_array_equal(picks, want_picks)
-        assert diag.eta == want_eta
-        np.testing.assert_array_equal(diag.report.margin_min_eig, want.margin_min_eig)
-        if repeats:
-            np.testing.assert_array_equal(diag.report.margin_trace, want.margin_trace)
-        else:
-            assert diag.report.margin_trace is None
-            assert not set(picks.tolist()) & set(labeled.tolist())
-
-    def test_labeled_order_does_not_matter(self):
-        X, theta, labeled = firal_problem(seed=5)
-        unlabeled = np.setdiff1d(np.arange(len(X)), labeled)
-        Hp = pool_hessian(X, theta)
-        picks, diag = select_firal(4, Hp, round_fishers(X, labeled, unlabeled, theta, 4))
-        sorted_picks, sorted_diag = select_firal(
-            4, Hp, round_fishers(X, np.sort(labeled), unlabeled, theta, 4))
-        np.testing.assert_array_equal(picks, sorted_picks)
-        assert diag.eta == sorted_diag.eta
-        np.testing.assert_array_equal(diag.report.margin_min_eig,
-                                      sorted_diag.report.margin_min_eig)
-
-    def test_factors_computed_once_per_round(self, monkeypatch):
-        # The relaxation and the whitening share one eigh of the W stack.
-        X, theta, labeled = firal_problem(seed=6)
-        unlabeled = np.setdiff1d(np.arange(len(X)), labeled)
-        eigh, stacks = np.linalg.eigh, []
-
-        def counting_eigh(a, *args, **kwargs):
-            if np.ndim(a) == 3:
-                stacks.append(np.shape(a))
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        select_firal(4, pool_hessian(X, theta), round_fishers(X, labeled, unlabeled, theta, 4))
-        assert len(stacks) == 1
-
-    def test_violated_guarantee_raises(self, monkeypatch):
-        # A library call is stopped where the margins are computed.
-        inject_report(monkeypatch, "select_batch",
-                      AuditReport(np.array([0.5, -1.0]), np.array([2.0, -0.25])))
-        X, theta, labeled = firal_problem()
-        unlabeled = np.setdiff1d(np.arange(len(X)), labeled)
-        with pytest.raises(FloatingPointError, match=r"regret guarantee violated: "
-                           r"worst_min_eig_margin=-1\.000000e\+00 worst_trace_margin=-0\.25"):
-            select_firal(4, pool_hessian(X, theta),
-                         round_fishers(X, labeled, unlabeled, theta, 4), repeats=True)
 
 
 class TestEmitResults:
@@ -574,7 +424,7 @@ class TestCliCommands:
             return RelaxResult(z=z, objective=1.0, gap=0.0, n_iter=0, best_iter=0,
                                box_violations=0)
 
-        monkeypatch.setattr(cli, "relax_solve", one_point)
+        monkeypatch.setattr(firal_round, "relax_solve", one_point)
         assert main(["run", "--selector", "firal", "--budget", "2", "--rounds", "1",
                      "--pool-size", "30", "--classes", "2", "--dim", "4"]) == 3
         assert "inv_sqrt_psd: matrix is singular" in capsys.readouterr().err
@@ -609,7 +459,7 @@ class TestCliCommands:
         def fail(*args, **kwargs):
             raise error("relaxed aggregate is singular")
 
-        monkeypatch.setattr(cli, "relax_solve", fail)
+        monkeypatch.setattr(firal_round, "relax_solve", fail)
         assert main(["run", "--selector", "firal", "--budget", "2", "--rounds", "1",
                      "--pool-size", "30", "--classes", "2", "--dim", "2"]) == 3
         assert "numerical failure" in capsys.readouterr().err
@@ -660,13 +510,20 @@ class TestCliCommands:
     def test_package_imports_no_scipy(self):
         # numpy is the only runtime dependency.  A fresh interpreter, since
         # the test modules import scipy themselves.
-        code = ("import sys, firal, firal.cli; "
+        # ``import firal`` alone is the library: one round resolves from it
+        # without loading the harness or the baselines.
+        code = ("import sys, firal; "
+                "print(firal.select_firal.__module__, firal.round_fishers.__module__, "
+                "[n for n in ('firal.cli', 'firal.baselines') if n in sys.modules]); "
+                "import firal.cli; "
                 "print(sorted(n for n in sys.modules "
                 "if n == 'scipy' or n.startswith('scipy.')))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=_firal_env())
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        library, scipy = proc.stdout.splitlines()
+        assert library == "firal.round firal.round []"
+        assert scipy == "[]"
 
 
 def _firal_env():
