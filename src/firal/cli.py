@@ -63,6 +63,8 @@ class RunConfig:
             raise ValueError("eta must be positive and finite")
         if not 0 <= self.ridge < np.inf:
             raise ValueError("ridge must be nonnegative and finite")
+        if self.selector == "greedy_fb" and self.ridge == 0:
+            raise ValueError("greedy_fb needs ridge > 0 to start from a nonsingular design")
         if self.risk_points < 2:
             raise ValueError("risk_points must be at least 2 for a standard error")
         if self.data == "synthetic":
@@ -186,7 +188,8 @@ def _select(config, X_pool, labeled_idx, theta, Hp, round_budget, select_ss):
     Xu = X_pool[unlabeled]
     diag = None
     if config.selector in ("firal", "greedy_fb"):
-        fishers = round_fishers(X_pool, labeled_idx, unlabeled, theta, round_budget)
+        fishers = round_fishers(X_pool, labeled_idx, unlabeled, theta, round_budget,
+                                ridge=config.ridge)
     if config.selector == "firal":
         local, diag = select_firal(round_budget, Hp, fishers, eta=config.eta,
                                    repeats=config.theory_mode)
@@ -430,9 +433,10 @@ def _cmd_audit(args):
     config = RunConfig(seed=args.seed, classes=args.classes, dim=args.dim,
                        pool_size=args.pool_size, init_per_class=2)
     X, hidden, _, init_idx, _, _ = _draw_problem(config)
-    theta0 = fit_erm(X[init_idx], hidden[init_idx], args.classes, ridge=1e-6).theta
+    theta0 = fit_erm(X[init_idx], hidden[init_idx], args.classes, ridge=config.ridge).theta
 
-    fishers = round_fishers(X, init_idx, np.arange(len(X)), theta0, args.budget)
+    fishers = round_fishers(X, init_idx, np.arange(len(X)), theta0, args.budget,
+                            ridge=config.ridge)
     _, diag = select_firal(args.budget, pool_hessian(X, theta0), fishers,
                            eta=args.eta, repeats=True)
     print(f"eta={diag.eta:.6g} budget={args.budget} "

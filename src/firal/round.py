@@ -50,10 +50,34 @@ class Diagnostics:
     relax_gap: float           # Frank-Wolfe gap of the relaxation / its objective
 
 
-def round_fishers(X_pool, labeled, candidates, theta, budget):
-    """The round's candidate Fishers with the labeled shift, as both search selectors read them."""
+def _pool_indices(idx, name):
+    """``idx`` as an integer index array; any other dtype but an empty
+    list's is a ``ValueError`` naming ``name``."""
+    idx = np.asarray(idx)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integer indices, got dtype {idx.dtype}")
+    return idx.astype(int)
+
+
+def round_fishers(X_pool, labeled, candidates, theta, budget, *, ridge):
+    """The round's candidate Fishers, as both search selectors read them.
+
+    Their shift is ``(sum_j H(x_j) + n ridge I) / budget`` over the ``n``
+    labeled points, so ``budget * shift`` is the labeled curvature of the
+    fit :func:`~firal.model.fit_erm` makes with the same ``ridge``.  Index
+    arrays must be integer, ``budget`` an integer of at least 1 and
+    ``ridge`` finite and at least 0; each raises a ``ValueError`` naming
+    the argument.
+    """
+    labeled = _pool_indices(labeled, "labeled")
+    candidates = _pool_indices(candidates, "candidates")
+    if not isinstance(budget, (int, np.integer)) or budget < 1:
+        raise ValueError(f"budget must be an integer of at least 1, got {budget!r}")
+    if not 0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be finite and at least 0, got {ridge!r}")
     X_pool = np.asarray(X_pool, dtype=float)
-    shift = labeled_shift(X_pool[np.sort(np.asarray(labeled, dtype=int))], theta, budget)
+    shift = labeled_shift(X_pool[np.sort(labeled)], theta, budget)
+    shift += len(labeled) * ridge / budget * np.eye(len(shift))
     return KronFishers.at(X_pool[candidates], theta, shift)
 
 

@@ -316,6 +316,7 @@ class TestCliCommands:
         ["run", "--ridge", "inf"],
         ["run", "--ridge", "-0.5"],
         ["run", "--selector", "greedy_fb", "--pool-size", "40", "--rounds", "3"],
+        ["run", "--selector", "greedy_fb", "--ridge", "0"],
         ["audit", "--eta", "nan"],
         ["audit", "--eta", "inf"],
         ["audit", "--eta", "0"],
@@ -417,7 +418,8 @@ class TestCliCommands:
 
     def test_singular_whitening_exit_code(self, monkeypatch, capsys):
         # All relaxed weight on one candidate: with the two labeled points
-        # sigma has rank 3 of d(c-1) = 4, and its inverse root raises.
+        # and no ridge sigma has rank 3 of d(c-1) = 4, and its inverse root
+        # raises.
         def one_point(budget, Hp0, fishers):
             z = np.zeros(fishers.shape[0])
             z[0] = budget
@@ -426,7 +428,8 @@ class TestCliCommands:
 
         monkeypatch.setattr(firal_round, "relax_solve", one_point)
         assert main(["run", "--selector", "firal", "--budget", "2", "--rounds", "1",
-                     "--pool-size", "30", "--classes", "2", "--dim", "4"]) == 3
+                     "--pool-size", "30", "--classes", "2", "--dim", "4",
+                     "--ridge", "0"]) == 3
         assert "inv_sqrt_psd: matrix is singular" in capsys.readouterr().err
 
     def test_theory_mode_records_trace_margin(self, tmp_path):

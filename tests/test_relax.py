@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from firal import relax
-from firal.baselines import _clamped_trace_objective
 from firal.fisher import fir, pool_hessian
 from firal.linalg import EIG_FLOOR_REL, solve_psd
 from firal.model import KronFishers
@@ -120,9 +119,9 @@ class TestSolvePsd:
     @pytest.mark.parametrize("ratio", [0.5e-12, 2e-12])
     def test_one_floor_for_raise_solve_and_clamp(self, ratio):
         # On a diagonal matrix the squared Cholesky pivots are the
-        # eigenvalues, so the solve's pivot screen, fir's singularity test
-        # and the greedy's clamp all read lam_min / lam_max: fir raises
-        # exactly where the other two floor lam_min at EIG_FLOOR_REL lam_max.
+        # eigenvalues, so the solve's pivot screen and fir's singularity
+        # test both read lam_min / lam_max: fir raises exactly where the
+        # solve clamps lam_min at EIG_FLOOR_REL lam_max.
         w = np.array([2.0 * ratio, 1.0, 2.0])
         H = np.diag(w)
         b = np.array([1.0, -2.0, 3.0])
@@ -131,8 +130,6 @@ class TestSolvePsd:
         floored = np.maximum(w, EIG_FLOOR_REL * w[-1])
         assert (floored[0] != w[0]) == singular
         np.testing.assert_allclose(solve_psd(H, b), b / floored, rtol=1e-12)
-        assert _clamped_trace_objective(H[None], Hp)[0] == pytest.approx(
-            np.sum(np.diag(Hp) / floored), rel=1e-12)
         if singular:
             with pytest.raises(np.linalg.LinAlgError, match="fir: matrix is singular"):
                 fir(H, Hp)

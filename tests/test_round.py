@@ -14,6 +14,8 @@ from firal.relax import relax_solve
 from firal.round import eta_grid, tune_eta
 from firal.sparsify import AuditReport, select_batch
 
+RIDGE = 1e-6
+
 
 def make_factors(seed=0, m=10, budget=4):
     rng = np.random.default_rng(seed)
@@ -90,7 +92,8 @@ def firal_problem(seed=4, m=30, c=3, d=2):
 
 def hand_chain(X, labeled, candidates, theta, budget, eta, repeats):
     """The FIRAL round composed by hand from the layer functions."""
-    shift = labeled_shift(X[np.sort(labeled)], theta, budget)
+    shift = (labeled_shift(X[np.sort(labeled)], theta, budget)
+             + len(labeled) * RIDGE / budget * np.eye(np.size(theta)))
     fishers = KronFishers.at(X[candidates], theta, shift)
     relaxed = relax_solve(budget, pool_hessian(X, theta), fishers)
     factors = whiten_factors(relaxed.z, fishers)
@@ -112,7 +115,7 @@ class TestSelectFiral:
             "fixed_eta_repeats": (unlabeled, 3.0, True, 6),
             "whole_pool": (np.arange(len(X)), None, True, 8),
         }[case]
-        fishers = round_fishers(X, labeled, candidates, theta, budget)
+        fishers = round_fishers(X, labeled, candidates, theta, budget, ridge=RIDGE)
         local, diag = select_firal(budget, pool_hessian(X, theta), fishers,
                                    eta=eta, repeats=repeats)
         picks = candidates[local]
@@ -131,9 +134,10 @@ class TestSelectFiral:
         X, theta, labeled = firal_problem(seed=5)
         unlabeled = np.setdiff1d(np.arange(len(X)), labeled)
         Hp = pool_hessian(X, theta)
-        picks, diag = select_firal(4, Hp, round_fishers(X, labeled, unlabeled, theta, 4))
+        picks, diag = select_firal(
+            4, Hp, round_fishers(X, labeled, unlabeled, theta, 4, ridge=RIDGE))
         sorted_picks, sorted_diag = select_firal(
-            4, Hp, round_fishers(X, np.sort(labeled), unlabeled, theta, 4))
+            4, Hp, round_fishers(X, np.sort(labeled), unlabeled, theta, 4, ridge=RIDGE))
         np.testing.assert_array_equal(picks, sorted_picks)
         assert diag.eta == sorted_diag.eta
         np.testing.assert_array_equal(diag.report.margin_min_eig,
@@ -151,7 +155,8 @@ class TestSelectFiral:
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        select_firal(4, pool_hessian(X, theta), round_fishers(X, labeled, unlabeled, theta, 4))
+        select_firal(4, pool_hessian(X, theta),
+                     round_fishers(X, labeled, unlabeled, theta, 4, ridge=RIDGE))
         assert len(stacks) == 1
 
     def test_violated_guarantee_raises(self, monkeypatch):
@@ -163,15 +168,45 @@ class TestSelectFiral:
         with pytest.raises(FloatingPointError, match=r"regret guarantee violated: "
                            r"worst_min_eig_margin=-1\.000000e\+00 worst_trace_margin=-0\.25"):
             select_firal(4, pool_hessian(X, theta),
-                         round_fishers(X, labeled, unlabeled, theta, 4), repeats=True)
+                         round_fishers(X, labeled, unlabeled, theta, 4, ridge=RIDGE),
+                         repeats=True)
 
 
 class TestRoundFishers:
     def test_empty_labeled_list_gives_zero_shift(self):
         X, theta, _ = firal_problem()
         candidates = np.arange(len(X))
-        from_list = round_fishers(X, [], candidates, theta, 4)
-        from_array = round_fishers(X, np.array([], dtype=int), candidates, theta, 4)
+        from_list = round_fishers(X, [], candidates, theta, 4, ridge=RIDGE)
+        from_array = round_fishers(X, np.array([], dtype=int), candidates, theta, 4,
+                                   ridge=RIDGE)
         for name in ("X", "W", "shift"):
             np.testing.assert_array_equal(getattr(from_list, name), getattr(from_array, name))
         assert not from_list.shift.any()
+
+    def test_shift_carries_the_fit_ridge(self):
+        # budget * shift is the labeled curvature of a fit with this ridge.
+        X, theta, labeled = firal_problem()
+        budget = 4
+        fishers = round_fishers(X, labeled, np.arange(len(X)), theta, budget, ridge=0.25)
+        want = (labeled_shift(X[np.sort(labeled)], theta, budget)
+                + len(labeled) * 0.25 / budget * np.eye(np.size(theta)))
+        np.testing.assert_array_equal(fishers.shift, want)
+
+    @pytest.mark.parametrize("name, value", [
+        ("labeled", [1.7, 3.2]),
+        ("labeled", np.array([True, False])),
+        ("candidates", np.array([4.0, 5.0])),
+        ("budget", 0),
+        ("budget", 2.5),
+        ("budget", 4.0),
+        ("ridge", -1e-6),
+        ("ridge", np.nan),
+        ("ridge", np.inf),
+    ])
+    def test_bad_input_names_its_argument(self, name, value):
+        X, theta, labeled = firal_problem()
+        args = {"labeled": labeled, "candidates": np.arange(len(X)), "budget": 4,
+                "ridge": RIDGE, name: value}
+        with pytest.raises(ValueError, match=rf"^{name} must"):
+            round_fishers(X, args["labeled"], args["candidates"], theta, args["budget"],
+                          ridge=args["ridge"])
