@@ -24,7 +24,6 @@ from .bounds import (
 )
 from .fisher import (
     fir,
-    labeled_shift,
     pool_hessian,
     sigma_max,
     whiten_factors,
@@ -56,7 +55,6 @@ __all__ = [
     "fit_erm",
     "ftrl_action",
     "heavy_epsilons",
-    "labeled_shift",
     "make_theta_star",
     "mc_excess_risk",
     "nine_fifths_envelope",

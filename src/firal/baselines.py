@@ -107,7 +107,7 @@ def select_var_ratios(X, theta, budget):
 
 def _woodbury_objective(A, P, Hp0, sign):
     """``<(A + sign G_i G_i^T)^{-1}, Hp0>`` for each tall factor ``G_i`` of
-    class-major ``P (k, n, d_tilde)`` by the Woodbury identity, for a
+    ``P``, laid out as ``KronFishers.factors``, by the Woodbury identity, for a
     positive definite ``A`` that every update keeps positive definite.
 
     With ``T_i = G_i^T A^{-1} G_i`` and ``U_i = G_i^T A^{-1} Hp0 A^{-1} G_i``
@@ -139,7 +139,7 @@ def select_greedy_fb(budget, Hp, fishers):
     """
     m = fishers.shape[0]
     _check_budget(budget, m // 2)
-    P = np.ascontiguousarray(fishers.factors.transpose(2, 0, 1))
+    P = fishers.factors
     A = budget * fishers.shift
     in_set = np.zeros(m, dtype=bool)
     for add, steps in ((True, 2 * budget), (False, budget)):

@@ -70,6 +70,14 @@ class RunConfig:
         if self.data == "synthetic":
             if self.classes < 2 or self.dim < 2:
                 raise ValueError("synthetic runs need classes >= 2, dim >= 2")
+            if self.family not in synth.FAMILIES:
+                raise ValueError(f"family must be one of {synth.FAMILIES}, "
+                                 f"got {self.family!r}")
+            if not 0 < self.variance < np.inf:
+                raise ValueError(f"variance must be positive and finite, got {self.variance!r}")
+            if self.family == "student_t" and not 2 < self.dof < np.inf:
+                raise ValueError(f"dof must be finite and above 2 for student_t, "
+                                 f"got {self.dof!r}")
             self.check_room(self.init_per_class * self.classes, self.pool_size)
         return self
 

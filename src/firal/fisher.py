@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import eigh_pd, inv_sqrt_psd
-from .model import KronFishers, _as_theta
+from .model import KronFishers
 
 # Largest entry of |S sigma S - I| that whiten_factors accepts.  Well-posed
 # rounds whiten to about 1e-13; a sigma that is nonsingular but badly
@@ -28,16 +28,6 @@ def pool_hessian(X, theta):
     if X.ndim != 2 or len(X) < 1:
         raise ValueError("pool must be a nonempty (m, d) array")
     return KronFishers.at(X, theta).aggregate(np.full(len(X), 1.0 / len(X)))
-
-
-def labeled_shift(X0, theta, budget):
-    """Shared shift from the labeled points: ``(1/budget) sum H(x', theta)``.
-
-    An empty labeled set yields the zero matrix.
-    """
-    theta = _as_theta(theta)
-    X0 = np.asarray(X0, dtype=float).reshape(-1, theta.shape[1])
-    return KronFishers.at(X0, theta).aggregate(np.full(len(X0), 1.0 / budget))
 
 
 def fir(Hq, Hp):
@@ -67,12 +57,18 @@ class WhitenedFactors:
     """
 
     shift_w: np.ndarray        # (d_tilde, d_tilde) shared PSD part
-    factors: np.ndarray        # (m, d_tilde, c-1) tall per-point factors
+    by_class: np.ndarray       # whitened KronFishers.factors, in its layout
     identity_residual: float
 
     @property
     def d_tilde(self):
         return self.shift_w.shape[0]
+
+    @property
+    def factors(self):
+        """The tall per-point factors, ``(m, d_tilde, c-1)``: a view of
+        ``by_class``."""
+        return self.by_class.transpose(1, 2, 0)
 
 
 def whiten_factors(z, fishers):
@@ -80,7 +76,7 @@ def whiten_factors(z, fishers):
 
     Given weights ``z`` (summing to the budget) and the candidates as a
     :class:`~firal.model.KronFishers`, forms ``sigma = sum_i z_i F_i`` and
-    returns the shared shift and per-point tall factors ``Q_i kron x_i``
+    returns the shared shift and the tall factors ``Q_i kron x_i``
     conjugated by ``sigma^{-1/2}``.  Raises ``LinAlgError`` when ``sigma``
     is singular to working precision, and ``FloatingPointError`` when the
     whitened aggregate misses the identity by more than
@@ -94,7 +90,6 @@ def whiten_factors(z, fishers):
 
     shift_w = S @ fishers.shift @ S
     shift_w = 0.5 * (shift_w + shift_w.T)
-    factors = S @ fishers.factors
 
     resid = float(np.abs(S @ sigma @ S - np.eye(len(S))).max())
     if not resid <= WHITEN_RESIDUAL_TOL:
@@ -102,6 +97,7 @@ def whiten_factors(z, fishers):
             f"whitening residual {resid:.3e} exceeds {WHITEN_RESIDUAL_TOL:.0e}")
     return WhitenedFactors(
         shift_w=shift_w,
-        factors=factors,
+        # S is symmetric, so each row G_i^T S is (S G_i)^T.
+        by_class=fishers.factors @ S,
         identity_residual=resid,
     )

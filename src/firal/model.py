@@ -173,13 +173,14 @@ class KronFishers:
 
     @cached_property
     def factors(self):
-        """Tall ``G_i = Q_i kron x_i``, ``(m, d_tilde, c-1)``, with
-        ``G_i G_i^T = W_i kron x_i x_i^T`` (no shift); computed on first
-        use and kept, since the relaxation and the whitening both read it."""
+        """Tall ``G_i = Q_i kron x_i``, with ``G_i G_i^T = W_i kron x_i x_i^T``
+        (no shift), stored class-major as ``(c-1, m, d_tilde)``:
+        ``factors[:, i]`` is ``G_i^T``, its columns ordered as ``theta.ravel()``.
+        Computed on first use and kept, since the relaxation and the whitening
+        both read it."""
         wW, VW = np.linalg.eigh(self.W)
         Q = VW * np.sqrt(np.maximum(wW, 0.0))[:, None, :]
-        # Rows are indexed class-major to match theta.ravel().
-        return np.einsum("iab,ip->iapb", Q, self.X).reshape(self.shape[:2] + Q.shape[2:])
+        return np.einsum("iab,ip->biap", Q, self.X).reshape(Q.shape[2:] + self.shape[:2])
 
 
 @dataclass
@@ -201,8 +202,8 @@ FIT_TOL = 1e-8
 FIT_MAX_ITER = 100
 
 
-def fit_erm(X, y, n_classes, ridge=1e-8):
-    """Empirical risk minimization by damped Newton iteration.
+def fit_erm(X, y, n_classes, *, ridge):
+    """Damped Newton minimization of :func:`empirical_loss` with ``ridge``.
 
     Full-Hessian Newton with Armijo backtracking (c = 1e-4, step halving).
     The Newton system is solved by :func:`~firal.linalg.solve_psd`, which
@@ -221,8 +222,8 @@ def fit_erm(X, y, n_classes, ridge=1e-8):
         raise ValueError("need at least one example")
     if np.any(y < 1) or np.any(y > n_classes):
         raise ValueError(f"labels outside 1..{n_classes}")
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
+    if not 0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be nonnegative and finite, got {ridge!r}")
 
     k, d = n_classes - 1, X.shape[1]
     theta = np.zeros((k, d))

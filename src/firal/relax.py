@@ -112,15 +112,12 @@ class _Support:
     """
 
     def __init__(self, G, shift, Hp0):
-        # Class-major: rows[a] is (s, d_tilde), flat is (d_tilde, k * s).
-        self.rows = np.ascontiguousarray(G.transpose(2, 0, 1))
-        self.flat = np.ascontiguousarray(self.rows.reshape(-1, G.shape[1]).T)
-        self.shift, self.Hp0 = shift, Hp0
+        self.G, self.shift, self.Hp0 = G, shift, Hp0   # G as KronFishers.factors
         self.last = None, None
 
     def sigma(self, w):
         sigma = w.sum() * self.shift
-        for Ga in self.rows:
+        for Ga in self.G:
             sigma = sigma + (Ga.T * w) @ Ga
         return 0.5 * (sigma + sigma.T)
 
@@ -144,14 +141,16 @@ class _Support:
             f, M, S_inv = self.last[1]
         else:
             f, M, S_inv = _inverse_parts(self.sigma(w), self.Hp0)
-        k, s, dt = self.rows.shape
-        Y = (S_inv @ self.flat).reshape(dt, k, s)
-        MG = (M @ self.flat).reshape(dt, k, s)
-        g = -np.einsum("as,as->s", self.flat, MG.reshape(dt, -1)).reshape(k, s).sum(0)
+        k, s, dt = self.G.shape
+        flat = self.G.reshape(-1, dt)
+        # S_inv and M are symmetric, so these rows are (S_inv G_i)^T and (M G_i)^T.
+        Y = (flat @ S_inv).reshape(k, s, dt)
+        MG = (flat @ M).reshape(k, s, dt)
+        g = -np.einsum("ij,ij->i", flat, MG.reshape(-1, dt)).reshape(k, s).sum(0)
         H = np.zeros((s, s))
         for a in range(k):
             for b in range(a, k):
-                E = (self.rows[a] @ Y[:, b]) * (self.rows[a] @ MG[:, b])
+                E = (self.G[a] @ Y[b].T) * (self.G[a] @ MG[b].T)
                 H += E if a == b else E + E.T
         return f, g - np.sum(self.shift * M), 2.0 * H, M
 
@@ -257,7 +256,7 @@ def relax_solve(budget, Hp0, fishers):
     f, M, _ = _inverse_parts(fishers.aggregate(np.full(m, 1.0 / m)), Hp0)
     g = _gradient(fishers, M)
     G = fishers.factors
-    _, dt, k = G.shape
+    k, _, dt = G.shape
     order = np.argsort(g, kind="stable")
     size = min(m, max(2 * -(-dt // k), SUPPORT_BLOCK))
     while True:
@@ -265,14 +264,14 @@ def relax_solve(budget, Hp0, fishers):
         # a singular first support ends.
         support = np.sort(order[:size])
         w = np.full(size, 1.0 / size)
-        if np.isfinite(_Support(G[support], fishers.shift, Hp0).value(w)):
+        if np.isfinite(_Support(G[:, support], fishers.shift, Hp0).value(w)):
             break
         size = min(m, 2 * size)
 
     steps, gap = 0, np.inf
     while True:
         start = support, w, gap
-        state = _Support(G[support], fishers.shift, Hp0)
+        state = _Support(G[:, support], fishers.shift, Hp0)
         while True:
             f, g_s, H, M = state.derivatives(w)
             spread = g_s[w > 0].max() - g_s.min()

@@ -5,7 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fisher import labeled_shift, whiten_factors
+from .fisher import whiten_factors
+from .linalg import eig_floor
 from .model import KronFishers
 from .relax import relax_solve
 from .sparsify import AuditReport, select_batch
@@ -50,13 +51,23 @@ class Diagnostics:
     relax_gap: float           # Frank-Wolfe gap of the relaxation / its objective
 
 
-def _pool_indices(idx, name):
-    """``idx`` as an integer index array; any other dtype but an empty
-    list's is a ``ValueError`` naming ``name``."""
+def _pool_indices(idx, name, m):
+    """``idx`` as a 1-D integer index array into a pool of ``m`` points; any
+    other shape, any other dtype but an empty list's, or an index outside
+    ``[0, m)``, is a ``ValueError`` naming ``name``."""
     idx = np.asarray(idx)
-    if idx.size and idx.dtype.kind not in "iu":
-        raise ValueError(f"{name} must hold integer indices, got dtype {idx.dtype}")
-    return idx.astype(int)
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise ValueError(f"{name} must hold a 1-D array of integer indices, "
+                         f"got shape {idx.shape} and dtype {idx.dtype}")
+    idx = idx.astype(int)
+    if idx.size and not 0 <= idx.min() <= idx.max() < m:
+        raise ValueError(f"{name} must lie in [0, {m}), got [{idx.min()}, {idx.max()}]")
+    return idx
+
+
+def _check_budget(budget):
+    if not isinstance(budget, (int, np.integer)) or budget < 1:
+        raise ValueError(f"budget must be an integer of at least 1, got {budget!r}")
 
 
 def round_fishers(X_pool, labeled, candidates, theta, budget, *, ridge):
@@ -65,19 +76,20 @@ def round_fishers(X_pool, labeled, candidates, theta, budget, *, ridge):
     Their shift is ``(sum_j H(x_j) + n ridge I) / budget`` over the ``n``
     labeled points, so ``budget * shift`` is the labeled curvature of the
     fit :func:`~firal.model.fit_erm` makes with the same ``ridge``.  Index
-    arrays must be integer, ``budget`` an integer of at least 1 and
+    arrays must be 1-D, integer and index ``X_pool`` (a point may be both
+    labeled and a candidate), ``budget`` an integer of at least 1 and
     ``ridge`` finite and at least 0; each raises a ``ValueError`` naming
     the argument.
     """
-    labeled = _pool_indices(labeled, "labeled")
-    candidates = _pool_indices(candidates, "candidates")
-    if not isinstance(budget, (int, np.integer)) or budget < 1:
-        raise ValueError(f"budget must be an integer of at least 1, got {budget!r}")
+    X_pool = np.asarray(X_pool, dtype=float)
+    labeled = _pool_indices(labeled, "labeled", len(X_pool))
+    candidates = _pool_indices(candidates, "candidates", len(X_pool))
+    _check_budget(budget)
     if not 0 <= ridge < np.inf:
         raise ValueError(f"ridge must be finite and at least 0, got {ridge!r}")
-    X_pool = np.asarray(X_pool, dtype=float)
-    shift = labeled_shift(X_pool[np.sort(labeled)], theta, budget)
-    shift += len(labeled) * ridge / budget * np.eye(len(shift))
+    n = len(labeled)
+    shift = KronFishers.at(X_pool[np.sort(labeled)], theta).aggregate(np.full(n, 1.0 / budget))
+    shift += n * ridge / budget * np.eye(len(shift))
     return KronFishers.at(X_pool[candidates], theta, shift)
 
 
@@ -89,9 +101,24 @@ def select_firal(budget, Hp, fishers, *, eta=None, repeats=False):
     Fishers, as :func:`round_fishers` builds them; the ``picks`` index
     ``fishers``.  With ``repeats`` a candidate may be picked again.
     ``eta=None`` tunes the rate over :func:`eta_grid`, or uses
-    ``8 sqrt(d_tilde)`` with repeats.  Raises ``FloatingPointError``, naming
-    both worst margins, when the rounding breaks its regret guarantees.
+    ``8 sqrt(d_tilde)`` with repeats.  ``budget`` must be an integer of at
+    least 1 and ``Hp`` a finite, symmetric, positive semidefinite
+    ``(d_tilde, d_tilde)`` matrix, to the working precision of
+    :func:`~firal.linalg.eig_floor`; each raises a ``ValueError`` naming
+    the argument.  Raises ``FloatingPointError``, naming both worst
+    margins, when the rounding breaks its regret guarantees.
     """
+    _check_budget(budget)
+    Hp = np.asarray(Hp, dtype=float)
+    if Hp.shape != fishers.shape[1:]:
+        raise ValueError(f"Hp must be {fishers.shape[1:]}, got shape {Hp.shape}")
+    if not np.all(np.isfinite(Hp)):
+        raise ValueError("Hp must be finite")
+    if np.abs(Hp - Hp.T).max() > eig_floor(np.abs(Hp).max()):
+        raise ValueError("Hp must be symmetric")
+    lam = np.linalg.eigvalsh(Hp)
+    if lam[0] < -eig_floor(lam[-1]):
+        raise ValueError(f"Hp must be positive semidefinite, got eigenvalue {lam[0]:.3e}")
     relaxed = relax_solve(budget, Hp, fishers)
     factors = whiten_factors(relaxed.z, fishers)
     if eta is None and not repeats:

@@ -94,11 +94,10 @@ def ftrl_action(cum_loss, eta):
 
 def _woodbury_terms(P, Y, Z, s):
     """``M = I + s P^T Y`` and ``U = Z^T Y`` of a Woodbury-reduced score,
-    batch last as :func:`trace_solve` reads them, from class-major ``P``,
-    ``Y`` and ``Z`` (``P[a, i]`` is column ``a`` of candidate ``i``'s tall
-    factor).  Both are symmetric when ``Y`` and ``Z`` are ``P`` times
-    symmetric matrices, so only the ``k(k+1)`` distinct entries are formed,
-    each a length-``n`` row dot.
+    batch last as :func:`trace_solve` reads them, from ``P``, ``Y`` and
+    ``Z`` laid out as ``KronFishers.factors``.  Both are symmetric when
+    ``Y`` and ``Z`` are ``P`` times symmetric matrices, so only the
+    ``k(k+1)`` distinct entries are formed, each a length-``n`` row dot.
     """
     k, n, _ = P.shape
     M = np.empty((k, k, n))
@@ -114,8 +113,8 @@ def _woodbury_terms(P, Y, Z, s):
 def _scores(B_sqrt, P, eta):
     """Woodbury-reduced selection scores ``<(I + eta P_i^T B^{1/2}
     P_i)^{-1}, P_i^T B P_i>``, whose argmax over candidates is the argmin of
-    the direct trace objective, for class-major factors
-    ``P (k, m, d_tilde)``.  ``Y = B^{1/2} P_i`` for all candidates is one
+    the direct trace objective, for factors ``P`` laid out as
+    ``KronFishers.factors``.  ``Y = B^{1/2} P_i`` for all candidates is one
     flat GEMM (``B^{1/2}`` is symmetric), ``U = Y^T Y = P^T B P``, and
     ``B`` itself is never formed."""
     k, m, dt = P.shape
@@ -174,7 +173,6 @@ def select_batch(budget, eta, factors: WhitenedFactors, mask_selected=True):
     D = factors.shift_w
     P = factors.factors
     m, dt, _ = P.shape
-    P_batch = np.ascontiguousarray(P.transpose(2, 0, 1))
     if mask_selected and budget > m:
         raise ValueError("cannot pick more distinct points than the pool holds")
 
@@ -189,7 +187,7 @@ def select_batch(budget, eta, factors: WhitenedFactors, mask_selected=True):
         A_inv_sqrt, _, tr_a_sqrt = ftrl_action(cum, eta)
         B_sqrt = inv_psd(A_inv_sqrt + eta * D)
 
-        scores = _scores(B_sqrt, P_batch, eta)
+        scores = _scores(B_sqrt, factors.by_class, eta)
         tr_gap = tr_a_sqrt - float(np.trace(B_sqrt))
         gain_max[t] = tr_gap + eta * scores.max()
 

@@ -18,7 +18,9 @@ import numpy as np
 from .fisher import fir, pool_hessian, sigma_max
 from .model import class_probabilities, fit_erm, reference_softmax, row_sums
 
+FAMILIES = ("gaussian", "laplace", "student_t")
 BASE_VARIANCE = 100.0
+SWEEP_RIDGE = 1e-8  # the ridge of the sweep's fits; changing it changes its output
 BALANCE_SAMPLES = 100_000
 BALANCE_ATTEMPTS = 100
 
@@ -39,7 +41,7 @@ class DesignSpec:
     dof: float | None = None
 
     def __post_init__(self):
-        if self.family not in ("gaussian", "laplace", "student_t"):
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         scale = np.asarray(self.scale, dtype=float)
@@ -333,8 +335,8 @@ def risk_ratio_sweep(n_classes, dim, targets, n, seeds, mode="dilation",
 
     The design knobs of all targets are calibrated in one call.  Then for
     each seed and target: draw ``n`` labeled samples from the design and
-    fit the model; and for each seed, estimate the excess risk of every
-    target's fit against the truth on one draw from the reference design.
+    fit them with ridge :data:`SWEEP_RIDGE`; and for each seed, estimate
+    the excess risk of every target's fit on one reference-design draw.
     Returns a list of :class:`SweepPoint`, target by target, seeds in order.
     """
     theta_star = make_theta_star(n_classes, dim, theta_seed)
@@ -364,7 +366,7 @@ def risk_ratio_sweep(n_classes, dim, targets, n, seeds, mode="dilation",
         for spec_q in specs:
             Xq = sample_pool(spec_q, n, ss[0])
             yq = sample_labels(Xq, theta_star, ss[1])
-            thetas.append(fit_erm(Xq, yq, n_classes).theta)
+            thetas.append(fit_erm(Xq, yq, n_classes, ridge=SWEEP_RIDGE).theta)
         risks = mc_excess_risk(thetas, theta_star, spec_p,
                                n_points=risk_points, seed=ss[2])
         for design, target_rows, (risk, se) in zip(designs, rows, risks):

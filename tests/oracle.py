@@ -4,15 +4,18 @@ Single-point probabilities, loss, gradient and the ``np.kron`` Fisher
 matrix :func:`point_fisher`; the dense candidate stack built from it
 point by point, independently of the factored
 :class:`firal.model.KronFishers` the selectors read; the design objective
-on such a stack; the per-candidate Woodbury score; and the exact
-relaxation gradient.
+on such a stack; the per-candidate Woodbury score; the exact
+relaxation gradient; and the random round that the selection tests share,
+built by :func:`firal.round_fishers` and taken through the relaxation and
+the whitening.
 """
 
 import numpy as np
 
-from firal.fisher import fir
+from firal import round_fishers
+from firal.fisher import fir, pool_hessian, whiten_factors
 from firal.model import PROB_FLOOR, _as_theta, class_probabilities
-from firal.relax import _inverse_parts
+from firal.relax import _inverse_parts, relax_solve
 
 
 def predict_proba(x, theta):
@@ -108,3 +111,33 @@ def relax_gradient(kappa, fishers, Hp0):
     """
     _, M, _ = _inverse_parts(fishers.aggregate(kappa), Hp0)
     return -fishers.inner(M)
+
+
+def labeled_first(X0, X, theta, budget):
+    """The pool ``[X0; X]`` and :func:`firal.round_fishers` on it with
+    ``ridge=0``, the rows ``X0`` labeled and ``X`` the candidates: their
+    shift is ``(1/budget) sum_j H(x0_j)``."""
+    pool = np.vstack([X0, X])
+    n = len(X0)
+    return pool, round_fishers(pool, np.arange(n), np.arange(n, len(pool)), theta,
+                               budget, ridge=0.0)
+
+
+def pipeline_factors(seed, c=2, d=2, m=8, n_labeled=3, budget=4, scale=2.0):
+    """A random round through the pipeline.
+
+    Draws ``theta``, ``m`` candidates and ``n_labeled`` labeled points from
+    ``seed``, the points scaled by ``scale``; builds the round by
+    :func:`labeled_first`, relaxes it against the candidates' own Hessian
+    ``Hp0`` and whitens it.  Returns ``(whitened factors, dense candidate
+    stack, Hp0, relaxed)``.
+    """
+    rng = np.random.default_rng(seed)
+    theta = rng.normal(size=(c - 1, d))
+    X = rng.normal(size=(m, d)) * scale
+    X0 = rng.normal(size=(n_labeled, d)) * scale
+    _, fishers = labeled_first(X0, X, theta, budget)
+    Hp0 = pool_hessian(X, theta)
+    relaxed = relax_solve(budget, Hp0, fishers)
+    return (whiten_factors(relaxed.z, fishers), dense_fishers(X, theta, fishers.shift),
+            Hp0, relaxed)

@@ -14,22 +14,17 @@ import pytest
 from firal.bounds import nine_fifths_envelope
 from firal.cli import RunConfig, active_learning_loop, main
 from firal.embed import normalized_laplacian, knn_graph, spectral_embed
-from firal.fisher import (
-    fir,
-    labeled_shift,
-    pool_hessian,
-    whiten_factors,
-)
+from firal.fisher import fir
 from firal.model import KronFishers
 from firal.relax import relax_solve
 from firal.sparsify import ftrl_action, select_batch
 from firal.synth import gaussian_design, risk_ratio_sweep, sample_pool
 
 from oracle import (
-    dense_fishers,
     f_objective,
     loss_gradient,
     nll_loss,
+    pipeline_factors,
     point_fisher,
     predict_proba,
     score_candidate,
@@ -45,19 +40,6 @@ def _report(number, name, passed, detail=""):
 def _spd(rng, n, jitter=0.3):
     R = rng.normal(size=(n, n))
     return R @ R.T + jitter * np.eye(n)
-
-
-def _pipeline_factors(seed, c, d, m, budget, scale=2.0):
-    rng = np.random.default_rng(seed)
-    theta = rng.normal(size=(c - 1, d))
-    X = rng.normal(size=(m, d)) * scale
-    X0 = rng.normal(size=(3, d)) * scale
-    shift = labeled_shift(X0, theta, budget)
-    Hp0 = pool_hessian(X, theta)
-    fishers = dense_fishers(X, theta, shift)
-    kron = KronFishers.at(X, theta, shift)
-    relaxed = relax_solve(budget, Hp0, kron)
-    return whiten_factors(relaxed.z, kron), fishers, Hp0, relaxed
 
 
 @pytest.fixture(scope="module")
@@ -198,7 +180,7 @@ class TestCriterion5WoodburyEquivalence:
         all_match = True
         while steps < 50:
             c, d = shapes[int(rng.integers(len(shapes)))]
-            factors, _, _, _ = _pipeline_factors(
+            factors, _, _, _ = pipeline_factors(
                 int(rng.integers(10_000)), c, d, m=20, budget=4,
             )
             eta = float(rng.uniform(0.5, 20.0))
@@ -223,7 +205,7 @@ class TestCriterion6RegretAudits:
     def test_bounds_hold_at_every_step(self):
         worst1, worst2 = np.inf, np.inf
         for d_tilde, (c, d) in ((2, (2, 2)), (4, (2, 4))):
-            factors, _, _, _ = _pipeline_factors(
+            factors, _, _, _ = pipeline_factors(
                 600 + d_tilde, c, d, m=60, budget=128,
             )
             eta = 8.0 * np.sqrt(d_tilde)
@@ -237,7 +219,7 @@ class TestCriterion6RegretAudits:
 class TestCriterion7NearOptimality:
     def test_factor_two_of_relaxed_optimum(self):
         # epsilon = 1: budget 96 exceeds 32*2 + 16*sqrt(2), rate 8*sqrt(2).
-        factors, fishers, Hp0, relaxed = _pipeline_factors(
+        factors, fishers, Hp0, relaxed = pipeline_factors(
             77, c=2, d=2, m=50, budget=96,
         )
         eta = 8.0 * np.sqrt(2.0)

@@ -16,11 +16,11 @@ from firal.baselines import (
     select_random,
     select_var_ratios,
 )
-from firal.fisher import labeled_shift, pool_hessian
+from firal.fisher import pool_hessian
 from firal.model import KronFishers
 from firal.relax import relax_solve
 
-from oracle import dense_fishers, f_objective
+from oracle import dense_fishers, f_objective, labeled_first
 
 
 RIDGE = 1e-6
@@ -163,35 +163,37 @@ class TestSelectGreedyFb:
         return X, theta, X0
 
     @staticmethod
-    def _inputs(X, theta, X0, shift):
+    def _inputs(X, theta, X0, budget, shift=None):
         """The round's inputs as the loop builds them: the Hessian of the
         whole pool (labeled rows ``X0`` and candidates ``X``) and the
-        candidates' Fishers with ``shift``."""
-        return pool_hessian(np.vstack([X0, X]), theta), KronFishers.at(X, theta, shift)
+        candidates' Fishers from :func:`firal.round_fishers` at ridge 0,
+        or with ``shift`` where it is given."""
+        pool, fishers = labeled_first(X0, X, theta, budget)
+        if shift is not None:
+            fishers = KronFishers.at(X, theta, shift)
+        return pool_hessian(pool, theta), fishers
 
-    def _greedy(self, X, theta, X0, shift, budget):
+    def _greedy(self, X, theta, X0, budget, shift=None):
         """``(select_greedy_fb picks, reference picks)`` on one round's inputs."""
-        Hp, fishers = self._inputs(X, theta, X0, shift)
+        Hp, fishers = self._inputs(X, theta, X0, budget, shift)
         return (select_greedy_fb(budget, Hp, fishers),
-                greedy_fb_reference(budget, Hp, X, theta, shift))
+                greedy_fb_reference(budget, Hp, X, theta, fishers.shift))
 
     def test_minimal_pool_structure(self):
         # With m = 2b the forward pass takes everything, so the result is
         # the complement of the backward removals: exactly b indices.
         X, theta, X0 = self._instance(9, m=4)
-        shift = labeled_shift(X0, theta, 2)
-        picks = select_greedy_fb(2, *self._inputs(X, theta, X0, shift))
+        picks = select_greedy_fb(2, *self._inputs(X, theta, X0, 2))
         assert len(picks) == 2
         assert len(set(picks.tolist())) == 2
 
     def test_result_bounded_by_exhaustive_optimum(self):
         X, theta, X0 = self._instance(10, m=8)
         b = 2
-        shift = labeled_shift(X0, theta, b)
-        Hp, kron = self._inputs(X, theta, X0, shift)
+        Hp, kron = self._inputs(X, theta, X0, b)
         picks = select_greedy_fb(b, Hp, kron)
         # The greedy's objective: the labeled sum b * shift plus the picks.
-        fishers = dense_fishers(X, theta, shift)
+        fishers = dense_fishers(X, theta, kron.shift)
         values = [
             f_objective(np.array(s, dtype=int), fishers, Hp)
             for s in itertools.combinations(range(8), b)
@@ -202,7 +204,7 @@ class TestSelectGreedyFb:
 
     def test_deterministic(self):
         X, theta, X0 = self._instance(11)
-        inputs = self._inputs(X, theta, X0, labeled_shift(X0, theta, 2))
+        inputs = self._inputs(X, theta, X0, 2)
         a = select_greedy_fb(2, *inputs)
         b = select_greedy_fb(2, *inputs)
         np.testing.assert_array_equal(a, b)
@@ -210,7 +212,7 @@ class TestSelectGreedyFb:
     def test_singular_seed_raises(self):
         X, theta, X0 = self._instance(12, m=6, d=3)
         with pytest.raises(np.linalg.LinAlgError, match="inv_psd: matrix is singular"):
-            select_greedy_fb(2, *self._inputs(X, theta, X0, np.zeros((3, 3))))
+            select_greedy_fb(2, *self._inputs(X, theta, X0, 2, np.zeros((3, 3))))
 
     @pytest.mark.parametrize("rank_deficient", [False, True])
     def test_blocked_equals_per_candidate_reference(self, rank_deficient):
@@ -218,9 +220,8 @@ class TestSelectGreedyFb:
         # term of four labeled points: the aggregate is singular but for it.
         X, theta, X0 = self._instance(14, m=60, d=3, c=3)
         b = 3
-        shift = (len(X0) * RIDGE / b * np.eye(6) if rank_deficient
-                 else labeled_shift(X0, theta, b))
-        picks, reference = self._greedy(X, theta, X0, shift, b)
+        shift = len(X0) * RIDGE / b * np.eye(6) if rank_deficient else None
+        picks, reference = self._greedy(X, theta, X0, b, shift)
         np.testing.assert_array_equal(picks, reference)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -228,10 +229,10 @@ class TestSelectGreedyFb:
         # Every add and every removal of a summand is scored as the dense
         # solve scores it.
         X, theta, X0 = self._instance(seed, m=40, d=3, c=3)
-        P = KronFishers.at(X, theta).factors.transpose(2, 0, 1)
+        P = KronFishers.at(X, theta).factors
         F = dense_fishers(X, theta)
         Hp0 = pool_hessian(X, theta)
-        A = labeled_shift(X0, theta, 3) + F[:4].sum(axis=0)
+        A = labeled_first(X0, X, theta, 3)[1].shift + F[:4].sum(axis=0)
         for sign, idx in ((1.0, np.arange(4, 40)), (-1.0, np.arange(4))):
             values = _woodbury_objective(A, P[:, idx], Hp0, sign)
             expected = [dense_objective(A + sign * F[i], Hp0) for i in idx]
@@ -239,7 +240,7 @@ class TestSelectGreedyFb:
 
     def test_budget_validation(self):
         X, theta, X0 = self._instance(13, m=6)
-        inputs = self._inputs(X, theta, X0, labeled_shift(X0, theta, 4))
+        inputs = self._inputs(X, theta, X0, 4)
         with pytest.raises(ValueError, match=r"budget 4 outside 1\.\.3"):
             select_greedy_fb(4, *inputs)
 

@@ -1,6 +1,7 @@
 """Harness tests: config parsing and validation, loop bookkeeping, output
 format, CLI exit codes, and determinism."""
 
+import csv
 import os
 import pathlib
 import subprocess
@@ -383,6 +384,32 @@ class TestCliCommands:
         path.write_text("theory_mode = ture\n")
         assert main(["run", "--config", str(path)]) == 2
         assert "theory_mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines, key", [
+        ("family = cauchy", "family"),
+        ("variance = -1", "variance"),
+        ("variance = nan", "variance"),
+        ("family = student_t\ndof = 2", "dof"),
+    ], ids=["family", "variance_negative", "variance_nan", "dof"])
+    def test_design_checked_before_any_work(self, monkeypatch, tmp_path, capsys, lines, key):
+        monkeypatch.setattr(cli, "active_learning_loop", pytest.fail)
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{lines}\n")
+        assert main(["run", "--config", str(path)]) == 2
+        assert f"error: {key} must" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", ["laplace", "student_t"])
+    def test_heavy_tailed_family_runs(self, tmp_path, family):
+        # Only a config file can choose these families.
+        path = tmp_path / "run.cfg"
+        path.write_text(f"family = {family}\npool_size = 200\nrisk_points = 2000\n")
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for out in outs:
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        rows = list(csv.DictReader(outs[0].open()))
+        assert len(rows) == 4
+        assert all(np.isfinite(float(row["excess_risk"])) for row in rows)
 
     def test_degenerate_risk_points_in_config_file(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"

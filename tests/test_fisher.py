@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from firal.fisher import (
     fir,
-    labeled_shift,
     pool_hessian,
     sigma_max,
     whiten_factors,
@@ -18,7 +17,7 @@ from firal.fisher import (
 from firal.linalg import inv_sqrt_psd
 from firal.model import KronFishers
 
-from oracle import dense_fishers, f_objective, point_fisher
+from oracle import dense_fishers, f_objective, labeled_first, point_fisher
 
 
 def random_spd(rng, n, jitter=0.1):
@@ -58,22 +57,23 @@ class TestPoolHessian:
 
 
 class TestShiftedFisher:
+    # The round's shift at ridge 0: (1/budget) sum of the labeled Fishers.
     def test_empty_labeled_set(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=2)
         theta = rng.normal(size=(1, 2))
-        shift = labeled_shift(np.empty((0, 2)), theta, budget=4)
-        np.testing.assert_array_equal(shift, 0.0)
+        _, fishers = labeled_first(np.empty((0, 2)), x[None], theta, 4)
+        np.testing.assert_array_equal(fishers.shift, 0.0)
         np.testing.assert_allclose(
-            point_fisher(x, theta) + shift, point_fisher(x, theta)
+            point_fisher(x, theta) + fishers.shift, point_fisher(x, theta)
         )
 
     def test_zero_point_returns_shift(self):
         rng = np.random.default_rng(4)
         theta = rng.normal(size=(1, 2))
-        shift = labeled_shift(rng.normal(size=(3, 2)), theta, budget=2)
+        _, fishers = labeled_first(rng.normal(size=(3, 2)), np.zeros((1, 2)), theta, 2)
         np.testing.assert_allclose(
-            point_fisher(np.zeros(2), theta) + shift, shift, atol=1e-15
+            point_fisher(np.zeros(2), theta) + fishers.shift, fishers.shift, atol=1e-15
         )
 
     def test_matches_hand_composition(self):
@@ -83,8 +83,9 @@ class TestShiftedFisher:
         x = rng.normal(size=3)
         b = 5
         shift = sum(point_fisher(x0, theta) for x0 in X0) / b
+        _, fishers = labeled_first(X0, x[None], theta, b)
         np.testing.assert_allclose(
-            point_fisher(x, theta) + labeled_shift(X0, theta, b),
+            point_fisher(x, theta) + fishers.shift,
             point_fisher(x, theta) + shift,
             rtol=1e-12,
         )
@@ -125,9 +126,9 @@ class TestKronFishers:
     def test_factors_reproduce_point_fisher(self, c):
         X, theta, shift = kron_instance(40 + c, c)
         G = KronFishers.at(X, theta, shift).factors
-        assert G.shape == (len(X), (c - 1) * X.shape[1], c - 1)
+        assert G.shape == (c - 1, len(X), (c - 1) * X.shape[1])
         for i, x in enumerate(X):
-            near(G[i] @ G[i].T, point_fisher(x, theta))
+            near(G[:, i].T @ G[:, i], point_fisher(x, theta))
 
     def test_factors_are_computed_once(self, monkeypatch):
         X, theta, shift = kron_instance(41, 3)
@@ -144,7 +145,7 @@ class TestKronFishers:
         assert kf.shape == (0, dt, dt)
         np.testing.assert_array_equal(kf.aggregate(np.zeros(0)), np.zeros((dt, dt)))
         assert kf.inner(np.eye(dt)).shape == (0,)
-        assert kf.factors.shape == (0, dt, 2)
+        assert kf.factors.shape == (2, 0, dt)
 
     def test_default_shift_is_zero(self):
         X, theta, _ = kron_instance(51, 3)
@@ -258,8 +259,8 @@ class TestWhitenFactors:
         b = 4
         z = rng.random(m)
         z *= b / z.sum()
-        shift = labeled_shift(X0, theta, b)
-        return z, X, theta, shift
+        _, fishers = labeled_first(X0, X, theta, b)
+        return z, X, theta, fishers.shift
 
     def test_reconstruction(self):
         # shift_w + P_i P_i^T is the dense candidate conjugated by sigma^-1/2.

@@ -276,21 +276,21 @@ class TestFitErm:
         p = class_probabilities(X, theta_true)
         y = 1 + (rng.random(200)[:, None] >= np.cumsum(p, axis=1)).sum(axis=1)
         # From theta = 0, the iterate after 1, 2, ... Newton steps never
-        # raises the loss the fit minimizes (default ridge 1e-8).
-        n_steps = fit_erm(X, y, 3).n_iter
+        # raises the loss the fit minimizes (ridge 1e-8).
+        n_steps = fit_erm(X, y, 3, ridge=1e-8).n_iter
         assert n_steps >= 3
         losses = [empirical_loss(X, y, np.zeros((2, 3)), 1e-8)]
         for n in range(1, n_steps + 1):
             monkeypatch.setattr(model, "FIT_MAX_ITER", n)
-            losses.append(empirical_loss(X, y, fit_erm(X, y, 3).theta, 1e-8))
+            losses.append(empirical_loss(X, y, fit_erm(X, y, 3, ridge=1e-8).theta, 1e-8))
         assert np.all(np.diff(losses) <= 1e-14)
 
     def test_deterministic(self):
         rng = np.random.default_rng(10)
         X = rng.normal(size=(50, 2))
         y = rng.integers(1, 3, size=50)
-        a = fit_erm(X, y, 2)
-        b = fit_erm(X, y, 2)
+        a = fit_erm(X, y, 2, ridge=1e-8)
+        b = fit_erm(X, y, 2, ridge=1e-8)
         np.testing.assert_array_equal(a.theta, b.theta)
 
     def test_ridge_zero_still_runs(self):
@@ -324,9 +324,12 @@ class TestFitErm:
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            fit_erm(np.ones((3, 2)), np.array([1, 2, 5]), 3)
+            fit_erm(np.ones((3, 2)), np.array([1, 2, 5]), 3, ridge=1e-8)
         with pytest.raises(ValueError):
-            fit_erm(np.array([[np.inf, 0.0]]), np.array([1]), 2)
+            fit_erm(np.array([[np.inf, 0.0]]), np.array([1]), 2, ridge=1e-8)
+        for ridge in (-1e-8, np.nan, np.inf):
+            with pytest.raises(ValueError, match="^ridge must"):
+                fit_erm(np.ones((3, 2)), np.array([1, 2, 1]), 2, ridge=ridge)
 
 
 class TestHelpers:

@@ -8,37 +8,27 @@ import pytest
 
 from firal import round as firal_round
 from firal import round_fishers, select_firal
-from firal.fisher import labeled_shift, pool_hessian, whiten_factors
-from firal.model import KronFishers
+from firal.fisher import pool_hessian, whiten_factors
 from firal.relax import relax_solve
 from firal.round import eta_grid, tune_eta
 from firal.sparsify import AuditReport, select_batch
 
+from oracle import pipeline_factors, point_fisher
+
 RIDGE = 1e-6
-
-
-def make_factors(seed=0, m=10, budget=4):
-    rng = np.random.default_rng(seed)
-    theta = rng.normal(size=(1, 2))
-    X = rng.normal(size=(m, 2)) * 2
-    X0 = rng.normal(size=(3, 2)) * 2
-    shift = labeled_shift(X0, theta, budget)
-    fishers = KronFishers.at(X, theta, shift)
-    relaxed = relax_solve(budget, pool_hessian(X, theta), fishers)
-    return whiten_factors(relaxed.z, fishers)
 
 
 class TestTuneEta:
     def test_singleton_grid(self):
-        factors = make_factors()
+        factors = pipeline_factors(0, m=10)[0]
         assert tune_eta([2.5], factors, 3)[0] == 2.5
 
     def test_duplicates_keep_first(self):
-        factors = make_factors()
+        factors = pipeline_factors(0, m=10)[0]
         assert tune_eta([2.5, 2.5, 2.5], factors, 3)[0] == 2.5
 
     def test_winner_maximizes_min_eigenvalue(self):
-        factors = make_factors(seed=1)
+        factors = pipeline_factors(1, m=10)[0]
         grid = eta_grid(factors.d_tilde)
         best, _, _ = tune_eta(grid, factors, 4)
         _, best_report = select_batch(4, best, factors)
@@ -47,7 +37,7 @@ class TestTuneEta:
             assert best_report.min_eig >= report.min_eig - 1e-12
 
     def test_returned_selection_equals_fresh_run(self):
-        factors = make_factors(seed=2)
+        factors = pipeline_factors(2, m=10)[0]
         eta, picks, report = tune_eta(eta_grid(factors.d_tilde), factors, 4)
         fresh_picks, fresh = select_batch(4, eta, factors)
         np.testing.assert_array_equal(picks, fresh_picks)
@@ -92,9 +82,7 @@ def firal_problem(seed=4, m=30, c=3, d=2):
 
 def hand_chain(X, labeled, candidates, theta, budget, eta, repeats):
     """The FIRAL round composed by hand from the layer functions."""
-    shift = (labeled_shift(X[np.sort(labeled)], theta, budget)
-             + len(labeled) * RIDGE / budget * np.eye(np.size(theta)))
-    fishers = KronFishers.at(X[candidates], theta, shift)
+    fishers = round_fishers(X, labeled, candidates, theta, budget, ridge=RIDGE)
     relaxed = relax_solve(budget, pool_hessian(X, theta), fishers)
     factors = whiten_factors(relaxed.z, fishers)
     if eta is None and not repeats:
@@ -159,6 +147,23 @@ class TestSelectFiral:
                      round_fishers(X, labeled, unlabeled, theta, 4, ridge=RIDGE))
         assert len(stacks) == 1
 
+    @pytest.mark.parametrize("name, bad", [
+        ("budget", lambda Hp: 5.5),
+        ("budget", lambda Hp: 0),
+        ("Hp", lambda Hp: Hp[:3, :3]),
+        ("Hp", lambda Hp: Hp + np.triu(Hp, 1)),
+        ("Hp", lambda Hp: np.where(np.eye(len(Hp)), np.nan, Hp)),
+        ("Hp", lambda Hp: -Hp),
+    ], ids=["budget-5.5", "budget-0", "Hp-3x3", "Hp-asymmetric", "Hp-nan", "Hp-negated"])
+    def test_bad_input_names_its_argument(self, name, bad):
+        X, theta, labeled = firal_problem()
+        unlabeled = np.setdiff1d(np.arange(len(X)), labeled)
+        Hp = pool_hessian(X, theta)
+        args = {"budget": 4, "Hp": Hp, name: bad(Hp)}
+        fishers = round_fishers(X, labeled, unlabeled, theta, 4, ridge=RIDGE)
+        with pytest.raises(ValueError, match=rf"^{name} must"):
+            select_firal(args["budget"], args["Hp"], fishers)
+
     def test_violated_guarantee_raises(self, monkeypatch):
         # A library call is stopped where the margins are computed.
         inject_report(monkeypatch, "select_batch",
@@ -187,10 +192,13 @@ class TestRoundFishers:
         # budget * shift is the labeled curvature of a fit with this ridge.
         X, theta, labeled = firal_problem()
         budget = 4
-        fishers = round_fishers(X, labeled, np.arange(len(X)), theta, budget, ridge=0.25)
-        want = (labeled_shift(X[np.sort(labeled)], theta, budget)
-                + len(labeled) * 0.25 / budget * np.eye(np.size(theta)))
-        np.testing.assert_array_equal(fishers.shift, want)
+        candidates = np.arange(len(X))
+        fishers = round_fishers(X, labeled, candidates, theta, budget, ridge=0.25)
+        plain = round_fishers(X, labeled, candidates, theta, budget, ridge=0.0)
+        np.testing.assert_array_equal(
+            fishers.shift, plain.shift + len(labeled) * 0.25 / budget * np.eye(np.size(theta)))
+        want = sum(point_fisher(X[j], theta) for j in labeled) / budget
+        np.testing.assert_allclose(plain.shift, want, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("name, value", [
         ("labeled", [1.7, 3.2]),
@@ -202,6 +210,10 @@ class TestRoundFishers:
         ("ridge", -1e-6),
         ("ridge", np.nan),
         ("ridge", np.inf),
+        ("labeled", [-1]),
+        ("candidates", np.array([0, 30])),
+        ("labeled", [[0, 1]]),
+        ("candidates", 3),
     ])
     def test_bad_input_names_its_argument(self, name, value):
         X, theta, labeled = firal_problem()

@@ -11,13 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firal import sparsify
-from firal.fisher import (
-    labeled_shift,
-    pool_hessian,
-    whiten_factors,
-)
-from firal.model import KronFishers
-from firal.relax import relax_solve
 from firal.sparsify import (
     NU_RESIDUAL_TOL,
     _nu_root,
@@ -27,27 +20,12 @@ from firal.sparsify import (
     trace_solve,
 )
 
-from oracle import dense_fishers, f_objective, score_candidate
+from oracle import f_objective, pipeline_factors, score_candidate
 
 
 def random_psd(rng, n, rank=None):
     R = rng.normal(size=(n, rank or n))
     return R @ R.T
-
-
-def make_factors(seed, c=2, d=2, m=8, n_labeled=3, budget=4):
-    """Whitened factors from a random pool via the full pipeline."""
-    rng = np.random.default_rng(seed)
-    theta = rng.normal(size=(c - 1, d))
-    X = rng.normal(size=(m, d)) * 2.0
-    X0 = rng.normal(size=(n_labeled, d)) * 2.0
-    shift = labeled_shift(X0, theta, budget)
-    Hp0 = pool_hessian(X, theta)
-    fishers = dense_fishers(X, theta, shift)
-    kron = KronFishers.at(X, theta, shift)
-    relaxed = relax_solve(budget, Hp0, kron)
-    factors = whiten_factors(relaxed.z, kron)
-    return factors, fishers, Hp0, relaxed
 
 
 EPS = np.finfo(float).eps
@@ -278,7 +256,7 @@ class TestScoreCandidate:
             c = int(rng.integers(2, 4))
             d = int(rng.integers(2, 5))
             m = 20
-            factors, _, _, _ = make_factors(seed + 300, c=c, d=d, m=m)
+            factors, _, _, _ = pipeline_factors(seed + 300, c=c, d=d, m=m)
             eta = float(rng.uniform(0.5, 20.0))
             cum = random_psd(rng, factors.d_tilde) * rng.uniform(0.1, 2.0)
             A_inv_sqrt, _, _ = ftrl_action(cum, eta)
@@ -296,7 +274,7 @@ class TestScoreCandidate:
             assert int(np.argmax(scores)) == int(np.argmin(dense))
 
     def test_binary_rank_one_against_dense(self):
-        factors, _, _, _ = make_factors(17, c=2, d=3, m=6)
+        factors, _, _, _ = pipeline_factors(17, c=2, d=3, m=6)
         assert factors.factors.shape[2] == 1
         eta = 4.0
         A_inv_sqrt, _, _ = ftrl_action(np.zeros((factors.d_tilde,) * 2), eta)
@@ -312,12 +290,12 @@ class TestScoreCandidate:
 
 class TestSelectBatch:
     def test_single_candidate_repeats(self):
-        factors, _, _, _ = make_factors(1, m=1)
+        factors, _, _, _ = pipeline_factors(1, m=1)
         picks, _ = select_batch(3, 2.0, factors, mask_selected=False)
         np.testing.assert_array_equal(picks, [0, 0, 0])
 
     def test_tie_breaks_to_smallest_index(self):
-        factors, _, _, _ = make_factors(2, m=4)
+        factors, _, _, _ = pipeline_factors(2, m=4)
         # Duplicate candidate 0's factor everywhere: all scores tie.
         factors.factors[:] = factors.factors[0]
         picks, _ = select_batch(2, 2.0, factors, mask_selected=False)
@@ -326,14 +304,14 @@ class TestSelectBatch:
         np.testing.assert_array_equal(picks, [0, 1])
 
     def test_mask_gives_distinct_indices(self):
-        factors, _, _, _ = make_factors(3, m=8)
+        factors, _, _, _ = pipeline_factors(3, m=8)
         picks, _ = select_batch(5, 3.0, factors, mask_selected=True)
         assert len(set(picks.tolist())) == 5
 
     def test_exhaustive_sandwich(self):
         # f at the picked set is at least the exhaustive optimum, while the
         # relaxed value lower-bounds it.
-        factors, fishers, Hp0, relaxed = make_factors(4, c=2, d=2, m=8, budget=2)
+        factors, fishers, Hp0, relaxed = pipeline_factors(4, c=2, d=2, m=8, budget=2)
         picks, _ = select_batch(2, 8.0 * np.sqrt(2), factors, mask_selected=True)
         f_star = min(
             f_objective(np.array(s, dtype=int), fishers, Hp0)
@@ -344,7 +322,7 @@ class TestSelectBatch:
         assert relaxed.objective <= f_star + 1e-6
 
     def test_budget_validation(self):
-        factors, _, _, _ = make_factors(5, m=4)
+        factors, _, _, _ = pipeline_factors(5, m=4)
         with pytest.raises(ValueError):
             select_batch(5, 1.0, factors, mask_selected=True)
         with pytest.raises(ValueError):
@@ -352,7 +330,7 @@ class TestSelectBatch:
 
     @pytest.mark.parametrize("eta", [np.nan, np.inf])
     def test_non_finite_eta_rejected_before_any_step(self, monkeypatch, eta):
-        factors, _, _, _ = make_factors(5, m=4)
+        factors, _, _, _ = pipeline_factors(5, m=4)
         monkeypatch.setattr(sparsify, "ftrl_action", pytest.fail)
         with pytest.raises(ValueError, match="eta"):
             select_batch(2, eta, factors)
@@ -360,7 +338,7 @@ class TestSelectBatch:
 
 class TestRegretAudit:
     def test_margins_nonnegative_random_instance(self):
-        factors, _, _, _ = make_factors(6, c=3, d=2, m=12, budget=8)
+        factors, _, _, _ = pipeline_factors(6, c=3, d=2, m=12, budget=8)
         d_tilde = factors.d_tilde
         _, report = select_batch(64, 8.0 * np.sqrt(d_tilde), factors,
                                  mask_selected=False)
@@ -371,7 +349,7 @@ class TestRegretAudit:
     def test_single_step_scalar_statement(self):
         # One step from scratch: the regret bound reduces to
         # lambda_min(C) >= -2 sqrt(d)/eta + gain/eta, checkable directly.
-        factors, _, _, _ = make_factors(7, c=2, d=2, m=5, budget=3)
+        factors, _, _, _ = pipeline_factors(7, c=2, d=2, m=5, budget=3)
         eta = 4.0
         picks, report = select_batch(1, eta, factors, mask_selected=False)
         i = picks[0]
@@ -387,7 +365,7 @@ class TestRegretAudit:
         assert direct_margin >= -1e-8
 
     def test_masked_run_has_no_trace_margin(self):
-        factors, _, _, _ = make_factors(8, m=8)
+        factors, _, _, _ = pipeline_factors(8, m=8)
         _, report = select_batch(3, 2.0, factors, mask_selected=True)
         assert report.margin_trace is None
         assert report.worst_trace is None
@@ -396,7 +374,7 @@ class TestRegretAudit:
     def test_min_eig_of_summed_picks(self, mask):
         # The rate-tuning score: the least eigenvalue of the sum of the
         # picked whitened candidates, a repeated pick counted each time.
-        factors, _, _, _ = make_factors(8, m=8)
+        factors, _, _, _ = pipeline_factors(8, m=8)
         picks, report = select_batch(5, 2.0, factors, mask_selected=mask)
         total = sum(dense_candidate(factors, i) for i in picks)
         assert report.min_eig == pytest.approx(np.linalg.eigvalsh(total)[0],
@@ -416,7 +394,7 @@ class TestNearOptimality:
         # 32 dt + 16 sqrt(dt), rate 8 sqrt(dt), repeats allowed): the
         # picked multiset is within a factor 2 of the relaxed optimum,
         # itself below the exhaustive subset optimum for a budget of 2.
-        factors, fishers, Hp0, relaxed = make_factors(
+        factors, fishers, Hp0, relaxed = pipeline_factors(
             9, c=c, d=d, m=10, budget=budget
         )
         d_tilde = factors.d_tilde
@@ -427,8 +405,8 @@ class TestNearOptimality:
         assert report.holds()
 
     def test_relaxed_lower_bounds_exhaustive(self):
-        factors, fishers, Hp0, relaxed = make_factors(10, c=2, d=2, m=9,
-                                                      budget=2)
+        factors, fishers, Hp0, relaxed = pipeline_factors(10, c=2, d=2, m=9,
+                                                          budget=2)
         f_star = min(
             f_objective(np.array(s, dtype=int), fishers, Hp0)
             for s in itertools.combinations(range(9), 2)

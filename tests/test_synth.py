@@ -433,7 +433,8 @@ class TestRiskRatioSweep:
             for seed in seeds:
                 ss = np.random.SeedSequence([seed, 7]).spawn(3)
                 Xq = sample_pool(spec_q, n, ss[0])
-                theta = fit_erm(Xq, sample_labels(Xq, theta_star, ss[1]), c).theta
+                theta = fit_erm(Xq, sample_labels(Xq, theta_star, ss[1]), c,
+                                ridge=synth.SWEEP_RIDGE).theta
                 [(risk, se)] = mc_excess_risk([theta], theta_star, spec_p,
                                               n_points=risk_points, seed=ss[2])
                 expected.append(SweepPoint(
