@@ -11,18 +11,13 @@ import numpy as np
 
 from .linalg import inv_psd
 from .model import class_probabilities
-from .sparsify import _woodbury_terms, trace_solve
-
-
-def _check_budget(budget, m):
-    if not 1 <= budget <= m:
-        raise ValueError(f"budget {budget} outside 1..{m}")
+from .sparsify import _woodbury_terms, check_budget, trace_solve
 
 
 def select_random(X, budget, seed):
     """Uniformly random distinct indices, reproducible per seed."""
     m = len(X)
-    _check_budget(budget, m)
+    check_budget(budget, m)
     rng = np.random.default_rng(seed)
     return np.sort(rng.choice(m, size=budget, replace=False))
 
@@ -55,7 +50,7 @@ def select_kmeans(X, budget, seed):
     """
     X = np.asarray(X, dtype=float)
     m = len(X)
-    _check_budget(budget, m)
+    check_budget(budget, m)
     rng = np.random.default_rng(seed)
 
     centers = _kmeans_pp_init(X, budget, rng)
@@ -92,7 +87,7 @@ def _entropy_scores(X, theta):
 def select_entropy(X, theta, budget):
     """Top-``budget`` points by smallest ``sum_c p log p`` (most uncertain)."""
     m = len(X)
-    _check_budget(budget, m)
+    check_budget(budget, m)
     scores = _entropy_scores(X, theta)
     return np.sort(np.argsort(scores, kind="stable")[:budget])
 
@@ -100,7 +95,7 @@ def select_entropy(X, theta, budget):
 def select_var_ratios(X, theta, budget):
     """Top-``budget`` points by smallest maximum class probability."""
     m = len(X)
-    _check_budget(budget, m)
+    check_budget(budget, m)
     scores = class_probabilities(X, theta).max(axis=1)
     return np.sort(np.argsort(scores, kind="stable")[:budget])
 
@@ -138,7 +133,7 @@ def select_greedy_fb(budget, Hp, fishers):
     a zero ridge with too few labeled points gives.
     """
     m = fishers.shape[0]
-    _check_budget(budget, m // 2)
+    check_budget(budget, m // 2)
     P = fishers.factors
     A = budget * fishers.shift
     in_set = np.zeros(m, dtype=bool)

@@ -19,15 +19,24 @@ def eig_floor(lam_max):
     return EIG_FLOOR_REL * np.maximum(lam_max, 0.0)
 
 
+def symmetrize(A):
+    """``(A + A^T) / 2``, of one matrix or of each matrix of a stack."""
+    return 0.5 * (A + np.swapaxes(A, -1, -2))
+
+
 def eigh_pd(A, context):
     """``eigh`` of the symmetrized ``A``, which must be positive definite;
-    raises ``LinAlgError``, naming ``context``, where it is singular."""
+    raises ``LinAlgError``, naming ``context``, where it is singular.  A
+    stack of matrices is decomposed matrix by matrix, and the first
+    singular one is named."""
     A = np.asarray(A, dtype=float)
-    w, V = np.linalg.eigh(0.5 * (A + A.T))
-    if w[0] <= eig_floor(w[-1]):
+    w, V = np.linalg.eigh(symmetrize(A))
+    singular = w[..., 0] <= eig_floor(w[..., -1])
+    if np.any(singular):
+        lo, hi = w[..., 0][singular].flat[0], w[..., -1][singular].flat[0]
         raise np.linalg.LinAlgError(
             f"{context}: matrix is singular to working precision "
-            f"(min/max eigenvalue {w[0]:.3e}/{w[-1]:.3e})"
+            f"(min/max eigenvalue {lo:.3e}/{hi:.3e})"
         )
     return w, V
 
@@ -40,11 +49,16 @@ def inv_sqrt_psd(A):
     return 0.5 * (S + S.T)
 
 
+def inv_psd_eig(A):
+    """``(w, A^{-1})``: the eigenvalues and the symmetrized inverse of a
+    symmetric positive definite matrix, or of each matrix of a stack."""
+    w, V = eigh_pd(A, "inv_psd")
+    return w, symmetrize((V / w[..., None, :]) @ np.swapaxes(V, -1, -2))
+
+
 def inv_psd(A):
     """Inverse of a symmetric positive definite matrix, symmetrized."""
-    w, V = eigh_pd(A, "inv_psd")
-    M = (V / w) @ V.T
-    return 0.5 * (M + M.T)
+    return inv_psd_eig(A)[1]
 
 
 def solve_psd(H, b):

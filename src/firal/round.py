@@ -9,7 +9,7 @@ from .fisher import whiten_factors
 from .linalg import eig_floor
 from .model import KronFishers
 from .relax import relax_solve
-from .sparsify import AuditReport, select_batch
+from .sparsify import AuditReport, check_budget, select_batch
 
 DEFAULT_ETA_GRID_POWERS = range(-2, 6)
 # Rates that pick one set in different orders score equally in exact
@@ -24,21 +24,20 @@ def eta_grid(d_tilde):
 
 def tune_eta(etas, factors, budget):
     """Pick the rate whose masked selection maximizes the smallest
-    eigenvalue of the summed whitened picks.  Ties, scores within a
-    relative :data:`ETA_TIE_REL`, keep the earlier grid position, so a
-    duplicate grid entry never replaces its first occurrence.
+    eigenvalue of the summed whitened picks.  All rates are rounded in one
+    :func:`select_batch` pass.  Ties, scores within a relative
+    :data:`ETA_TIE_REL`, keep the earlier grid position, so a duplicate
+    grid entry never replaces its first occurrence.
 
     Returns ``(eta, picks, report)``, the winning rate with the
     :func:`select_batch` result it was scored on.
     """
+    etas = [float(e) for e in etas]
     best = best_val = None
-    for e in map(float, etas):
-        picks, report = select_batch(budget, e, factors)
+    for e, (picks, report) in zip(etas, select_batch(budget, etas, factors)):
         val = report.min_eig
         if best is None or val > best_val + ETA_TIE_REL * abs(best_val):
             best, best_val = (e, picks, report), val
-    if best is None:
-        raise ValueError("eta grid must be nonempty")
     return best
 
 
@@ -65,11 +64,6 @@ def _pool_indices(idx, name, m):
     return idx
 
 
-def _check_budget(budget):
-    if not isinstance(budget, (int, np.integer)) or budget < 1:
-        raise ValueError(f"budget must be an integer of at least 1, got {budget!r}")
-
-
 def round_fishers(X_pool, labeled, candidates, theta, budget, *, ridge):
     """The round's candidate Fishers, as both search selectors read them.
 
@@ -84,7 +78,7 @@ def round_fishers(X_pool, labeled, candidates, theta, budget, *, ridge):
     X_pool = np.asarray(X_pool, dtype=float)
     labeled = _pool_indices(labeled, "labeled", len(X_pool))
     candidates = _pool_indices(candidates, "candidates", len(X_pool))
-    _check_budget(budget)
+    check_budget(budget)
     if not 0 <= ridge < np.inf:
         raise ValueError(f"ridge must be finite and at least 0, got {ridge!r}")
     n = len(labeled)
@@ -108,7 +102,7 @@ def select_firal(budget, Hp, fishers, *, eta=None, repeats=False):
     the argument.  Raises ``FloatingPointError``, naming both worst
     margins, when the rounding breaks its regret guarantees.
     """
-    _check_budget(budget)
+    check_budget(budget)
     Hp = np.asarray(Hp, dtype=float)
     if Hp.shape != fishers.shape[1:]:
         raise ValueError(f"Hp must be {fishers.shape[1:]}, got shape {Hp.shape}")
@@ -126,7 +120,7 @@ def select_firal(budget, Hp, fishers, *, eta=None, repeats=False):
     else:
         if eta is None:
             eta = 8.0 * np.sqrt(factors.d_tilde)
-        picks, report = select_batch(budget, eta, factors, mask_selected=not repeats)
+        [(picks, report)] = select_batch(budget, [eta], factors, mask_selected=not repeats)
     if not report.holds():
         raise FloatingPointError(
             f"regret guarantee violated: worst_min_eig_margin={report.worst_min_eig:.6e} "

@@ -6,6 +6,8 @@ candidate matrices ``C_l``, and the next pick maximizes the trace gain
 ``Tr[A_t^{1/2} - (A_t^{-1/2} + eta C_i)^{-1}]``.  Because every whitened
 candidate splits into a shared PSD shift plus a rank-``(c-1)`` factor,
 the argmax reduces to small ``(c-1) x (c-1)`` solves per candidate.
+:func:`select_batch` advances several rates in lockstep, and each step
+solves only for the candidates that a norm bound cannot rule out.
 """
 
 from __future__ import annotations
@@ -15,17 +17,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fisher import WhitenedFactors
-from .linalg import inv_psd
+from .linalg import inv_psd_eig, symmetrize
 
 NU_RESIDUAL_TOL = 1e-13
 NU_MAX_ITER = 200
 # AuditReport.holds accepts margins down to this, for rounding in the sums.
 AUDIT_SLACK = -1e-8
+# Relative margin on the largest eigenvalue of B^{1/2} in the score bound,
+# for the rounding in that eigenvalue and in the exact scores.
+BOUND_SLACK = 1e-9
+# The fewest candidates scored in one block.  A product of a few rows can
+# take another BLAS kernel, whose rounding differs from that of the product
+# over every candidate; blocks this large have kept the scores bit for bit.
+FIRST_BLOCK = 64
 
 
 def _nu_root(lam, d_tilde):
     """The unique ``nu`` with ``sum_j (nu + lam_j)^{-2} = 1``, returned as
-    the offset ``x = nu + min(lam)``.
+    the offset ``x = nu + min(lam)``; for a stack of spectra, one root per
+    row of ``lam``, each by the same arithmetic as a lone row.
 
     ``lam`` holds the (nonnegative) eigenvalues of the scaled cumulative
     loss.  In the offset, with ``mu = lam - min(lam)``, the root solves
@@ -44,29 +54,45 @@ def _nu_root(lam, d_tilde):
     lam = np.maximum(np.asarray(lam, dtype=float), 0.0)
     if not np.all(np.isfinite(lam)):
         raise FloatingPointError("nu root: the cumulative loss has non-finite eigenvalues")
-    lam_min = float(lam.min())
-    mu = lam - lam_min
+    rows = lam.reshape(-1, lam.shape[-1])
+    mu = rows - rows.min(axis=1, keepdims=True)
     hi = float(np.sqrt(d_tilde))
-    r_hi = float(np.sum((hi + mu) ** -2)) - 1.0
-    if not r_hi <= NU_RESIDUAL_TOL:
-        raise FloatingPointError(f"nu root: upper bracket residual {r_hi:.3e} is not <= 0")
-    if r_hi >= -NU_RESIDUAL_TOL:
-        # A flat spectrum puts the root on the upper end, where one rounding
-        # of a Newton step could land past it.
-        return hi
-    x = 1.0
-    for _ in range(NU_MAX_ITER):
-        inv = 1.0 / (x + mu)
-        s = float(np.sum(inv * inv))
+    r_hi = np.sum((hi + mu) ** -2, axis=1) - 1.0
+    if not np.all(r_hi <= NU_RESIDUAL_TOL):
+        bad = r_hi[~(r_hi <= NU_RESIDUAL_TOL)][0]
+        raise FloatingPointError(f"nu root: upper bracket residual {bad:.3e} is not <= 0")
+    # A flat spectrum puts the root on the upper end, where one rounding of
+    # a Newton step could land past it.
+    x = np.full(len(rows), hi)
+    todo = np.flatnonzero(r_hi < -NU_RESIDUAL_TOL)
+    x_todo, mu = np.ones(todo.size), mu[todo]
+    steps = 0
+    while todo.size:
+        if steps == NU_MAX_ITER:
+            raise FloatingPointError(f"nu root: no convergence in {NU_MAX_ITER} Newton steps")
+        steps += 1
+        inv = 1.0 / (x_todo[:, None] + mu)
+        s = np.sum(inv * inv, axis=1)
         r = s - 1.0
-        if r <= NU_RESIDUAL_TOL:
-            if r < -NU_RESIDUAL_TOL:
-                raise FloatingPointError(f"nu root: Newton overshot the root (residual {r:.3e})")
-            return x
-        x += s * (s**0.5 - 1.0) / float(np.sum(inv**3))
-        if not 1.0 <= x <= hi:
-            raise FloatingPointError(f"nu root: Newton iterate {x!r} left [1, {hi!r}]")
-    raise FloatingPointError(f"nu root: no convergence in {NU_MAX_ITER} Newton steps")
+        done = r <= NU_RESIDUAL_TOL
+        if done.any():
+            if np.any(r[done] < -NU_RESIDUAL_TOL):
+                bad = r[done][r[done] < -NU_RESIDUAL_TOL][0]
+                raise FloatingPointError(
+                    f"nu root: Newton overshot the root (residual {bad:.3e})")
+            x[todo[done]] = x_todo[done]
+            keep = ~done
+            todo, x_todo, mu, inv, s = todo[keep], x_todo[keep], mu[keep], inv[keep], s[keep]
+            if not todo.size:
+                break
+        # s ** 0.5 of a Python float is the C library's pow, as in a lone
+        # row's scalar Newton step.
+        root_s = np.array([v**0.5 for v in s.tolist()])
+        x_todo = x_todo + s * (root_s - 1.0) / np.sum(inv**3, axis=1)
+        if not np.all((1.0 <= x_todo) & (x_todo <= hi)):
+            bad = x_todo[~((1.0 <= x_todo) & (x_todo <= hi))][0]
+            raise FloatingPointError(f"nu root: Newton iterate {float(bad)!r} left [1, {hi!r}]")
+    return x.reshape(lam.shape[:-1])[()]
 
 
 def ftrl_action(cum_loss, eta):
@@ -79,33 +105,40 @@ def ftrl_action(cum_loss, eta):
     lam_j)``.  The shifted eigenvalues ``nu + lam_j`` are formed as
     ``x + (lam_j - min(lam))`` from the root's offset ``x``, at full
     precision however large the eigenvalues are.  All are positive, so the
-    implied action is PD with unit trace.
+    implied action is PD with unit trace.  A stack of losses with one rate
+    each, ``cum_loss`` of shape ``(R, d_tilde, d_tilde)`` and ``eta`` of
+    length ``R``, gives one action per rate.
     """
     cum_loss = np.asarray(cum_loss, dtype=float)
-    d_tilde = cum_loss.shape[0]
-    lam, V = np.linalg.eigh(0.5 * eta * (cum_loss + cum_loss.T))
+    d_tilde = cum_loss.shape[-1]
+    scale = (0.5 * np.asarray(eta, dtype=float))[..., None, None]
+    lam, V = np.linalg.eigh(scale * (cum_loss + np.swapaxes(cum_loss, -1, -2)))
     lam = np.maximum(lam, 0.0)
-    lam_min = float(lam.min())
+    lam_min = lam.min(axis=-1)
     x = _nu_root(lam, d_tilde)
-    shifted = x + (lam - lam_min)
-    A_inv_sqrt = (V * shifted) @ V.T
-    return 0.5 * (A_inv_sqrt + A_inv_sqrt.T), x - lam_min, float(np.sum(1.0 / shifted))
+    shifted = x[..., None] + (lam - lam_min[..., None])
+    A_inv_sqrt = symmetrize((V * shifted[..., None, :]) @ np.swapaxes(V, -1, -2))
+    return A_inv_sqrt, (x - lam_min)[()], np.sum(1.0 / shifted, axis=-1)[()]
 
 
 def _woodbury_terms(P, Y, Z, s):
     """``M = I + s P^T Y`` and ``U = Z^T Y`` of a Woodbury-reduced score,
     batch last as :func:`trace_solve` reads them, from ``P``, ``Y`` and
-    ``Z`` laid out as ``KronFishers.factors``.  Both are symmetric when
-    ``Y`` and ``Z`` are ``P`` times symmetric matrices, so only the
-    ``k(k+1)`` distinct entries are formed, each a length-``n`` row dot.
+    ``Z`` laid out as ``KronFishers.factors``.  ``Y`` and ``Z`` may carry
+    one leading axis (a rate each), which ``s`` broadcasts against and
+    which comes before the batch.  Both are symmetric when ``Y`` and ``Z``
+    are ``P`` times symmetric matrices, so only the ``k(k+1)`` distinct
+    entries are formed, each a length-``n`` row dot.
     """
     k, n, _ = P.shape
-    M = np.empty((k, k, n))
-    U = np.empty((k, k, n))
+    r = "r" if Y.ndim == 4 else ""
+    M = np.empty((k, k) + Y.shape[:-3] + (n,))
+    U = np.empty_like(M)
     for a in range(k):
         for b in range(a, k):
-            M[a, b] = M[b, a] = s * np.einsum("ij,ij->i", P[a], Y[b])
-            U[a, b] = U[b, a] = np.einsum("ij,ij->i", Z[a], Y[b])
+            M[a, b] = M[b, a] = s * np.einsum(f"ij,{r}ij->{r}i", P[a], Y[..., b, :, :])
+            U[a, b] = U[b, a] = np.einsum(f"{r}ij,{r}ij->{r}i", Z[..., a, :, :],
+                                          Y[..., b, :, :])
         M[a, a] += 1.0
     return M, U
 
@@ -116,19 +149,22 @@ def _scores(B_sqrt, P, eta):
     the direct trace objective, for factors ``P`` laid out as
     ``KronFishers.factors``.  ``Y = B^{1/2} P_i`` for all candidates is one
     flat GEMM (``B^{1/2}`` is symmetric), ``U = Y^T Y = P^T B P``, and
-    ``B`` itself is never formed."""
+    ``B`` itself is never formed.  A stack of ``R`` matrices ``B^{1/2}``
+    with a rate each gives ``(R, m)`` scores."""
     k, m, dt = P.shape
-    Y = (P.reshape(k * m, dt) @ B_sqrt).reshape(k, m, dt)
-    return trace_solve(*_woodbury_terms(P, Y, Y, eta))
+    Y = (P.reshape(k * m, dt) @ B_sqrt).reshape(B_sqrt.shape[:-2] + (k, m, dt))
+    M, U = _woodbury_terms(P, Y, Y, np.asarray(eta)[..., None])
+    del Y  # the largest array here, not needed by the solve
+    return trace_solve(M, U)
 
 
 def trace_solve(M, U):
     """``tr(M^{-1} U)`` for a batch of small square matrices stored batch
-    last: ``M[a, b]`` and ``U[a, b]`` are length-``n`` vectors of entries.
+    last: ``M[a, b]`` and ``U[a, b]`` are arrays of entries, of any shape.
     The last step of every Woodbury-reduced score.
 
     Gaussian elimination unrolled over the ``k x k`` entries, so every
-    operation acts on whole length-``n`` vectors.  It does not pivot: every
+    operation acts on whole arrays of entries.  It does not pivot: every
     caller passes a positive definite ``M`` (``I + eta T`` with ``T``
     PSD, or ``I - T`` with ``T < I``), for which elimination in order is
     stable.
@@ -143,18 +179,100 @@ def trace_solve(M, U):
     X = np.empty_like(U)
     for r in range(k - 1, -1, -1):
         X[r] = (U[r] - np.sum(M[r, r + 1:, None] * X[r + 1:], axis=0)) / M[r, r]
-    return np.einsum("jjn->n", X)
+    return np.einsum("jj...->...", X)
 
 
-def select_batch(budget, eta, factors: WhitenedFactors, mask_selected=True):
-    """Run ``budget`` regret-minimization steps over whitened candidates.
+def check_budget(budget, most=None):
+    """Raise a ``ValueError`` naming ``budget`` unless it is an integer of
+    at least 1 and, where ``most`` is given, at most ``most``."""
+    if not isinstance(budget, (int, np.integer)) or budget < 1:
+        raise ValueError(f"budget must be an integer of at least 1, got {budget!r}")
+    if most is not None and budget > most:
+        raise ValueError(f"budget {budget} outside 1..{most}")
+
+
+def _norm_floor(lam, etas, k, best):
+    """The least ``||P_i||_F^2`` at which a candidate's score can reach
+    ``best``, one per rate, for ``lam`` at least ``lambda_max(B^{1/2})``.
+
+    ``B <= lam B^{1/2}`` gives ``U_i <= lam T_i``, and ``sum_j tau_j / (1 +
+    eta tau_j)`` over the ``k`` eigenvalues of ``T_i`` is at most ``x / (1
+    + eta x / k)`` at ``x = tr T_i <= lam ||P_i||_F^2``, by concavity.  So a
+    score is at most ``lam x / (1 + eta x / k)`` with ``x = lam
+    ||P_i||_F^2``, a bound that grows with the norm; the floor solves it for
+    ``best``.  It is ``-inf`` where ``best <= 0`` and ``inf`` where the
+    bound's limit ``k lam / eta`` does not exceed ``best``.
+    """
+    gap = lam - etas / k * best
+    with np.errstate(divide="ignore", invalid="ignore"):
+        floor = best / (lam * gap)
+    return np.where(best <= 0, -np.inf, np.where(gap <= 0, np.inf, floor))
+
+
+def _block_end(lo, want, m, rates):
+    """End of the block of candidates scored from ``lo``: ``want``, but at
+    least FIRST_BLOCK candidates, and for ``rates`` rates at most
+    ``m // rates`` (one rate's full scoring holds no more); a remainder
+    shorter than FIRST_BLOCK joins the block."""
+    hi = lo + min(max(want - lo, FIRST_BLOCK), max(m // rates, FIRST_BLOCK))
+    return m if m - hi < FIRST_BLOCK else hi
+
+
+def _pruned_argmax(B_sqrt, etas, lam, P, order, neg_sq, masked, first):
+    """Per rate, the unmasked candidate of largest exact score, the
+    smallest index among ties, and that score.
+
+    Candidates are scored exactly in blocks along ``order``, the
+    candidates by decreasing ``||P_i||_F^2`` (``-neg_sq``, in that order),
+    all rates still open in one call per block, the first block ``first``
+    candidates long.  A rate is closed once the candidates after its
+    scored prefix fall below the :func:`_norm_floor` of its best score;
+    until then its prefix doubles, up to the length that floor admits.
+    ``masked`` is ``None`` or ``(R, m)``, by position in ``order``.
+    Returns ``(picks, best, admitted)``, ``admitted`` the length of the
+    prefix each rate's final best score admits.
+    """
+    R, m = len(etas), len(order)
+    k = P.shape[0]
+    best = np.full(R, -np.inf)
+    picks = np.zeros(R, dtype=int)
+    admitted = np.full(R, m)
+    open_ = np.arange(R)
+    lo, hi = 0, _block_end(0, first, m, R)
+    while True:
+        idx = order[lo:hi]
+        s = _scores(B_sqrt[open_], np.take(P, idx, axis=1), etas[open_])
+        if masked is not None:
+            s[masked[open_, lo:hi]] = -np.inf
+        top = s.max(axis=1)
+        at = np.where(s == top[:, None], idx, m).min(axis=1)
+        was = best[open_]
+        picks[open_] = np.where(top > was, at,
+                                np.where(top == was, np.minimum(picks[open_], at), picks[open_]))
+        best[open_] = np.maximum(was, top)
+        floor = _norm_floor(lam[open_], etas[open_], k, best[open_])
+        admitted[open_] = np.searchsorted(neg_sq, -floor, side="right")
+        open_ = open_[admitted[open_] > hi]
+        if not open_.size:
+            return picks, best, admitted
+        lo, hi = hi, _block_end(hi, min(2 * hi, int(admitted[open_].max())), m, open_.size)
+
+
+def select_batch(budget, etas, factors: WhitenedFactors, mask_selected=True):
+    """Run ``budget`` regret-minimization steps over whitened candidates,
+    at each rate of ``etas`` in lockstep.
 
     With ``mask_selected`` (the labeling default) previously picked
     indices are excluded from the argmax; with it off a point may be
     picked repeatedly, which is the mode the step-wise lower bounds
-    assume.  Ties break to the smallest index.
+    assume.  Ties break to the smallest index.  Each step scores exactly
+    only the candidates a bound cannot rule out: candidates are ordered
+    by ``||P_i||_F^2``, and a score is at most ``lam x / (1 + eta x / k)``
+    with ``x = lam ||P_i||_F^2`` and ``lam`` the largest eigenvalue of
+    ``B^{1/2}`` (:func:`_norm_floor`).  The picks are those of scoring
+    every candidate.
 
-    Returns ``(indices, report)``, the picks with the
+    Returns one ``(indices, report)`` per rate, the picks with the
     :class:`AuditReport` of the regret guarantees of Allen-Zhu, Li, Singh
     & Wang (2017), for each step ``t``:
 
@@ -164,52 +282,63 @@ def select_batch(budget, eta, factors: WhitenedFactors, mask_selected=True):
        (repeats-allowed runs only)
 
     Here ``gain_*`` are the trace gains ``Tr[A_t^{1/2} - (A_t^{-1/2} +
-    eta C)^{-1}]`` of the picked candidate and of the best one unmasked.
+    eta C)^{-1}]`` of the picked candidate and of the best one unmasked;
+    with repeats nothing is masked, so the two are one.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    if not 0 < eta < np.inf:
-        raise ValueError("eta must be positive and finite")
     D = factors.shift_w
-    P = factors.factors
-    m, dt, _ = P.shape
-    if mask_selected and budget > m:
-        raise ValueError("cannot pick more distinct points than the pool holds")
+    P = factors.by_class
+    k, m, dt = P.shape
+    check_budget(budget, m if mask_selected else None)
+    etas = np.asarray(etas, dtype=float)
+    if etas.ndim != 1 or not etas.size:
+        raise ValueError(f"etas must be a nonempty 1-D sequence of rates, got shape {etas.shape}")
+    if not np.all((0 < etas) & (etas < np.inf)):
+        raise ValueError("eta must be positive and finite")
+    R = len(etas)
 
-    cum = np.zeros((dt, dt))
-    chosen = np.empty(budget, dtype=int)
-    min_eig = np.empty(budget)
-    gain_chosen = np.empty(budget)
-    gain_max = np.empty(budget)
-    masked = np.zeros(m, dtype=bool)
+    # The candidates by decreasing norm, and each one's position there.
+    neg_sq = -np.einsum("aij,aij->i", P, P)
+    order = np.argsort(neg_sq)
+    neg_sq = neg_sq[order]
+    rank = np.empty(m, dtype=int)
+    rank[order] = np.arange(m)
+
+    cum = np.zeros((R, dt, dt))
+    chosen = np.empty((R, budget), dtype=int)
+    min_eig = np.empty((R, budget))
+    gain = np.empty((R, budget))
+    masked = np.zeros((R, m), dtype=bool) if mask_selected else None
+    first = FIRST_BLOCK
 
     for t in range(budget):
-        A_inv_sqrt, _, tr_a_sqrt = ftrl_action(cum, eta)
-        B_sqrt = inv_psd(A_inv_sqrt + eta * D)
+        A_inv_sqrt, _, tr_a_sqrt = ftrl_action(cum, etas)
+        w, B_sqrt = inv_psd_eig(A_inv_sqrt + etas[:, None, None] * D)
+        lam = (1.0 + BOUND_SLACK) / w[:, 0]
+        picks, best, admitted = _pruned_argmax(B_sqrt, etas, lam, P, order, neg_sq, masked,
+                                               first)
+        # The next step's prefixes are about as long as this step's.
+        first = max(FIRST_BLOCK, int(admitted.max()))
 
-        scores = _scores(B_sqrt, factors.by_class, eta)
-        tr_gap = tr_a_sqrt - float(np.trace(B_sqrt))
-        gain_max[t] = tr_gap + eta * scores.max()
+        gain[:, t] = tr_a_sqrt - np.trace(B_sqrt, axis1=1, axis2=2) + etas * best
+        chosen[:, t] = picks
+        if masked is not None:
+            masked[np.arange(R), rank[picks]] = True
+        for r, i in enumerate(picks):
+            G = factors.factors[i]
+            cum[r] = cum[r] + D + G @ G.T
+        min_eig[:, t] = np.linalg.eigvalsh(symmetrize(cum))[:, 0]
 
-        cand = scores.copy()
-        if mask_selected:
-            cand[masked] = -np.inf
-        i_t = int(np.argmax(cand))
-        chosen[t] = i_t
-        masked[i_t] = True
-
-        gain_chosen[t] = tr_gap + eta * scores[i_t]
-
-        cum = cum + D + P[i_t] @ P[i_t].T
-        min_eig[t] = float(np.linalg.eigvalsh(0.5 * (cum + cum.T))[0])
-
-    eta, root_d = float(eta), np.sqrt(dt)
-    lower = -2.0 * root_d / eta + np.cumsum(gain_chosen) / eta
-    margin_trace = None
-    if not mask_selected:
-        bound = (1.0 - eta / (2.0 * budget)) / (budget + eta * root_d)
-        margin_trace = gain_max / eta - bound
-    return chosen, AuditReport(min_eig - lower, margin_trace, float(min_eig[-1]))
+    root_d = np.sqrt(dt)
+    out = []
+    for r, eta in enumerate(etas.tolist()):
+        lower = -2.0 * root_d / eta + np.cumsum(gain[r]) / eta
+        margin_trace = None
+        if not mask_selected:
+            bound = (1.0 - eta / (2.0 * budget)) / (budget + eta * root_d)
+            margin_trace = gain[r] / eta - bound
+        out.append((chosen[r], AuditReport(min_eig[r] - lower, margin_trace,
+                                           float(min_eig[r, -1]))))
+    return out
 
 
 @dataclass

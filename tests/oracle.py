@@ -5,9 +5,11 @@ matrix :func:`point_fisher`; the dense candidate stack built from it
 point by point, independently of the factored
 :class:`firal.model.KronFishers` the selectors read; the design objective
 on such a stack; the per-candidate Woodbury score; the exact
-relaxation gradient; and the random round that the selection tests share,
+relaxation gradient; the random round that the selection tests share,
 built by :func:`firal.round_fishers` and taken through the relaxation and
-the whitening.
+the whitening; and the rounding at one rate that scores every candidate,
+with its scalar trace-normalizing root, which the lockstep pass of
+:func:`firal.sparsify.select_batch` must reproduce bit for bit.
 """
 
 import numpy as np
@@ -15,7 +17,9 @@ import numpy as np
 from firal import round_fishers
 from firal.fisher import fir, pool_hessian, whiten_factors
 from firal.model import PROB_FLOOR, _as_theta, class_probabilities
+from firal.linalg import inv_psd
 from firal.relax import _inverse_parts, relax_solve
+from firal.sparsify import NU_MAX_ITER, NU_RESIDUAL_TOL, AuditReport, _scores
 
 
 def predict_proba(x, theta):
@@ -141,3 +145,90 @@ def pipeline_factors(seed, c=2, d=2, m=8, n_labeled=3, budget=4, scale=2.0):
     relaxed = relax_solve(budget, Hp0, fishers)
     return (whiten_factors(relaxed.z, fishers), dense_fishers(X, theta, fishers.shift),
             Hp0, relaxed)
+
+
+def nu_root(lam, d_tilde):
+    """The offset root of ``sum_j (x + mu_j)^{-2} = 1`` for one spectrum, by
+    the scalar Newton iteration that :func:`firal.sparsify._nu_root` runs on
+    every row."""
+    lam = np.maximum(np.asarray(lam, dtype=float), 0.0)
+    if not np.all(np.isfinite(lam)):
+        raise FloatingPointError("nu root: the cumulative loss has non-finite eigenvalues")
+    lam_min = float(lam.min())
+    mu = lam - lam_min
+    hi = float(np.sqrt(d_tilde))
+    r_hi = float(np.sum((hi + mu) ** -2)) - 1.0
+    if not r_hi <= NU_RESIDUAL_TOL:
+        raise FloatingPointError(f"nu root: upper bracket residual {r_hi:.3e} is not <= 0")
+    if r_hi >= -NU_RESIDUAL_TOL:
+        return hi
+    x = 1.0
+    for _ in range(NU_MAX_ITER):
+        inv = 1.0 / (x + mu)
+        s = float(np.sum(inv * inv))
+        r = s - 1.0
+        if r <= NU_RESIDUAL_TOL:
+            if r < -NU_RESIDUAL_TOL:
+                raise FloatingPointError(f"nu root: Newton overshot the root (residual {r:.3e})")
+            return x
+        x += s * (s**0.5 - 1.0) / float(np.sum(inv**3))
+        if not 1.0 <= x <= hi:
+            raise FloatingPointError(f"nu root: Newton iterate {x!r} left [1, {hi!r}]")
+    raise FloatingPointError(f"nu root: no convergence in {NU_MAX_ITER} Newton steps")
+
+
+def ftrl_action(cum_loss, eta):
+    """``(A^{-1/2}, nu, Tr A^{1/2})`` for one cumulative loss and one rate."""
+    cum_loss = np.asarray(cum_loss, dtype=float)
+    d_tilde = cum_loss.shape[0]
+    lam, V = np.linalg.eigh(0.5 * eta * (cum_loss + cum_loss.T))
+    lam = np.maximum(lam, 0.0)
+    lam_min = float(lam.min())
+    x = nu_root(lam, d_tilde)
+    shifted = x + (lam - lam_min)
+    A_inv_sqrt = (V * shifted) @ V.T
+    return 0.5 * (A_inv_sqrt + A_inv_sqrt.T), x - lam_min, float(np.sum(1.0 / shifted))
+
+
+def select_batch_one_rate(budget, eta, factors, mask_selected=True):
+    """The rounding at one rate, every candidate scored at every step and
+    the pick taken by ``np.argmax``: ``(indices, report)`` as one entry of
+    :func:`firal.sparsify.select_batch` gives them."""
+    D = factors.shift_w
+    P = factors.factors
+    m, dt, _ = P.shape
+
+    cum = np.zeros((dt, dt))
+    chosen = np.empty(budget, dtype=int)
+    min_eig = np.empty(budget)
+    gain_chosen = np.empty(budget)
+    gain_max = np.empty(budget)
+    masked = np.zeros(m, dtype=bool)
+
+    for t in range(budget):
+        A_inv_sqrt, _, tr_a_sqrt = ftrl_action(cum, eta)
+        B_sqrt = inv_psd(A_inv_sqrt + eta * D)
+
+        scores = _scores(B_sqrt, factors.by_class, eta)
+        tr_gap = tr_a_sqrt - float(np.trace(B_sqrt))
+        gain_max[t] = tr_gap + eta * scores.max()
+
+        cand = scores.copy()
+        if mask_selected:
+            cand[masked] = -np.inf
+        i_t = int(np.argmax(cand))
+        chosen[t] = i_t
+        masked[i_t] = True
+
+        gain_chosen[t] = tr_gap + eta * scores[i_t]
+
+        cum = cum + D + P[i_t] @ P[i_t].T
+        min_eig[t] = float(np.linalg.eigvalsh(0.5 * (cum + cum.T))[0])
+
+    eta, root_d = float(eta), np.sqrt(dt)
+    lower = -2.0 * root_d / eta + np.cumsum(gain_chosen) / eta
+    margin_trace = None
+    if not mask_selected:
+        bound = (1.0 - eta / (2.0 * budget)) / (budget + eta * root_d)
+        margin_trace = gain_max / eta - bound
+    return chosen, AuditReport(min_eig - lower, margin_trace, float(min_eig[-1]))

@@ -209,7 +209,7 @@ class TestCriterion6RegretAudits:
                 600 + d_tilde, c, d, m=60, budget=128,
             )
             eta = 8.0 * np.sqrt(d_tilde)
-            _, report = select_batch(128, eta, factors, mask_selected=False)
+            [(_, report)] = select_batch(128, [eta], factors, mask_selected=False)
             worst1 = min(worst1, report.worst_min_eig)
             worst2 = min(worst2, report.worst_trace)
         _report(6, "regret audits", worst1 >= -1e-8 and worst2 >= -1e-8,
@@ -223,7 +223,7 @@ class TestCriterion7NearOptimality:
             77, c=2, d=2, m=50, budget=96,
         )
         eta = 8.0 * np.sqrt(2.0)
-        picks, _ = select_batch(96, eta, factors, mask_selected=False)
+        [(picks, _)] = select_batch(96, [eta], factors, mask_selected=False)
         f_picked = f_objective(picks, fishers, Hp0)
         _report(7, "near-optimality", f_picked <= 2.0 * relaxed.objective + 1e-9,
                 f"f(picked)={f_picked:.6g} vs 2 f(relaxed)={2 * relaxed.objective:.6g}")

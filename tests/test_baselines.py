@@ -244,6 +244,18 @@ class TestSelectGreedyFb:
         with pytest.raises(ValueError, match=r"budget 4 outside 1\.\.3"):
             select_greedy_fb(4, *inputs)
 
+    @pytest.mark.parametrize("budget", [2.5, 2.0, 0])
+    def test_budget_must_be_a_positive_integer(self, budget):
+        X, theta, X0 = self._instance(13, m=6)
+        with pytest.raises(ValueError, match=r"^budget must be an integer"):
+            select_greedy_fb(budget, *self._inputs(X, theta, X0, 2))
+
+    def test_numpy_integer_budget(self):
+        X, theta, X0 = self._instance(13, m=6)
+        inputs = self._inputs(X, theta, X0, 2)
+        np.testing.assert_array_equal(select_greedy_fb(np.int64(2), *inputs),
+                                      select_greedy_fb(2, *inputs))
+
 
 class TestGreedyAgainstRelaxation:
     @pytest.mark.parametrize("c, d, m, budget, seed", [

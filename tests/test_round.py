@@ -31,15 +31,15 @@ class TestTuneEta:
         factors = pipeline_factors(1, m=10)[0]
         grid = eta_grid(factors.d_tilde)
         best, _, _ = tune_eta(grid, factors, 4)
-        _, best_report = select_batch(4, best, factors)
+        [(_, best_report)] = select_batch(4, [best], factors)
         for e in grid:
-            _, report = select_batch(4, e, factors)
+            [(_, report)] = select_batch(4, [e], factors)
             assert best_report.min_eig >= report.min_eig - 1e-12
 
     def test_returned_selection_equals_fresh_run(self):
         factors = pipeline_factors(2, m=10)[0]
         eta, picks, report = tune_eta(eta_grid(factors.d_tilde), factors, 4)
-        fresh_picks, fresh = select_batch(4, eta, factors)
+        [(fresh_picks, fresh)] = select_batch(4, [eta], factors)
         np.testing.assert_array_equal(picks, fresh_picks)
         assert report.min_eig == fresh.min_eig
         np.testing.assert_array_equal(report.margin_min_eig, fresh.margin_min_eig)
@@ -50,8 +50,8 @@ class TestTuneEta:
         v = 0.37
         scores = {1.0: v, 2.0: v * (1 + rel)}
 
-        def scored(budget, eta, factors):
-            return np.array([int(eta)]), SimpleNamespace(min_eig=scores[eta])
+        def scored(budget, etas, factors):
+            return [(np.array([int(e)]), SimpleNamespace(min_eig=scores[e])) for e in etas]
 
         monkeypatch.setattr(firal_round, "select_batch", scored)
         eta, picks, _ = tune_eta([1.0, 2.0], None, 1)
@@ -61,10 +61,12 @@ class TestTuneEta:
 
 def inject_report(monkeypatch, name, report):
     """Make ``firal.round.<name>`` (``select_batch`` or ``tune_eta``) keep its
-    picks but return ``report`` as their regret audit."""
+    picks but return ``report`` as their regret audit, at every rate."""
     real = getattr(firal_round, name)
 
     def violated(*args, **kwargs):
+        if name == "select_batch":
+            return [(picks, report) for picks, _ in real(*args, **kwargs)]
         *picks, _ = real(*args, **kwargs)
         return (*picks, report)
 
@@ -89,7 +91,7 @@ def hand_chain(X, labeled, candidates, theta, budget, eta, repeats):
         eta, local, report = tune_eta(eta_grid(factors.d_tilde), factors, budget)
     else:
         eta = 8.0 * np.sqrt(factors.d_tilde) if eta is None else eta
-        local, report = select_batch(budget, eta, factors, mask_selected=not repeats)
+        [(local, report)] = select_batch(budget, [eta], factors, mask_selected=not repeats)
     return candidates[local], eta, report
 
 
@@ -132,13 +134,15 @@ class TestSelectFiral:
                                       sorted_diag.report.margin_min_eig)
 
     def test_factors_computed_once_per_round(self, monkeypatch):
-        # The relaxation and the whitening share one eigh of the W stack.
+        # The relaxation and the whitening share one eigh of the W stack,
+        # the (m, c-1, c-1) one; the rounding's per-rate stacks are others.
         X, theta, labeled = firal_problem(seed=6)
         unlabeled = np.setdiff1d(np.arange(len(X)), labeled)
+        w_stack = (len(unlabeled), theta.shape[0], theta.shape[0])
         eigh, stacks = np.linalg.eigh, []
 
         def counting_eigh(a, *args, **kwargs):
-            if np.ndim(a) == 3:
+            if np.shape(a) == w_stack:
                 stacks.append(np.shape(a))
             return eigh(a, *args, **kwargs)
 

@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firal import sparsify
+from firal.linalg import inv_psd_eig
 from firal.sparsify import (
     NU_RESIDUAL_TOL,
+    _norm_floor,
     _nu_root,
     _scores,
     ftrl_action,
@@ -20,7 +22,7 @@ from firal.sparsify import (
     trace_solve,
 )
 
-from oracle import f_objective, pipeline_factors, score_candidate
+from oracle import f_objective, pipeline_factors, score_candidate, select_batch_one_rate
 
 
 def random_psd(rng, n, rank=None):
@@ -291,28 +293,28 @@ class TestScoreCandidate:
 class TestSelectBatch:
     def test_single_candidate_repeats(self):
         factors, _, _, _ = pipeline_factors(1, m=1)
-        picks, _ = select_batch(3, 2.0, factors, mask_selected=False)
+        [(picks, _)] = select_batch(3, [2.0], factors, mask_selected=False)
         np.testing.assert_array_equal(picks, [0, 0, 0])
 
     def test_tie_breaks_to_smallest_index(self):
         factors, _, _, _ = pipeline_factors(2, m=4)
         # Duplicate candidate 0's factor everywhere: all scores tie.
         factors.factors[:] = factors.factors[0]
-        picks, _ = select_batch(2, 2.0, factors, mask_selected=False)
+        [(picks, _)] = select_batch(2, [2.0], factors, mask_selected=False)
         np.testing.assert_array_equal(picks, [0, 0])
-        picks, _ = select_batch(2, 2.0, factors, mask_selected=True)
+        [(picks, _)] = select_batch(2, [2.0], factors, mask_selected=True)
         np.testing.assert_array_equal(picks, [0, 1])
 
     def test_mask_gives_distinct_indices(self):
         factors, _, _, _ = pipeline_factors(3, m=8)
-        picks, _ = select_batch(5, 3.0, factors, mask_selected=True)
+        [(picks, _)] = select_batch(5, [3.0], factors, mask_selected=True)
         assert len(set(picks.tolist())) == 5
 
     def test_exhaustive_sandwich(self):
         # f at the picked set is at least the exhaustive optimum, while the
         # relaxed value lower-bounds it.
         factors, fishers, Hp0, relaxed = pipeline_factors(4, c=2, d=2, m=8, budget=2)
-        picks, _ = select_batch(2, 8.0 * np.sqrt(2), factors, mask_selected=True)
+        [(picks, _)] = select_batch(2, [8.0 * np.sqrt(2)], factors, mask_selected=True)
         f_star = min(
             f_objective(np.array(s, dtype=int), fishers, Hp0)
             for s in itertools.combinations(range(8), 2)
@@ -324,23 +326,127 @@ class TestSelectBatch:
     def test_budget_validation(self):
         factors, _, _, _ = pipeline_factors(5, m=4)
         with pytest.raises(ValueError):
-            select_batch(5, 1.0, factors, mask_selected=True)
+            select_batch(5, [1.0], factors, mask_selected=True)
         with pytest.raises(ValueError):
-            select_batch(2, -1.0, factors)
+            select_batch(2, [-1.0], factors)
 
     @pytest.mark.parametrize("eta", [np.nan, np.inf])
     def test_non_finite_eta_rejected_before_any_step(self, monkeypatch, eta):
         factors, _, _, _ = pipeline_factors(5, m=4)
         monkeypatch.setattr(sparsify, "ftrl_action", pytest.fail)
         with pytest.raises(ValueError, match="eta"):
-            select_batch(2, eta, factors)
+            select_batch(2, [eta], factors)
+
+    @pytest.mark.parametrize("budget", [2.5, 2.0, 0])
+    def test_budget_must_be_a_positive_integer(self, budget):
+        factors, _, _, _ = pipeline_factors(5, m=4)
+        for mask in (True, False):
+            with pytest.raises(ValueError, match=r"^budget must be an integer"):
+                select_batch(budget, [2.0], factors, mask_selected=mask)
+
+    def test_numpy_integer_budget(self):
+        factors, _, _, _ = pipeline_factors(5, m=4)
+        [(picks, _)] = select_batch(np.int64(2), [2.0], factors)
+        [(want, _)] = select_batch(2, [2.0], factors)
+        np.testing.assert_array_equal(picks, want)
+
+    @pytest.mark.parametrize("etas", [2.0, [], [[2.0]]], ids=["scalar", "empty", "2-D"])
+    def test_rates_must_be_a_nonempty_sequence(self, etas):
+        factors, _, _, _ = pipeline_factors(5, m=4)
+        with pytest.raises(ValueError, match="^etas must be a nonempty 1-D sequence"):
+            select_batch(2, etas, factors)
+
+
+def lockstep_round(seed, k, m, dup):
+    """Whitened factors of a random round with ``k = c - 1`` factor columns
+    and ``m`` candidates, ``dup`` of which then repeat other candidates, so
+    that their scores tie exactly."""
+    factors = pipeline_factors(seed, c=k + 1, d=2 + seed % 2, m=m)[0]
+    rng = np.random.default_rng(seed)
+    into = rng.choice(m, size=dup, replace=False)
+    factors.by_class[:, into] = factors.by_class[:, rng.integers(0, m, size=dup)]
+    return factors
+
+
+LOCKSTEP_ROUNDS = [(k, m, mask) for k in (1, 2, 3) for m in (3, 40, 130, 200)
+                   for mask in (True, False)]
+
+
+class TestLockstepPass:
+    @pytest.mark.parametrize("first", [2, sparsify.FIRST_BLOCK])
+    @pytest.mark.parametrize("k, m, mask", LOCKSTEP_ROUNDS,
+                             ids=[f"k{k}-m{m}-{'masked' if mask else 'repeats'}"
+                                  for k, m, mask in LOCKSTEP_ROUNDS])
+    def test_equals_full_scoring_at_each_rate(self, monkeypatch, k, m, mask, first):
+        # The pruned lockstep pass against the one-rate rounding that scores
+        # every candidate: the same picks and the same margins, bit for bit,
+        # at every rate, a repeated rate included.  Blocks of two candidates
+        # take the pass through many prefix extensions.
+        monkeypatch.setattr(sparsify, "FIRST_BLOCK", first)
+        factors = lockstep_round(10 * k + m, k, m, dup=m // 3)
+        budget = min(m, 7) if mask else 9
+        etas = [e * np.sqrt(factors.d_tilde) for e in (0.25, 2.0, 2.0, 16.0)]
+        got = select_batch(budget, etas, factors, mask_selected=mask)
+        assert len(got) == len(etas)
+        for eta, (picks, report) in zip(etas, got):
+            want_picks, want = select_batch_one_rate(budget, eta, factors, mask)
+            np.testing.assert_array_equal(picks, want_picks)
+            np.testing.assert_array_equal(report.margin_min_eig, want.margin_min_eig)
+            assert report.min_eig == want.min_eig
+            if mask:
+                assert report.margin_trace is None
+            else:
+                np.testing.assert_array_equal(report.margin_trace, want.margin_trace)
+
+    def test_ties_across_blocks_keep_the_smallest_index(self, monkeypatch):
+        # Candidates 0 and 1 repeat candidate 2 and are scored last, each in
+        # a block of its own; a norm floor of -inf keeps every block open.
+        monkeypatch.setattr(sparsify, "FIRST_BLOCK", 1)
+        factors = lockstep_round(3, 2, 6, dup=0)
+        P = factors.by_class
+        P[:, :2] = P[:, 2:3]
+        order = np.array([2, 3, 4, 5, 1, 0])
+        B_sqrt = np.eye(factors.d_tilde)[None]
+        scores = _scores(B_sqrt[0], P, 1.0)
+        assert scores[0] == scores[1] == scores[2] == scores.max()
+        picks, best, _ = sparsify._pruned_argmax(
+            B_sqrt, np.array([1.0]), np.array([1.0]), P, order, np.full(6, -np.inf),
+            None, 1)
+        assert picks.tolist() == [0] and best[0] == scores[0]
+
+    @pytest.mark.parametrize("k, mask", [(1, True), (2, False), (3, True)])
+    def test_bound_covers_every_exact_score(self, k, mask):
+        # At every step of every rate: lam x / (1 + eta x / k), with lam the
+        # largest eigenvalue of B^(1/2) and x = lam ||P_i||_F^2, is at least
+        # each candidate's exact score, and so each candidate's norm is at
+        # least the floor its own score sets.  Some candidates fall below
+        # the floor of the best score, so the bound prunes.
+        factors = lockstep_round(7 + k, k, 200, dup=20)
+        D, P = factors.shift_w, factors.by_class
+        sq = np.einsum("aij,aij->i", P, P)
+        budget, pruned = 7, 0
+        for eta in [e * np.sqrt(factors.d_tilde) for e in (0.25, 2.0, 16.0)]:
+            picks, _ = select_batch_one_rate(budget, eta, factors, mask)
+            cum = np.zeros_like(D)
+            for i in picks:
+                A_inv_sqrt, _, _ = ftrl_action(cum, eta)
+                w, B_sqrt = inv_psd_eig(A_inv_sqrt + eta * D)
+                scores = _scores(B_sqrt, P, eta)
+                x = sq / w[0]
+                assert np.all(scores <= x / w[0] / (1.0 + eta * x / k) * (1.0 + 1e-12))
+                lam = (1.0 + sparsify.BOUND_SLACK) / w[0]
+                assert np.all(sq >= _norm_floor(lam, eta, k, scores))
+                pruned += np.count_nonzero(sq < _norm_floor(lam, eta, k, scores.max()))
+                G = factors.factors[i]
+                cum = cum + D + G @ G.T
+        assert pruned > 0
 
 
 class TestRegretAudit:
     def test_margins_nonnegative_random_instance(self):
         factors, _, _, _ = pipeline_factors(6, c=3, d=2, m=12, budget=8)
         d_tilde = factors.d_tilde
-        _, report = select_batch(64, 8.0 * np.sqrt(d_tilde), factors,
+        [(_, report)] = select_batch(64, [8.0 * np.sqrt(d_tilde)], factors,
                                  mask_selected=False)
         assert report.worst_min_eig >= -1e-8
         assert report.worst_trace >= -1e-8
@@ -351,7 +457,7 @@ class TestRegretAudit:
         # lambda_min(C) >= -2 sqrt(d)/eta + gain/eta, checkable directly.
         factors, _, _, _ = pipeline_factors(7, c=2, d=2, m=5, budget=3)
         eta = 4.0
-        picks, report = select_batch(1, eta, factors, mask_selected=False)
+        [(picks, report)] = select_batch(1, [eta], factors, mask_selected=False)
         i = picks[0]
         C = dense_candidate(factors, i)
         lam_min = np.linalg.eigvalsh(C)[0]
@@ -366,7 +472,7 @@ class TestRegretAudit:
 
     def test_masked_run_has_no_trace_margin(self):
         factors, _, _, _ = pipeline_factors(8, m=8)
-        _, report = select_batch(3, 2.0, factors, mask_selected=True)
+        [(_, report)] = select_batch(3, [2.0], factors, mask_selected=True)
         assert report.margin_trace is None
         assert report.worst_trace is None
 
@@ -375,7 +481,7 @@ class TestRegretAudit:
         # The rate-tuning score: the least eigenvalue of the sum of the
         # picked whitened candidates, a repeated pick counted each time.
         factors, _, _, _ = pipeline_factors(8, m=8)
-        picks, report = select_batch(5, 2.0, factors, mask_selected=mask)
+        [(picks, report)] = select_batch(5, [2.0], factors, mask_selected=mask)
         total = sum(dense_candidate(factors, i) for i in picks)
         assert report.min_eig == pytest.approx(np.linalg.eigvalsh(total)[0],
                                                rel=1e-12, abs=1e-12)
@@ -399,7 +505,7 @@ class TestNearOptimality:
         )
         d_tilde = factors.d_tilde
         eta = 8.0 * np.sqrt(d_tilde)
-        picks, report = select_batch(budget, eta, factors, mask_selected=False)
+        [(picks, report)] = select_batch(budget, [eta], factors, mask_selected=False)
         f_picked = f_objective(picks, fishers, Hp0)
         assert f_picked <= 2.0 * relaxed.objective + 1e-9
         assert report.holds()
