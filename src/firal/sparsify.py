@@ -228,7 +228,7 @@ def _pruned_argmax(B_sqrt, etas, lam, P, order, neg_sq, masked, first):
     candidates long.  A rate is closed once the candidates after its
     scored prefix fall below the :func:`_norm_floor` of its best score;
     until then its prefix doubles, up to the length that floor admits.
-    ``masked`` is ``None`` or ``(R, m)``, by position in ``order``.
+    ``masked`` is ``(R, m)``, by position in ``order``.
     Returns ``(picks, best, admitted)``, ``admitted`` the length of the
     prefix each rate's final best score admits.
     """
@@ -242,8 +242,7 @@ def _pruned_argmax(B_sqrt, etas, lam, P, order, neg_sq, masked, first):
     while True:
         idx = order[lo:hi]
         s = _scores(B_sqrt[open_], np.take(P, idx, axis=1), etas[open_])
-        if masked is not None:
-            s[masked[open_, lo:hi]] = -np.inf
+        s[masked[open_, lo:hi]] = -np.inf
         top = s.max(axis=1)
         at = np.where(s == top[:, None], idx, m).min(axis=1)
         was = best[open_]
@@ -307,7 +306,7 @@ def select_batch(budget, etas, factors: WhitenedFactors, mask_selected=True):
     chosen = np.empty((R, budget), dtype=int)
     min_eig = np.empty((R, budget))
     gain = np.empty((R, budget))
-    masked = np.zeros((R, m), dtype=bool) if mask_selected else None
+    masked = np.zeros((R, m), dtype=bool)
     first = FIRST_BLOCK
 
     for t in range(budget):
@@ -321,7 +320,7 @@ def select_batch(budget, etas, factors: WhitenedFactors, mask_selected=True):
 
         gain[:, t] = tr_a_sqrt - np.trace(B_sqrt, axis1=1, axis2=2) + etas * best
         chosen[:, t] = picks
-        if masked is not None:
+        if mask_selected:
             masked[np.arange(R), rank[picks]] = True
         for r, i in enumerate(picks):
             G = factors.factors[i]

@@ -411,7 +411,7 @@ class TestLockstepPass:
         assert scores[0] == scores[1] == scores[2] == scores.max()
         picks, best, _ = sparsify._pruned_argmax(
             B_sqrt, np.array([1.0]), np.array([1.0]), P, order, np.full(6, -np.inf),
-            None, 1)
+            np.zeros((1, 6), dtype=bool), 1)
         assert picks.tolist() == [0] and best[0] == scores[0]
 
     @pytest.mark.parametrize("k, mask", [(1, True), (2, False), (3, True)])
