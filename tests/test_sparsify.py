@@ -1,6 +1,7 @@
 """Selection tests: the trace-normalizing root, equivalence of the reduced
-score with the dense trace objective, tie rules, the per-step guarantees,
-and near-optimality against exhaustive enumeration."""
+score with the dense trace objective, tie rules, the pruned lockstep pass
+against the one-rate rounding that scores every candidate, the per-step
+guarantees, and near-optimality against exhaustive enumeration."""
 
 import itertools
 
@@ -447,7 +448,7 @@ class TestRegretAudit:
         factors, _, _, _ = pipeline_factors(6, c=3, d=2, m=12, budget=8)
         d_tilde = factors.d_tilde
         [(_, report)] = select_batch(64, [8.0 * np.sqrt(d_tilde)], factors,
-                                 mask_selected=False)
+                                     mask_selected=False)
         assert report.worst_min_eig >= -1e-8
         assert report.worst_trace >= -1e-8
         assert report.holds()
