@@ -11,7 +11,7 @@ import numpy as np
 
 from .linalg import inv_psd
 from .model import class_probabilities
-from .sparsify import _woodbury_terms, check_budget, trace_solve
+from .sparsify import check_budget, woodbury_scores
 
 
 def select_random(X, budget, seed):
@@ -100,23 +100,6 @@ def select_var_ratios(X, theta, budget):
     return np.sort(np.argsort(scores, kind="stable")[:budget])
 
 
-def _woodbury_objective(A, P, Hp0, sign):
-    """``<(A + sign G_i G_i^T)^{-1}, Hp0>`` for each tall factor ``G_i`` of
-    ``P``, laid out as ``KronFishers.factors``, by the Woodbury identity, for a
-    positive definite ``A`` that every update keeps positive definite.
-
-    With ``T_i = G_i^T A^{-1} G_i`` and ``U_i = G_i^T A^{-1} Hp0 A^{-1} G_i``
-    (the rounding's kernel on ``Y = P A^{-1}`` and ``Z = Y Hp0``) the value
-    is ``tr(A^{-1} Hp0) -+ tr((I +- T_i)^{-1} U_i)``.  Raises
-    ``LinAlgError`` where ``A`` is singular to working precision.
-    """
-    k, n, dt = P.shape
-    A_inv = inv_psd(A)
-    Y = (P.reshape(k * n, dt) @ A_inv).reshape(k, n, dt)
-    Z = (Y.reshape(k * n, dt) @ Hp0).reshape(k, n, dt)
-    return np.sum(A_inv * Hp0) - sign * trace_solve(*_woodbury_terms(P, Y, Z, sign))
-
-
 def select_greedy_fb(budget, Hp, fishers):
     """Forward-backward greedy on ``<A^{-1}, Hp>`` from the inputs of
     :func:`~firal.relax.relax_solve`; ``A`` starts at ``budget * shift``,
@@ -127,10 +110,10 @@ def select_greedy_fb(budget, Hp, fishers):
     Greedily adds ``2 * budget`` candidates minimizing the objective, then
     removes ``budget`` whose removal increases it least.  A positive
     definite start keeps every step positive definite, since a removal
-    leaves at least the start, so each step scores every candidate exactly
-    by a rank-``(c-1)`` Woodbury update of one factored ``A`` (the FIRAL
-    rounding's kernel).  Raises ``LinAlgError`` for a singular start, as
-    a zero ridge with too few labeled points gives.
+    leaves at least the start, so each step scores every candidate exactly,
+    ``tr(A^{-1} Hp) -+ woodbury_scores(P, A^{-1}, +-1, Hp)`` for an add or
+    a removal, from one inverse of ``A``.  Raises ``LinAlgError`` for a
+    singular start, as a zero ridge with too few labeled points gives.
     """
     m = fishers.shape[0]
     check_budget(budget, m // 2)
@@ -141,8 +124,10 @@ def select_greedy_fb(budget, Hp, fishers):
         sign = 1.0 if add else -1.0
         for _ in range(steps):
             idx = np.flatnonzero(in_set != add)
-            best_i = idx[int(np.argmin(_woodbury_objective(A, P[:, idx], Hp, sign)))]
+            A_inv = inv_psd(A)
+            values = np.sum(A_inv * Hp) - sign * woodbury_scores(P[:, idx], A_inv, sign, Hp)
+            best_i = idx[int(np.argmin(values))]
             in_set[best_i] = add
-            G = P[:, best_i].T
-            A = A + sign * (G @ G.T)
+            G = P[:, best_i]
+            A = A + sign * (G.T @ G)
     return np.nonzero(in_set)[0]

@@ -67,7 +67,8 @@ class WhitenedFactors:
     @property
     def factors(self):
         """The tall per-point factors, ``(m, d_tilde, c-1)``: a view of
-        ``by_class``."""
+        ``by_class``.  Besides the tests, only ``perfbench/tracing.py``
+        reads it."""
         return self.by_class.transpose(1, 2, 0)
 
 

@@ -5,7 +5,8 @@ action ``A_t = (nu_t I + eta * sum_{l<t} C_l)^{-2}`` over the whitened
 candidate matrices ``C_l``, and the next pick maximizes the trace gain
 ``Tr[A_t^{1/2} - (A_t^{-1/2} + eta C_i)^{-1}]``.  Because every whitened
 candidate splits into a shared PSD shift plus a rank-``(c-1)`` factor,
-the argmax reduces to small ``(c-1) x (c-1)`` solves per candidate.
+the argmax reduces to small ``(c-1) x (c-1)`` solves per candidate
+(:func:`woodbury_scores`, which the greedy baseline shares).
 :func:`select_batch` advances several rates in lockstep, and each step
 solves only for the candidates that a norm bound cannot rule out.
 """
@@ -62,37 +63,29 @@ def _nu_root(lam, d_tilde):
         bad = r_hi[~(r_hi <= NU_RESIDUAL_TOL)][0]
         raise FloatingPointError(f"nu root: upper bracket residual {bad:.3e} is not <= 0")
     # A flat spectrum puts the root on the upper end, where one rounding of
-    # a Newton step could land past it.
-    x = np.full(len(rows), hi)
-    todo = np.flatnonzero(r_hi < -NU_RESIDUAL_TOL)
-    x_todo, mu = np.ones(todo.size), mu[todo]
-    steps = 0
-    while todo.size:
-        if steps == NU_MAX_ITER:
-            raise FloatingPointError(f"nu root: no convergence in {NU_MAX_ITER} Newton steps")
-        steps += 1
-        inv = 1.0 / (x_todo[:, None] + mu)
+    # a Newton step could land past it.  Rows that have converged keep their
+    # root while the others step.
+    todo = r_hi < -NU_RESIDUAL_TOL
+    x = np.where(todo, 1.0, hi)
+    for _ in range(NU_MAX_ITER):
+        inv = 1.0 / (x[:, None] + mu)
         s = np.sum(inv * inv, axis=1)
         r = s - 1.0
-        done = r <= NU_RESIDUAL_TOL
-        if done.any():
-            if np.any(r[done] < -NU_RESIDUAL_TOL):
-                bad = r[done][r[done] < -NU_RESIDUAL_TOL][0]
-                raise FloatingPointError(
-                    f"nu root: Newton overshot the root (residual {bad:.3e})")
-            x[todo[done]] = x_todo[done]
-            keep = ~done
-            todo, x_todo, mu, inv, s = todo[keep], x_todo[keep], mu[keep], inv[keep], s[keep]
-            if not todo.size:
-                break
+        done = todo & (r <= NU_RESIDUAL_TOL)
+        if np.any(r[done] < -NU_RESIDUAL_TOL):
+            bad = r[done][r[done] < -NU_RESIDUAL_TOL][0]
+            raise FloatingPointError(f"nu root: Newton overshot the root (residual {bad:.3e})")
+        todo &= ~done
+        if not todo.any():
+            return x.reshape(lam.shape[:-1])[()]
         # s ** 0.5 of a Python float is the C library's pow, as in a lone
         # row's scalar Newton step.
         root_s = np.array([v**0.5 for v in s.tolist()])
-        x_todo = x_todo + s * (root_s - 1.0) / np.sum(inv**3, axis=1)
-        if not np.all((1.0 <= x_todo) & (x_todo <= hi)):
-            bad = x_todo[~((1.0 <= x_todo) & (x_todo <= hi))][0]
+        x = np.where(todo, x + s * (root_s - 1.0) / np.sum(inv**3, axis=1), x)
+        if not np.all((1.0 <= x) & (x <= hi)):
+            bad = x[~((1.0 <= x) & (x <= hi))][0]
             raise FloatingPointError(f"nu root: Newton iterate {float(bad)!r} left [1, {hi!r}]")
-    return x.reshape(lam.shape[:-1])[()]
+    raise FloatingPointError(f"nu root: no convergence in {NU_MAX_ITER} Newton steps")
 
 
 def ftrl_action(cum_loss, eta):
@@ -121,18 +114,27 @@ def ftrl_action(cum_loss, eta):
     return A_inv_sqrt, (x - lam_min)[()], np.sum(1.0 / shifted, axis=-1)[()]
 
 
-def _woodbury_terms(P, Y, Z, s):
-    """``M = I + s P^T Y`` and ``U = Z^T Y`` of a Woodbury-reduced score,
-    batch last as :func:`trace_solve` reads them, from ``P``, ``Y`` and
-    ``Z`` laid out as ``KronFishers.factors``.  ``Y`` and ``Z`` may carry
-    one leading axis (a rate each), which ``s`` broadcasts against and
-    which comes before the batch.  Both are symmetric when ``Y`` and ``Z``
-    are ``P`` times symmetric matrices, so only the ``k(k+1)`` distinct
-    entries are formed, each a length-``n`` row dot.
+def woodbury_scores(P, C, s, E=None):
+    """``tr((I + s P_i^T C P_i)^{-1} P_i^T C E C P_i)`` for each factor
+    ``P_i`` of ``P``, laid out as ``KronFishers.factors``, with ``C`` and
+    ``E`` symmetric and ``E=None`` the identity: the Woodbury reduction of
+    a rank-``(c-1)`` update that both search selectors score.  The FTRL
+    rounding calls it at ``C = B^{1/2}``, ``s = eta``; the greedy at ``C =
+    A^{-1}``, ``E = Hp``, ``s = +-1``.  A stack of ``R`` matrices ``C``
+    with one ``s`` each gives ``(R, m)`` values.
+
+    ``Y = C P_i`` for all candidates is one flat GEMM, and ``Z = E Y``
+    another.  ``I + s P^T Y`` and ``Z^T Y`` are symmetric, so only their
+    ``k(k+1)`` distinct entries are formed, each a length-``d_tilde`` row
+    dot, stored batch last for :func:`trace_solve`.
     """
-    k, n, _ = P.shape
+    k, m, dt = P.shape
+    Y = P.reshape(k * m, dt) @ C
+    Z = Y if E is None else Y @ E
+    Y, Z = (V.reshape(C.shape[:-2] + (k, m, dt)) for V in (Y, Z))
+    s = np.asarray(s, dtype=float)[..., None]
     r = "r" if Y.ndim == 4 else ""
-    M = np.empty((k, k) + Y.shape[:-3] + (n,))
+    M = np.empty((k, k) + Y.shape[:-3] + (m,))
     U = np.empty_like(M)
     for a in range(k):
         for b in range(a, k):
@@ -140,21 +142,7 @@ def _woodbury_terms(P, Y, Z, s):
             U[a, b] = U[b, a] = np.einsum(f"{r}ij,{r}ij->{r}i", Z[..., a, :, :],
                                           Y[..., b, :, :])
         M[a, a] += 1.0
-    return M, U
-
-
-def _scores(B_sqrt, P, eta):
-    """Woodbury-reduced selection scores ``<(I + eta P_i^T B^{1/2}
-    P_i)^{-1}, P_i^T B P_i>``, whose argmax over candidates is the argmin of
-    the direct trace objective, for factors ``P`` laid out as
-    ``KronFishers.factors``.  ``Y = B^{1/2} P_i`` for all candidates is one
-    flat GEMM (``B^{1/2}`` is symmetric), ``U = Y^T Y = P^T B P``, and
-    ``B`` itself is never formed.  A stack of ``R`` matrices ``B^{1/2}``
-    with a rate each gives ``(R, m)`` scores."""
-    k, m, dt = P.shape
-    Y = (P.reshape(k * m, dt) @ B_sqrt).reshape(B_sqrt.shape[:-2] + (k, m, dt))
-    M, U = _woodbury_terms(P, Y, Y, np.asarray(eta)[..., None])
-    del Y  # the largest array here, not needed by the solve
+    del Y, Z  # the largest arrays here, not needed by the solve
     return trace_solve(M, U)
 
 
@@ -228,7 +216,7 @@ def _pruned_argmax(B_sqrt, etas, lam, P, order, neg_sq, masked, first):
     candidates long.  A rate is closed once the candidates after its
     scored prefix fall below the :func:`_norm_floor` of its best score;
     until then its prefix doubles, up to the length that floor admits.
-    ``masked`` is ``(R, m)``, by position in ``order``.
+    ``masked`` is ``(R, m)``, by candidate.
     Returns ``(picks, best, admitted)``, ``admitted`` the length of the
     prefix each rate's final best score admits.
     """
@@ -241,8 +229,8 @@ def _pruned_argmax(B_sqrt, etas, lam, P, order, neg_sq, masked, first):
     lo, hi = 0, _block_end(0, first, m, R)
     while True:
         idx = order[lo:hi]
-        s = _scores(B_sqrt[open_], np.take(P, idx, axis=1), etas[open_])
-        s[masked[open_, lo:hi]] = -np.inf
+        s = woodbury_scores(np.take(P, idx, axis=1), B_sqrt[open_], etas[open_])
+        s[masked[np.ix_(open_, idx)]] = -np.inf
         top = s.max(axis=1)
         at = np.where(s == top[:, None], idx, m).min(axis=1)
         was = best[open_]
@@ -295,12 +283,10 @@ def select_batch(budget, etas, factors: WhitenedFactors, mask_selected=True):
         raise ValueError("eta must be positive and finite")
     R = len(etas)
 
-    # The candidates by decreasing norm, and each one's position there.
+    # The candidates by decreasing norm.
     neg_sq = -np.einsum("aij,aij->i", P, P)
     order = np.argsort(neg_sq)
     neg_sq = neg_sq[order]
-    rank = np.empty(m, dtype=int)
-    rank[order] = np.arange(m)
 
     cum = np.zeros((R, dt, dt))
     chosen = np.empty((R, budget), dtype=int)
@@ -321,10 +307,10 @@ def select_batch(budget, etas, factors: WhitenedFactors, mask_selected=True):
         gain[:, t] = tr_a_sqrt - np.trace(B_sqrt, axis1=1, axis2=2) + etas * best
         chosen[:, t] = picks
         if mask_selected:
-            masked[np.arange(R), rank[picks]] = True
+            masked[np.arange(R), picks] = True
         for r, i in enumerate(picks):
-            G = factors.factors[i]
-            cum[r] = cum[r] + D + G @ G.T
+            G = P[:, i]
+            cum[r] = cum[r] + D + G.T @ G
         min_eig[:, t] = np.linalg.eigvalsh(symmetrize(cum))[:, 0]
 
     root_d = np.sqrt(dt)

@@ -19,7 +19,7 @@ from firal.fisher import fir, pool_hessian, whiten_factors
 from firal.model import PROB_FLOOR, _as_theta, class_probabilities
 from firal.linalg import inv_psd
 from firal.relax import _inverse_parts, relax_solve
-from firal.sparsify import NU_MAX_ITER, NU_RESIDUAL_TOL, AuditReport, _scores
+from firal.sparsify import NU_MAX_ITER, NU_RESIDUAL_TOL, AuditReport, woodbury_scores
 
 
 def predict_proba(x, theta):
@@ -209,7 +209,7 @@ def select_batch_one_rate(budget, eta, factors, mask_selected=True):
         A_inv_sqrt, _, tr_a_sqrt = ftrl_action(cum, eta)
         B_sqrt = inv_psd(A_inv_sqrt + eta * D)
 
-        scores = _scores(B_sqrt, factors.by_class, eta)
+        scores = woodbury_scores(factors.by_class, B_sqrt, eta)
         tr_gap = tr_a_sqrt - float(np.trace(B_sqrt))
         gain_max[t] = tr_gap + eta * scores.max()
 

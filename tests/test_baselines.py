@@ -9,7 +9,6 @@ import pytest
 
 from firal import round_fishers
 from firal.baselines import (
-    _woodbury_objective,
     select_entropy,
     select_greedy_fb,
     select_kmeans,
@@ -17,8 +16,10 @@ from firal.baselines import (
     select_var_ratios,
 )
 from firal.fisher import pool_hessian
+from firal.linalg import inv_psd
 from firal.model import KronFishers
 from firal.relax import relax_solve
+from firal.sparsify import woodbury_scores
 
 from oracle import dense_fishers, f_objective, labeled_first
 
@@ -227,14 +228,16 @@ class TestSelectGreedyFb:
     @pytest.mark.parametrize("seed", range(5))
     def test_woodbury_equals_clamped_objective_where_admitted(self, seed):
         # Every add and every removal of a summand is scored as the dense
-        # solve scores it.
+        # solve scores it: the greedy's value from the shared kernel at
+        # C = A^{-1}, E = Hp.
         X, theta, X0 = self._instance(seed, m=40, d=3, c=3)
         P = KronFishers.at(X, theta).factors
         F = dense_fishers(X, theta)
         Hp0 = pool_hessian(X, theta)
         A = labeled_first(X0, X, theta, 3)[1].shift + F[:4].sum(axis=0)
+        A_inv = inv_psd(A)
         for sign, idx in ((1.0, np.arange(4, 40)), (-1.0, np.arange(4))):
-            values = _woodbury_objective(A, P[:, idx], Hp0, sign)
+            values = np.sum(A_inv * Hp0) - sign * woodbury_scores(P[:, idx], A_inv, sign, Hp0)
             expected = [dense_objective(A + sign * F[i], Hp0) for i in idx]
             np.testing.assert_allclose(values, expected, rtol=1e-12)
 

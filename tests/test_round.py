@@ -1,15 +1,19 @@
-"""Tests of one FIRAL round: its input, rate tuning, and the composed
-relaxation, whitening and rounding."""
+"""Tests of one FIRAL round: its input, rate tuning, the composed
+relaxation, whitening and rounding, and both search selectors over
+randomly drawn rounds that a fixed config never reaches."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from firal import round as firal_round
 from firal import round_fishers, select_firal
+from firal.baselines import select_greedy_fb
 from firal.fisher import pool_hessian, whiten_factors
-from firal.relax import relax_solve
+from firal.relax import GAP_TOL, relax_solve
 from firal.round import eta_grid, tune_eta
 from firal.sparsify import AuditReport, select_batch
 
@@ -226,3 +230,79 @@ class TestRoundFishers:
         with pytest.raises(ValueError, match=rf"^{name} must"):
             round_fishers(X, args["labeled"], args["candidates"], theta, args["budget"],
                           ridge=args["ridge"])
+
+
+# What a round may raise on input it cannot select from; cli.main maps each
+# to exit 2 or 3.
+ROUND_ERRORS = (ValueError, np.linalg.LinAlgError, FloatingPointError)
+
+
+def drawn_round(c, d, m, n, rows, scale, budget, ridge, seed):
+    """``(budget, Hp, fishers)`` of a round built by :func:`round_fishers`:
+    ``m`` candidates after ``n`` labeled points, with rows drawn at ``scale``
+    and then left ``"random"`` or made partly ``"duplicate"``,
+    ``"collinear"`` or all ``"equal"``, and ``Hp`` over all of them."""
+    rng = np.random.default_rng(seed)
+    X = scale * rng.normal(size=(n + m, d))
+    if rows == "duplicate":
+        into = rng.choice(n + m, size=(n + m) // 2, replace=False)
+        X[into] = X[rng.integers(0, n + m, size=into.size)]
+    elif rows == "collinear":
+        X = rng.normal(size=(n + m, 1)) * X[:1]
+    elif rows == "equal":
+        X[:] = X[0]
+    theta = rng.normal(size=(c - 1, d))
+    fishers = round_fishers(X, np.arange(n), np.arange(n, n + m), theta, budget, ridge=ridge)
+    return budget, pool_hessian(X, theta), fishers
+
+
+@st.composite
+def drawn_params(draw):
+    """Keywords of :func:`drawn_round`: 2 to 10 classes, 1 to 6 dimensions,
+    1 to 40 candidates after 0 to 4 labeled points, a budget up to one past
+    the candidates, and a ridge of 0 or 1e-6."""
+    m = draw(st.integers(1, 40))
+    return dict(
+        c=draw(st.integers(2, 10)), d=draw(st.integers(1, 6)), m=m, n=draw(st.integers(0, 4)),
+        rows=draw(st.sampled_from(["random", "duplicate", "collinear", "equal"])),
+        scale=draw(st.sampled_from([0.3, 3.0, 30.0])), budget=draw(st.integers(1, m + 1)),
+        ridge=draw(st.sampled_from([0.0, 1e-6])), seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def check_firal(budget, m, masked, picks, diag):
+    """Every check a FIRAL round's result must pass, NaN-free included."""
+    report = diag.report
+    assert masked == (report.margin_trace is None)
+    margins = (report.margin_min_eig if masked
+               else np.concatenate([report.margin_min_eig, report.margin_trace]))
+    assert np.all(np.isfinite(margins)) and np.isfinite(report.min_eig)
+    assert np.isfinite(diag.eta) and diag.relax_gap <= GAP_TOL and report.holds()
+    assert len(picks) == budget and np.all((0 <= picks) & (picks < m))
+    assert not masked or len(set(picks.tolist())) == budget
+
+
+class TestDrawnRounds:
+    @settings(max_examples=40, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(drawn_params())
+    def test_each_selector_selects_or_raises_a_round_error(self, params):
+        # Each call either returns a result that passes every check or
+        # raises one of ROUND_ERRORS; any other exception fails the test.
+        budget, Hp, fishers = drawn_round(**params)
+        m = fishers.shape[0]
+        # Masked with the tuned rate and with a fixed one; with repeats
+        # the default rate is fixed.
+        for eta, repeats in ((None, False), (4.0, False), (None, True)):
+            try:
+                picks, diag = select_firal(budget, Hp, fishers, eta=eta, repeats=repeats)
+            except ROUND_ERRORS:
+                continue
+            check_firal(budget, m, not repeats, picks, diag)
+        # The greedy adds twice its budget, so it takes at most half the
+        # candidates.
+        budget = max(1, min(budget, m // 2))
+        try:
+            picks = select_greedy_fb(budget, Hp, fishers)
+        except ROUND_ERRORS:
+            return
+        assert len(set(picks.tolist())) == budget and np.all((0 <= picks) & (picks < m))

@@ -1,5 +1,6 @@
 """Selection tests: the trace-normalizing root, equivalence of the reduced
-score with the dense trace objective, tie rules, the pruned lockstep pass
+score with the dense trace objective, the shared Woodbury kernel's stack of
+matrices against one-matrix calls, tie rules, the pruned lockstep pass
 against the one-rate rounding that scores every candidate, the per-step
 guarantees, and near-optimality against exhaustive enumeration."""
 
@@ -17,10 +18,10 @@ from firal.sparsify import (
     NU_RESIDUAL_TOL,
     _norm_floor,
     _nu_root,
-    _scores,
     ftrl_action,
     select_batch,
     trace_solve,
+    woodbury_scores,
 )
 
 from oracle import f_objective, pipeline_factors, score_candidate, select_batch_one_rate
@@ -207,7 +208,7 @@ class TestScoreCandidate:
         B_sqrt = np.linalg.inv(random_psd(rng, dt) + 0.1 * np.eye(dt))
         B_sqrt = 0.5 * (B_sqrt + B_sqrt.T)
         P = rng.normal(size=(m, dt, k)) * rng.uniform(0.1, 10.0)
-        batched = _scores(B_sqrt, P.transpose(2, 0, 1), eta)
+        batched = woodbury_scores(P.transpose(2, 0, 1), B_sqrt, eta)
         cond_b = np.linalg.cond(B_sqrt)
         for i in range(m):
             cond_m = np.linalg.cond(np.eye(k) + eta * P[i].T @ B_sqrt @ P[i])
@@ -246,6 +247,23 @@ class TestScoreCandidate:
             rtol = 4 * k * EPS * np.linalg.cond(M[:, :, i])
             assert got[i] == pytest.approx(exact_trace_solve(M[:, :, i], U[:, :, i]),
                                            rel=rtol)
+
+    @pytest.mark.parametrize("k, m, with_e", [(1, 5, False), (2, 70, True), (3, 130, False),
+                                              (3, 40, True)])
+    def test_stack_equals_one_matrix_calls(self, k, m, with_e):
+        # A stack of R matrices C with one s each gives, bit for bit, the
+        # R values of one-matrix calls, with E the identity or not.
+        rng = np.random.default_rng(100 * k + m)
+        dt = 2 * k
+        P = rng.normal(size=(k, m, dt))
+        C = np.stack([np.linalg.inv(random_psd(rng, dt) + np.eye(dt)) for _ in range(4)])
+        C = 0.5 * (C + np.swapaxes(C, 1, 2))
+        s = np.array([0.5, 2.0, 2.0, 16.0])
+        E = random_psd(rng, dt) if with_e else None
+        stacked = woodbury_scores(P, C, s, E)
+        assert stacked.shape == (4, m)
+        for r in range(4):
+            np.testing.assert_array_equal(stacked[r], woodbury_scores(P, C[r], s[r], E))
 
     def test_zero_factor(self):
         B_sqrt = np.eye(3)
@@ -408,7 +426,7 @@ class TestLockstepPass:
         P[:, :2] = P[:, 2:3]
         order = np.array([2, 3, 4, 5, 1, 0])
         B_sqrt = np.eye(factors.d_tilde)[None]
-        scores = _scores(B_sqrt[0], P, 1.0)
+        scores = woodbury_scores(P, B_sqrt[0], 1.0)
         assert scores[0] == scores[1] == scores[2] == scores.max()
         picks, best, _ = sparsify._pruned_argmax(
             B_sqrt, np.array([1.0]), np.array([1.0]), P, order, np.full(6, -np.inf),
@@ -432,7 +450,7 @@ class TestLockstepPass:
             for i in picks:
                 A_inv_sqrt, _, _ = ftrl_action(cum, eta)
                 w, B_sqrt = inv_psd_eig(A_inv_sqrt + eta * D)
-                scores = _scores(B_sqrt, P, eta)
+                scores = woodbury_scores(P, B_sqrt, eta)
                 x = sq / w[0]
                 assert np.all(scores <= x / w[0] / (1.0 + eta * x / k) * (1.0 + 1e-12))
                 lam = (1.0 + sparsify.BOUND_SLACK) / w[0]
