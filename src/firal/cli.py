@@ -419,10 +419,7 @@ def _cmd_sweep(args):
 def _cmd_embed(args):
     X, y = data.load_dataset(args.input)
     emb = embed.spectral_embed(X, args.neighbors, args.dim_out)
-    if y is not None:
-        data.save_dataset(args.out, emb, y)
-    else:
-        data.save_matrix(args.out, emb)
+    data.save_dataset(args.out, emb, y)
     print(f"embedded {len(emb)} points into {args.dim_out} dimensions")
     return 0
 

@@ -12,27 +12,18 @@ def _float_repr(v):
     return f"{v:.17g}"
 
 
-def save_dataset(path, X, y):
-    """Write features and labels with the required header row."""
+def save_dataset(path, X, y=None):
+    """Write features, and the label column unless ``y`` is None, with the
+    required header row; :func:`load_dataset` reads it back."""
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    if X.ndim != 2 or len(X) != len(y):
+    if X.ndim != 2 or (y is not None and len(X) != len(y)):
         raise ValueError("X must be (n, d) with one label per row")
-    header = [f"x_{j + 1}" for j in range(X.shape[1])] + ["y"]
+    header = [f"x_{j + 1}" for j in range(X.shape[1])] + ([] if y is None else ["y"])
+    ends = [""] * len(X) if y is None else [f",{label}" for label in np.asarray(y, dtype=int)]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row, label in zip(X, y):
-            fh.write(",".join(_float_repr(v) for v in row) + f",{label}\n")
-
-
-def save_matrix(path, X):
-    """Write a feature matrix (no label column)."""
-    X = np.asarray(X, dtype=float)
-    header = [f"x_{j + 1}" for j in range(X.shape[1])]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in X:
-            fh.write(",".join(_float_repr(v) for v in row) + "\n")
+        for row, end in zip(X, ends):
+            fh.write(",".join(_float_repr(v) for v in row) + end + "\n")
 
 
 def load_dataset(path):

@@ -1,9 +1,11 @@
 """Inverses and solves of symmetric positive (semi)definite matrices, under
 one rule: a symmetric matrix is singular to working precision when its
 smallest eigenvalue is at most :func:`eig_floor` of its largest.
-:func:`eigh_pd` and the inverses built on it raise for such a matrix;
-:func:`solve_psd` floors its eigenvalues there instead.  Imports nothing
-from the rest of the package.
+:func:`eigh_pd` and the inverses built on it raise for such a matrix.
+:func:`cholesky_pd` applies the rule to the squared Cholesky pivots: the
+relaxation factors its aggregates with it, and :func:`solve_psd` floors
+the eigenvalues of a matrix it rejects.  Imports nothing from the rest of
+the package.
 """
 
 from __future__ import annotations
@@ -41,6 +43,21 @@ def eigh_pd(A, context):
     return w, V
 
 
+def cholesky_pd(A, context):
+    """Lower Cholesky factor of a symmetric positive definite ``A``; raises
+    ``LinAlgError``, naming ``context``, where the factorization fails or
+    the least squared pivot is at most :func:`eig_floor` of the largest."""
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError(f"{context}: matrix is not positive definite") from None
+    pivots = np.diag(L) ** 2
+    if pivots.min() <= eig_floor(pivots.max()):
+        raise np.linalg.LinAlgError(f"{context}: matrix is singular to working precision (min/max "
+                                    f"squared pivot {pivots.min():.3e}/{pivots.max():.3e})")
+    return L
+
+
 def inv_sqrt_psd(A):
     """Inverse matrix square root ``S = A^{-1/2}`` via symmetric
     eigendecomposition."""
@@ -62,15 +79,13 @@ def inv_psd(A):
 
 
 def solve_psd(H, b):
-    """``H x = b`` for a symmetric PSD ``H`` by one LU solve, or, where the
-    Cholesky factorization of ``H`` fails or its squared pivots show it
-    singular, by its eigendecomposition with the eigenvalues floored at
-    :func:`eig_floor` (the zero vector if none is positive)."""
+    """``H x = b`` for a symmetric PSD ``H`` by one LU solve, or, where
+    :func:`cholesky_pd` rejects ``H``, by its eigendecomposition with the
+    eigenvalues floored at :func:`eig_floor` (the zero vector if none is
+    positive)."""
     try:
-        pivots = np.diag(np.linalg.cholesky(H)) ** 2
+        cholesky_pd(H, "solve_psd")
     except np.linalg.LinAlgError:
-        pivots = np.zeros(1)
-    if pivots.min() <= eig_floor(pivots.max()):
         w, V = np.linalg.eigh(0.5 * (H + H.T))
         if w[-1] <= 0:
             return np.zeros_like(b)

@@ -20,9 +20,10 @@ solve stops when the Frank-Wolfe gap ``<g, kappa> - min_i g_i``, an
 upper bound on ``f - f*`` for this convex objective (Jaggi 2013), is at
 most ``GAP_TOL * f`` after a support solved to ``0.1 * GAP_TOL * f``;
 a gap that certifies a looser solve gets one more round.  It raises
-``FloatingPointError`` when it cannot get there within
-``MAX_NEWTON_STEPS``.  The box ``z_i <= 1`` of the relaxed program is not
-imposed; entries above it are counted on the result.
+``FloatingPointError`` when it cannot get there within ``MAX_NEWTON_STEPS``,
+and ``LinAlgError`` where the whole pool at uniform weights is singular.
+The box ``z_i <= 1`` of the relaxed program is not imposed; entries above
+it are counted on the result.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import solve_psd
+from .linalg import cholesky_pd, solve_psd
 
 GAP_TOL = 1e-8
 MAX_NEWTON_STEPS = 500
@@ -56,18 +57,9 @@ RESOLVE_REL = 1e-12
 
 def _inverse_parts(sigma, Hp0):
     """``tr(sigma^{-1} Hp0)``, ``sigma^{-1} Hp0 sigma^{-1}`` and
-    ``sigma^{-1}``.
-
-    Saturated pools make the aggregate badly conditioned while still
-    positive definite; the Cholesky factorization itself is the
-    singularity test, and the inverse is formed from its factor.
-    """
-    try:
-        L_inv = np.linalg.inv(np.linalg.cholesky(sigma))
-    except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError(
-            "relaxed aggregate is singular; selection under-determined"
-        ) from None
+    ``sigma^{-1}``, from the factor of :func:`~firal.linalg.cholesky_pd`,
+    which raises ``LinAlgError`` where ``sigma`` is singular."""
+    L_inv = np.linalg.inv(cholesky_pd(sigma, "relaxed aggregate"))
     S_inv = L_inv.T @ L_inv
     A = S_inv @ Hp0                               # sigma^{-1} Hp0
     M = A @ S_inv                                 # sigma^{-1} Hp0 sigma^{-1}
@@ -133,26 +125,29 @@ class _Support:
         return parts[0]
 
     def derivatives(self, w):
-        """``(f, g, H, M)`` at ``w``: value, support gradient, Hessian
-        ``H_ij = 2 sum_ab (G_i^T S^-1 G_j)_ab (G_i^T M G_j)_ab`` summed
-        from ``k^2`` blocks of size ``(s, s)``, and
-        ``M = S^-1 Hp0 S^-1``."""
-        if self.last[0] is w:
-            f, M, S_inv = self.last[1]
-        else:
-            f, M, S_inv = _inverse_parts(self.sigma(w), self.Hp0)
+        """``(f, g, hessian, M)`` at ``w``: value, support gradient, a
+        function that forms the support Hessian by :meth:`hessian` when
+        called, and ``M = S^-1 Hp0 S^-1``."""
+        last_w, parts = self.last
+        f, M, S_inv = parts if last_w is w else _inverse_parts(self.sigma(w), self.Hp0)
         k, s, dt = self.G.shape
         flat = self.G.reshape(-1, dt)
-        # S_inv and M are symmetric, so these rows are (S_inv G_i)^T and (M G_i)^T.
-        Y = (flat @ S_inv).reshape(k, s, dt)
-        MG = (flat @ M).reshape(k, s, dt)
+        MG = (flat @ M).reshape(k, s, dt)             # M is symmetric: rows (M G_i)^T
         g = -np.einsum("ij,ij->i", flat, MG.reshape(-1, dt)).reshape(k, s).sum(0)
+        return f, g - np.sum(self.shift * M), lambda: self.hessian(S_inv, MG), M
+
+    def hessian(self, S_inv, MG):
+        """``H_ij = 2 sum_ab (G_i^T S^-1 G_j)_ab (G_i^T M G_j)_ab``, summed
+        from ``k^2`` blocks of size ``(s, s)``, with ``MG`` from
+        :meth:`derivatives`."""
+        k, s, dt = self.G.shape
+        Y = (self.G.reshape(-1, dt) @ S_inv).reshape(k, s, dt)   # rows (S^-1 G_i)^T
         H = np.zeros((s, s))
         for a in range(k):
             for b in range(a, k):
                 E = (self.G[a] @ Y[b].T) * (self.G[a] @ MG[b].T)
                 H += E if a == b else E + E.T
-        return f, g - np.sum(self.shift * M), 2.0 * H, M
+        return 2.0 * H
 
 
 def _newton_direction(w, g, H):
@@ -243,8 +238,8 @@ def relax_solve(budget, Hp0, fishers):
     solve returns only a gap at most ``GAP_TOL * f`` measured after a
     round whose tolerance was ``0.1 * GAP_TOL * f``, or whose spread
     reached it.  Returns the certified weights, scaled by the budget;
-    raises ``ValueError`` on an empty pool or a budget outside
-    ``(0, inf)``.
+    raises ``ValueError`` on an empty pool or a budget outside ``(0, inf)``,
+    and ``LinAlgError`` where the whole pool at uniform weights is singular.
     """
     Hp0 = np.asarray(Hp0, dtype=float)
     m = fishers.shape[0]
@@ -260,25 +255,24 @@ def relax_solve(budget, Hp0, fishers):
     order = np.argsort(g, kind="stable")
     size = min(m, max(2 * -(-dt // k), SUPPORT_BLOCK))
     while True:
-        # Uniform weights over all candidates are nonsingular, so growing
-        # a singular first support ends.
         support = np.sort(order[:size])
         w = np.full(size, 1.0 / size)
-        if np.isfinite(_Support(G[:, support], fishers.shift, Hp0).value(w)):
+        state = _Support(G[:, support], fishers.shift, Hp0)
+        # The whole pool is not screened: its first derivatives raise where it is singular.
+        if size == m or np.isfinite(state.value(w)):
             break
         size = min(m, 2 * size)
 
     steps, gap = 0, np.inf
     while True:
         start = support, w, gap
-        state = _Support(G[:, support], fishers.shift, Hp0)
         while True:
-            f, g_s, H, M = state.derivatives(w)
+            f, g_s, hessian, M = state.derivatives(w)
             spread = g_s[w > 0].max() - g_s.min()
             if spread <= _inner_tol(f, start[2]) or steps == MAX_NEWTON_STEPS:
                 break
             steps += 1
-            nxt = _step(state, w, f, g_s, _newton_direction(w, g_s, H))
+            nxt = _step(state, w, f, g_s, _newton_direction(w, g_s, hessian()))
             if nxt is None and steps < MAX_NEWTON_STEPS:
                 steps += 1
                 nxt = _step(state, w, f, g_s, _pairwise_direction(w, g_s))
@@ -316,6 +310,7 @@ def relax_solve(budget, Hp0, fishers):
                 f"relaxation not certified: an outer round changed neither the "
                 f"support nor the weights, gap {gap:.3e} > {GAP_TOL:g} * f"
             )
+        state = _Support(G[:, support], fishers.shift, Hp0)
 
     z = budget * kappa
     return RelaxResult(

@@ -47,7 +47,7 @@ class Diagnostics:
 
     eta: float                 # the rounding rate used
     report: AuditReport        # regret-guarantee margins of the rounding
-    relax_gap: float           # Frank-Wolfe gap of the relaxation / its objective
+    relax_gap: float           # Frank-Wolfe gap of the relaxation / its objective (0 if f is 0)
 
 
 def _pool_indices(idx, name, m):
@@ -125,4 +125,6 @@ def select_firal(budget, Hp, fishers, *, eta=None, repeats=False):
         raise FloatingPointError(
             f"regret guarantee violated: worst_min_eig_margin={report.worst_min_eig:.6e} "
             f"worst_trace_margin={report.worst_trace}")
-    return picks, Diagnostics(float(eta), report, relaxed.gap / relaxed.objective)
+    # Hp = 0 makes every design optimal: the objective and its gap are both 0.
+    gap = relaxed.gap / relaxed.objective if relaxed.objective > 0 else 0.0
+    return picks, Diagnostics(float(eta), report, gap)

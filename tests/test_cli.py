@@ -276,10 +276,10 @@ class TestCliCommands:
         np.testing.assert_array_equal(y, np.repeat([1, 2], 10))
 
     def test_embed_command_without_labels(self, tmp_path):
-        from firal.data import load_dataset, save_matrix
+        from firal.data import load_dataset
         X = np.random.default_rng(7).normal(size=(15, 4))
         src, dst = tmp_path / "m.csv", tmp_path / "e.csv"
-        save_matrix(src, X)
+        save_dataset(src, X)
         assert main(["embed", "--input", str(src), "--out", str(dst),
                      "--neighbors", "4", "--dim-out", "3"]) == 0
         emb, y = load_dataset(dst)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from firal.data import load_dataset, save_dataset, save_matrix
+from firal.data import load_dataset, save_dataset
 
 
 class TestDatasetRoundTrip:
@@ -25,7 +25,7 @@ class TestDatasetRoundTrip:
     def test_matrix_without_labels(self, tmp_path):
         path = tmp_path / "mat.csv"
         M = np.random.default_rng(1).normal(size=(4, 2))
-        save_matrix(path, M)
+        save_dataset(path, M)
         M2, y = load_dataset(path)
         np.testing.assert_array_equal(M, M2)
         assert y is None

@@ -1,6 +1,7 @@
 """Relaxation tests: gradient exactness against finite differences, the
-Frank-Wolfe certificate and optimality conditions of the solve, and the
-lower-bound property against exhaustive subset enumeration."""
+Frank-Wolfe certificate and optimality conditions of the solve, the
+lower-bound property against exhaustive subset enumeration, and the
+``linalg`` Cholesky test and floored solve that the relaxation calls."""
 
 import itertools
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from firal import relax
 from firal.fisher import fir, pool_hessian
-from firal.linalg import EIG_FLOOR_REL, solve_psd
+from firal.linalg import EIG_FLOOR_REL, cholesky_pd, solve_psd
 from firal.model import KronFishers
 from firal.relax import (
     GAP_TOL,
@@ -22,6 +23,7 @@ from firal.relax import (
     _Support,
     relax_solve,
 )
+from firal.round import round_fishers
 
 from oracle import dense_fishers, f_objective, relax_gradient
 
@@ -80,6 +82,24 @@ class TestRelaxGradient:
         g = relax_gradient(np.array([1.0]), kron(H[None]), Hp0)
         f1 = f_of_kappa(np.array([1.0]), H[None], Hp0)
         assert g[0] == pytest.approx(-f1, rel=1e-10)
+
+
+class TestCholeskyPd:
+    def test_pivots_below_the_floor_are_singular(self):
+        # The factorization succeeds, with squared pivots 1 and 1e-13.
+        A = np.diag([1.0, 1e-13])
+        np.testing.assert_array_equal(np.linalg.cholesky(A), np.sqrt(A))
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"^ctx: matrix is singular to working precision"):
+            cholesky_pd(A, "ctx")
+
+    def test_failed_factorization_names_its_context(self):
+        with pytest.raises(np.linalg.LinAlgError, match=r"^ctx: matrix is not positive definite"):
+            cholesky_pd(np.diag([1.0, -1.0]), "ctx")
+
+    def test_returns_the_factor_above_the_floor(self):
+        A = np.diag([1.0, 2.0 * EIG_FLOOR_REL])
+        np.testing.assert_array_equal(cholesky_pd(A, "ctx"), np.linalg.cholesky(A))
 
 
 class TestSolvePsd:
@@ -307,6 +327,25 @@ class TestRelaxSolve:
         # f = 1 / kappa_1 + 1e-6 / kappa_2 is least at kappa_2 = 1e-3 / 1.001.
         assert res.z[30:].sum() == pytest.approx(1e-3 / 1.001, rel=1e-6)
 
+    def test_first_support_singular_up_to_the_whole_pool_raises(self, monkeypatch):
+        # With a uniform aggregate that passes, the first support doubles
+        # to the whole pool, whose own sum is singular: the solve raises.
+        fishers = KronFishers(np.ones((30, 1)), np.stack([np.diag([1.0, 0.0])] * 30),
+                              np.zeros((2, 2)))
+        monkeypatch.setattr(KronFishers, "aggregate", lambda self, kappa: np.eye(2))
+        with pytest.raises(np.linalg.LinAlgError, match="^relaxed aggregate: "):
+            relax_solve(1, np.eye(2), fishers)
+
+    def test_singular_whole_pool_raises(self):
+        # Four points at scale 30 saturate the softmax: the Cholesky of the
+        # uniform aggregate succeeds on a pivot at rounding level.
+        rng = np.random.default_rng(1356)
+        X = 30.0 * rng.normal(size=(4, 2))
+        theta = rng.normal(size=(1, 2))
+        fishers = round_fishers(X, [], np.arange(4), theta, 4, ridge=0.0)
+        with pytest.raises(np.linalg.LinAlgError, match="^relaxed aggregate: "):
+            relax_solve(4, pool_hessian(X, theta), fishers)
+
     def test_small_pool_is_one_support(self):
         # With m <= SUPPORT_BLOCK the first support is the whole pool, and
         # the first round, solved to an infinite tolerance, takes no step
@@ -373,3 +412,30 @@ class TestInexactInnerSolves:
         monkeypatch.setattr(relax, "INNER_GAP_FRAC", 0.0)
         relax_solve(3, Hp0, fishers)
         assert inexact < len(calls)
+
+    def test_one_hessian_per_newton_direction(self, monkeypatch):
+        # The last evaluation of every support's solve takes no Newton step,
+        # so it forms no Hessian.
+        Hp0, fishers = wide_instance(7, m=600, d=16, c=4)
+        evaluated, formed, directions = [], [], []
+        derivatives, hessian = _Support.derivatives, _Support.hessian
+        newton_direction = relax._newton_direction
+
+        def counted_derivatives(self, w):
+            evaluated.append(len(w))
+            return derivatives(self, w)
+
+        def counted_hessian(self, S_inv, MG):
+            formed.append(MG.shape[1])
+            return hessian(self, S_inv, MG)
+
+        def counted_newton_direction(w, g, H):
+            directions.append(len(w))
+            return newton_direction(w, g, H)
+
+        monkeypatch.setattr(_Support, "derivatives", counted_derivatives)
+        monkeypatch.setattr(_Support, "hessian", counted_hessian)
+        monkeypatch.setattr(relax, "_newton_direction", counted_newton_direction)
+        relax_solve(3, Hp0, fishers)
+        assert formed == directions
+        assert 0 < len(formed) < len(evaluated)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from firal import round as firal_round
@@ -284,6 +284,26 @@ def check_firal(budget, m, masked, picks, diag):
 class TestDrawnRounds:
     @settings(max_examples=40, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
+    # Rounds singular at uniform weights over the whole pool, on which the
+    # relaxation once doubled its first support forever; each raises.
+    @example(dict(c=2, d=2, m=4, n=0, rows="random", scale=30.0, budget=4, ridge=0.0,
+                  seed=1356))
+    @example(dict(c=10, d=1, m=3, n=0, rows="equal", scale=30.0, budget=3, ridge=0.0,
+                  seed=499))
+    @example(dict(c=2, d=2, m=1, n=1, rows="duplicate", scale=3.0, budget=2, ridge=0.0,
+                  seed=21221))
+    @example(dict(c=3, d=2, m=39, n=2, rows="equal", scale=30.0, budget=28, ridge=0.0,
+                  seed=194523))
+    @example(dict(c=2, d=3, m=2, n=0, rows="equal", scale=0.3, budget=2, ridge=0.0,
+                  seed=4294967294))
+    @example(dict(c=2, d=2, m=1, n=0, rows="collinear", scale=30.0, budget=1, ridge=1e-6,
+                  seed=920))
+    # Every pool probability saturates, so Hp is zero and so is the
+    # relaxed objective: every design is optimal, with a gap of 0.
+    @example(dict(c=2, d=6, m=1, n=2, rows="equal", scale=30.0, budget=2, ridge=1e-6,
+                  seed=6))
+    @example(dict(c=2, d=6, m=6, n=2, rows="equal", scale=30.0, budget=2, ridge=1e-6,
+                  seed=2))
     @given(drawn_params())
     def test_each_selector_selects_or_raises_a_round_error(self, params):
         # Each call either returns a result that passes every check or
