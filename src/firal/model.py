@@ -16,6 +16,7 @@ first ``c - 1`` class probabilities.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -209,8 +210,10 @@ def fit_erm(X, y, n_classes, *, ridge):
     The Newton system is solved by :func:`~firal.linalg.solve_psd`, which
     floors the eigenvalues of a Hessian singular to working precision
     (``ridge=0`` on a rank-deficient design).  Deterministic given its
-    inputs; the objective is non-increasing across iterations.  Exhausting
-    :data:`FIT_MAX_ITER` is reported via the result flag, not raised.
+    inputs; the objective is non-increasing across iterations.  A fit that
+    stops short of :data:`FIT_TOL`, after :data:`FIT_MAX_ITER` steps or a
+    step no backtracking accepts, returns ``converged=False`` and emits one
+    ``RuntimeWarning`` naming ``n_iter`` and ``grad_norm``; it does not raise.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -257,7 +260,12 @@ def fit_erm(X, y, n_classes, *, ridge):
         grad = empirical_gradient(X, y, theta, ridge)
         gnorm = float(np.abs(grad).max())
 
-    return FitResult(theta, gnorm <= FIT_TOL, n_iter, gnorm)
+    converged = gnorm <= FIT_TOL
+    if not converged:
+        warnings.warn(f"fit_erm did not converge: grad_norm {gnorm:.3e} above "
+                      f"FIT_TOL {FIT_TOL:g} after n_iter {n_iter} Newton steps",
+                      RuntimeWarning, stacklevel=2)
+    return FitResult(theta, converged, n_iter, gnorm)
 
 
 def accuracy(X, y, theta):

@@ -23,6 +23,7 @@ BASE_VARIANCE = 100.0
 SWEEP_RIDGE = 1e-8  # the ridge of the sweep's fits; changing it changes its output
 BALANCE_SAMPLES = 100_000
 BALANCE_ATTEMPTS = 100
+BLOCK = 8192  # rows per block of the sampling layers, a power of two; no output depends on it
 
 
 @dataclass(frozen=True)
@@ -85,22 +86,49 @@ def translated_design(dim, tau):
                       BASE_VARIANCE * np.eye(dim))
 
 
+def _row_blocks(n):
+    """Slices that cover ``range(n)`` in blocks of about :data:`BLOCK` rows.
+
+    A block's rows of a product with a fixed right operand equal those rows
+    of the whole product only if BLAS treats them alike.  Its kernels work
+    on groups of a few rows, with other code for the rows left over, and
+    numpy sends a single row to ``gemv``; OpenBLAS also multiplies small
+    products on a path of their own.  So every block starts at a multiple
+    of ``BLOCK``, a power of two, and a remainder shorter than half a block
+    joins the block before it.
+    """
+    starts = list(range(0, n, BLOCK))
+    if len(starts) > 1 and n - starts[-1] < BLOCK // 2:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
 def sample_pool(spec: DesignSpec, n, seed):
-    """Draw ``n`` i.i.d. points from a design spec, reproducibly."""
+    """Draw ``n`` i.i.d. points from a design spec, reproducibly.
+
+    Holds one ``(n, d)`` array: the standard normals are drawn whole, then
+    the family's per-row scalars, and each block of rows is mapped to its
+    points in place (``@ L.T``, the scalar, ``+ mean``), the same values as
+    the whole-array expressions.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     rng = np.random.default_rng(seed)
     L = np.linalg.cholesky(spec.scale)
-    g = rng.standard_normal((n, spec.dim))
-    if spec.family == "gaussian":
-        X = g @ L.T
-    elif spec.family == "laplace":
-        w = rng.exponential(1.0, size=n)
-        X = np.sqrt(w)[:, None] * (g @ L.T)
-    else:  # student_t
-        u = rng.chisquare(spec.dof, size=n)
-        X = (g @ L.T) / np.sqrt(u / spec.dof)[:, None]
-    return X + spec.mean
+    X = rng.standard_normal((n, spec.dim))
+    if spec.family == "laplace":
+        root = np.sqrt(rng.exponential(1.0, size=n))
+    elif spec.family == "student_t":
+        root = np.sqrt(rng.chisquare(spec.dof, size=n) / spec.dof)
+    for rows in _row_blocks(n):
+        block = X[rows]
+        block[...] = block @ L.T
+        if spec.family == "laplace":
+            block *= root[rows, None]
+        elif spec.family == "student_t":
+            block /= root[rows, None]
+        block += spec.mean
+    return X
 
 
 def sample_labels(X, theta_star, seed):
@@ -131,6 +159,22 @@ def _reference_share(gamma, w, logit_scale):
     G = (1.0 - gamma) * np.eye(k) + gamma * np.ones((k, k))
     p = reference_softmax(logit_scale * (w @ np.linalg.cholesky(G).T))
     return float(p[:, -1].mean())
+
+
+def _class_frequencies(theta, rng):
+    """Mean predicted probabilities over :data:`BALANCE_SAMPLES` draws of
+    the reference design, drawn a block at a time.
+
+    numpy sums an ``(n, c)`` array over axis 0 row after row, so stacking
+    the running total on each block keeps the order, and the value, of one
+    sum over all the draws.
+    """
+    k, dim = theta.shape
+    total = np.zeros(k + 1)
+    for rows in _row_blocks(BALANCE_SAMPLES):
+        X = np.sqrt(BASE_VARIANCE) * rng.standard_normal((rows.stop - rows.start, dim))
+        total = np.add.reduce(np.vstack([total, class_probabilities(X, theta)]), axis=0)
+    return total / BALANCE_SAMPLES
 
 
 def make_theta_star(n_classes, dim, seed):
@@ -171,9 +215,7 @@ def make_theta_star(n_classes, dim, seed):
     best_theta, best_dev = None, np.inf
     for _ in range(BALANCE_ATTEMPTS):
         theta = _equicorrelated_rows(k, dim, gamma, rng)
-        X = logit_scale * rng.standard_normal((BALANCE_SAMPLES, dim))
-        freqs = class_probabilities(X, theta).mean(axis=0)
-        dev = float(np.abs(freqs - 1.0 / c).max())
+        dev = float(np.abs(_class_frequencies(theta, rng) - 1.0 / c).max())
         if dev < best_dev:
             best_theta, best_dev = theta, dev
         if dev <= balance_tol:
@@ -192,22 +234,25 @@ def mc_excess_risk(thetas, theta_star, spec_p: DesignSpec, n_points=50_000, seed
     point contributes the conditional expectation of the log-loss gap, a
     KL divergence, so the estimate carries no label noise.  The points and
     the truth's log-probabilities are computed once and shared by every
-    parameter, so each pair is what a one-parameter call returns.  Returns
-    one ``(estimate, stderr)`` per parameter.
+    parameter, so each pair is what a one-parameter call returns.  Holds
+    the ``(n_points, d)`` points and one block of rows of their
+    probabilities at a time.  Returns one ``(estimate, stderr)`` per
+    parameter.
     """
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     # ss.spawn(1)[0] of a fresh sequence, without advancing the caller's.
     X = sample_pool(spec_p, n_points,
                     np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (0,)))
-    P_star = class_probabilities(X, theta_star)
-    log_star = np.log(np.maximum(P_star, 1e-300))
-    risks = []
-    for theta_n in thetas:
-        log_n = np.log(np.maximum(class_probabilities(X, theta_n), 1e-300))
-        per_point = row_sums(P_star * (log_star - log_n))
-        risks.append((float(per_point.mean()),
-                      float(per_point.std(ddof=1) / np.sqrt(n_points))))
-    return risks
+    per_point = np.empty((len(thetas), n_points))
+    for rows in _row_blocks(n_points):
+        block = X[rows]
+        P_star = class_probabilities(block, theta_star)
+        log_star = np.log(np.maximum(P_star, 1e-300))
+        for kl, theta_n in zip(per_point, thetas):
+            log_n = np.log(np.maximum(class_probabilities(block, theta_n), 1e-300))
+            kl[rows] = row_sums(P_star * (log_star - log_n))
+    return [(float(kl.mean()), float(kl.std(ddof=1) / np.sqrt(n_points)))
+            for kl in per_point]
 
 
 # Bisection stops once a knob's ratio is within RATIO_TOL (relative) of its

@@ -9,14 +9,16 @@ relaxation gradient; the random round that the selection tests share,
 built by :func:`firal.round_fishers` and taken through the relaxation and
 the whitening; and the rounding at one rate that scores every candidate,
 with its scalar trace-normalizing root, which the lockstep pass of
-:func:`firal.sparsify.select_batch` must reproduce bit for bit.
+:func:`firal.sparsify.select_batch` must reproduce bit for bit; and the
+three sampling layers of :mod:`firal.synth` computed on whole arrays, which
+its row-block versions must reproduce byte for byte.
 """
 
 import numpy as np
 
-from firal import round_fishers
+from firal import round_fishers, synth
 from firal.fisher import fir, pool_hessian, whiten_factors
-from firal.model import PROB_FLOOR, _as_theta, class_probabilities
+from firal.model import PROB_FLOOR, _as_theta, class_probabilities, row_sums
 from firal.linalg import inv_psd
 from firal.relax import _inverse_parts, relax_solve
 from firal.sparsify import NU_MAX_ITER, NU_RESIDUAL_TOL, AuditReport, woodbury_scores
@@ -232,3 +234,62 @@ def select_batch_one_rate(budget, eta, factors, mask_selected=True):
         bound = (1.0 - eta / (2.0 * budget)) / (budget + eta * root_d)
         margin_trace = gain_max / eta - bound
     return chosen, AuditReport(min_eig - lower, margin_trace, float(min_eig[-1]))
+
+
+def sample_pool(spec, n, seed):
+    """The points of :func:`firal.synth.sample_pool`, each step taken on the
+    whole ``(n, d)`` array."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, spec.dim))
+    Y = g @ np.linalg.cholesky(spec.scale).T
+    if spec.family == "laplace":
+        Y = np.sqrt(rng.exponential(1.0, size=n))[:, None] * Y
+    elif spec.family == "student_t":
+        Y = Y / np.sqrt(rng.chisquare(spec.dof, size=n) / spec.dof)[:, None]
+    return Y + spec.mean
+
+
+def class_frequencies(theta, rng):
+    """The balance check's class frequencies: the axis-0 mean of the
+    probabilities of one ``(BALANCE_SAMPLES, d)`` reference draw."""
+    X = np.sqrt(synth.BASE_VARIANCE) * rng.standard_normal((synth.BALANCE_SAMPLES, theta.shape[1]))
+    return class_probabilities(X, theta).mean(axis=0)
+
+
+def make_theta_star(n_classes, dim, seed):
+    """:func:`firal.synth.make_theta_star` on :func:`class_frequencies`;
+    None where no attempt balances."""
+    c, k = n_classes, n_classes - 1
+    logit_scale = np.sqrt(synth.BASE_VARIANCE)
+    rng = np.random.default_rng(seed)
+    gamma = 0.0
+    if k > 1:
+        w = rng.standard_normal((50_000, k))
+        lo, hi = 0.0, 1.0 - 1e-6
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            if synth._reference_share(mid, w, logit_scale) < 1.0 / c:
+                lo = mid
+            else:
+                hi = mid
+        gamma = 0.5 * (lo + hi)
+    for _ in range(synth.BALANCE_ATTEMPTS):
+        theta = synth._equicorrelated_rows(k, dim, gamma, rng)
+        if np.abs(class_frequencies(theta, rng) - 1.0 / c).max() <= 0.25 / c:
+            return theta
+    return None
+
+
+def mc_excess_risk(thetas, theta_star, spec_p, n_points, seed):
+    """:func:`firal.synth.mc_excess_risk` for an integer seed, every
+    parameter's per-point KL divergence computed over all the points at
+    once."""
+    X = sample_pool(spec_p, n_points, np.random.SeedSequence(seed, spawn_key=(0,)))
+    P_star = class_probabilities(X, theta_star)
+    log_star = np.log(np.maximum(P_star, 1e-300))
+    risks = []
+    for theta_n in thetas:
+        log_n = np.log(np.maximum(class_probabilities(X, theta_n), 1e-300))
+        kl = row_sums(P_star * (log_star - log_n))
+        risks.append((float(kl.mean()), float(kl.std(ddof=1) / np.sqrt(n_points))))
+    return risks

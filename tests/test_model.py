@@ -2,6 +2,8 @@
 differences, the Fisher identities by exact label enumeration, and the
 Newton ERM contract."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -276,14 +278,38 @@ class TestFitErm:
         p = class_probabilities(X, theta_true)
         y = 1 + (rng.random(200)[:, None] >= np.cumsum(p, axis=1)).sum(axis=1)
         # From theta = 0, the iterate after 1, 2, ... Newton steps never
-        # raises the loss the fit minimizes (ridge 1e-8).
+        # raises the loss the fit minimizes (ridge 1e-8).  Every fit capped
+        # short of convergence warns once; the full fit does not.
         n_steps = fit_erm(X, y, 3, ridge=1e-8).n_iter
         assert n_steps >= 3
         losses = [empirical_loss(X, y, np.zeros((2, 3)), 1e-8)]
         for n in range(1, n_steps + 1):
             monkeypatch.setattr(model, "FIT_MAX_ITER", n)
-            losses.append(empirical_loss(X, y, fit_erm(X, y, 3, ridge=1e-8).theta, 1e-8))
+            if n < n_steps:
+                with pytest.warns(RuntimeWarning, match=f"after n_iter {n} ") as caught:
+                    res = fit_erm(X, y, 3, ridge=1e-8)
+                assert len(caught) == 1 and not res.converged
+            else:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    res = fit_erm(X, y, 3, ridge=1e-8)
+                assert res.converged
+            losses.append(empirical_loss(X, y, res.theta, 1e-8))
         assert np.all(np.diff(losses) <= 1e-14)
+
+    def test_unconverged_fit_warns(self, monkeypatch):
+        # The warning names the step count and the gradient norm the
+        # result carries.
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(200, 3))
+        y = rng.integers(1, 4, size=200)
+        monkeypatch.setattr(model, "FIT_MAX_ITER", 1)
+        with pytest.warns(RuntimeWarning, match="^fit_erm did not converge") as caught:
+            res = fit_erm(X, y, 3, ridge=1e-8)
+        assert not res.converged and res.n_iter == 1 and res.grad_norm > FIT_TOL
+        assert len(caught) == 1
+        assert f"grad_norm {res.grad_norm:.3e}" in str(caught[0].message)
+        assert "n_iter 1 " in str(caught[0].message)
 
     def test_deterministic(self):
         rng = np.random.default_rng(10)

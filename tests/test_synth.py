@@ -1,9 +1,14 @@
 """Synthetic protocol tests: parameter construction, samplers, label laws,
-Monte-Carlo risk estimation, and the ratio calibration helpers."""
+Monte-Carlo risk estimation, the row blocks of the sampling layers (byte
+for byte against whole-array references, and their traced peak memory),
+and the ratio calibration helpers."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracle
 from firal import synth
 from firal.fisher import fir, pool_hessian, sigma_max
 from firal.model import class_probabilities, fit_erm
@@ -274,6 +279,126 @@ def test_reference_share_bitwise_equal_to_axis_reductions():
         p = np.exp(z)
         p /= p.sum(axis=1, keepdims=True)
         assert synth._reference_share(0.3, w, 10.0) == float(p[:, -1].mean())
+
+
+SMALL_BLOCK = 8
+BLOCK_SIZES = [1, 2, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1, SMALL_BLOCK + 4,
+               3 * SMALL_BLOCK + 2, 3 * SMALL_BLOCK + 5]
+
+
+def random_spec(family, d, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(d, d))
+    return DesignSpec(family, 10.0 * rng.normal(size=d), 25.0 * (A @ A.T + np.eye(d)),
+                      dof=3.5 if family == "student_t" else None)
+
+
+def traced_peak(fn):
+    """Peak bytes that ``tracemalloc`` counts while ``fn()`` runs."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestRowBlocks:
+    """The sampling layers work in row blocks of ``synth.BLOCK`` rows; with
+    the block made small, every boundary case equals the whole-array
+    computation of ``oracle``, byte for byte.  A product with one column
+    (``c = 2``) goes to ``gemv``, whose row groups the block starts must
+    respect.  The dimensions stay below those at which OpenBLAS multiplies
+    a few rows on a path of its own."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 11, 12, 13, 20, 26, 29, 100])
+    def test_blocks_start_on_multiples_of_the_block(self, monkeypatch, n):
+        monkeypatch.setattr(synth, "BLOCK", SMALL_BLOCK)
+        blocks = synth._row_blocks(n)
+        assert [b.start for b in blocks] == list(range(0, SMALL_BLOCK * len(blocks), SMALL_BLOCK))
+        assert [b.stop for b in blocks] == [b.start for b in blocks[1:]] + [n]
+        assert n - blocks[-1].start < SMALL_BLOCK + SMALL_BLOCK // 2
+        assert n - blocks[-1].start >= min(n, SMALL_BLOCK // 2)
+
+    @pytest.mark.parametrize("family", synth.FAMILIES)
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_sample_pool_equals_whole_array(self, monkeypatch, family, d):
+        monkeypatch.setattr(synth, "BLOCK", SMALL_BLOCK)
+        spec = random_spec(family, d, seed=d)
+        for n in BLOCK_SIZES:
+            got = sample_pool(spec, n, seed=n)
+            assert got.tobytes() == oracle.sample_pool(spec, n, seed=n).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:Degrees of freedom <= 0:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("family", synth.FAMILIES)
+    @pytest.mark.parametrize("c", [2, 4])
+    def test_mc_excess_risk_equals_whole_array(self, monkeypatch, family, c):
+        # n = 1 leaves no degree of freedom for the standard error, which
+        # is nan on both sides.
+        monkeypatch.setattr(synth, "BLOCK", SMALL_BLOCK)
+        d = 8
+        spec = random_spec(family, d, seed=7)
+        rng = np.random.default_rng(8)
+        theta_star = 0.3 * rng.normal(size=(c - 1, d))
+        thetas = [theta_star + 0.1 * rng.normal(size=theta_star.shape),
+                  rng.normal(size=theta_star.shape)]
+        for n in BLOCK_SIZES:
+            got = mc_excess_risk(thetas, theta_star, spec, n_points=n, seed=n)
+            want = oracle.mc_excess_risk(thetas, theta_star, spec, n_points=n, seed=n)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("c, d", [(2, 8), (3, 8), (4, 16), (10, 9)])
+    @pytest.mark.parametrize("samples", [1, 2, SMALL_BLOCK + 4, 3 * SMALL_BLOCK + 5,
+                                         50 * SMALL_BLOCK + 7])
+    def test_class_frequencies_equal_whole_array(self, monkeypatch, c, d, samples):
+        monkeypatch.setattr(synth, "BLOCK", SMALL_BLOCK)
+        monkeypatch.setattr(synth, "BALANCE_SAMPLES", samples)
+        theta = 0.3 * np.random.default_rng(c).normal(size=(c - 1, d))
+        got = synth._class_frequencies(theta, np.random.default_rng(samples))
+        want = oracle.class_frequencies(theta, np.random.default_rng(samples))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("c, d, seed", [(2, 2, 0), (3, 8, 1), (4, 16, 0), (10, 9, 2)])
+    @pytest.mark.parametrize("block, samples", [(SMALL_BLOCK, 3 * SMALL_BLOCK + 5),
+                                                (SMALL_BLOCK, 50 * SMALL_BLOCK + 7),
+                                                (4096, synth.BALANCE_SAMPLES)])
+    def test_make_theta_star_equals_whole_array(self, monkeypatch, c, d, seed,
+                                                block, samples):
+        # A short balance draw can leave every attempt unbalanced; both
+        # sides then agree that no attempt balances.
+        monkeypatch.setattr(synth, "BLOCK", block)
+        monkeypatch.setattr(synth, "BALANCE_SAMPLES", samples)
+        want = oracle.make_theta_star(c, d, seed)
+        if want is None:
+            with pytest.raises(ValueError, match="^class balance not achieved"):
+                make_theta_star(c, d, seed)
+        else:
+            assert make_theta_star(c, d, seed).tobytes() == want.tobytes()
+
+
+class TestSamplingMemory:
+    """``tracemalloc`` counts numpy's buffers, so these peaks are exact for
+    a numpy version.  Whole-array versions hold two or three copies of the
+    points (3.0 times the points for the risk, 25.6 MB for the balance
+    check); the row-block versions hold one and a block."""
+
+    def test_mc_excess_risk_holds_one_copy_of_the_points(self):
+        n, d = 50_000, 16
+        theta_star = make_theta_star(4, d, seed=0)
+        rng = np.random.default_rng(1)
+        thetas = [theta_star + 0.1 * rng.normal(size=theta_star.shape), theta_star]
+        peak = traced_peak(lambda: mc_excess_risk(thetas, theta_star, gaussian_design(d),
+                                                  n_points=n, seed=2))
+        assert peak <= 1.5 * n * d * 8
+
+    def test_make_theta_star_peak(self):
+        assert traced_peak(lambda: make_theta_star(4, 16, 0)) <= 8e6
 
 
 def calibration_ratio(theta, dim, n_mc, seed, design):
