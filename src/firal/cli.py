@@ -311,8 +311,6 @@ def active_learning_loop(config: RunConfig):
 
 
 def _family_spec(config: RunConfig):
-    if config.family == "gaussian":
-        return synth.gaussian_design(config.dim, config.variance)
     return synth.DesignSpec(
         config.family, np.zeros(config.dim),
         config.variance * np.eye(config.dim),

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import symmetrize
+
 
 def knn_graph(X, k):
     """Dense symmetric 0/1 adjacency of the k-nearest-neighbor graph.
@@ -41,7 +43,7 @@ def normalized_laplacian(adj):
         raise ValueError(f"graph has isolated vertices: {isolated[:5].tolist()}")
     dinv = 1.0 / np.sqrt(deg)
     L = np.eye(len(A)) - dinv[:, None] * A * dinv[None, :]
-    return 0.5 * (L + L.T)
+    return symmetrize(L)
 
 
 def _fix_signs(V):

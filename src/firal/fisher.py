@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eigh_pd, inv_sqrt_psd
+from .linalg import eigh_pd, inv_sqrt_psd, symmetrize
 from .model import KronFishers
 
 # Largest entry of |S sigma S - I| that whiten_factors accepts.  Well-posed
@@ -44,7 +44,7 @@ def sigma_max(Hq, Hp):
     """Largest eigenvalue of ``Hq^{-1/2} Hp Hq^{-1/2}``."""
     S = inv_sqrt_psd(Hq)
     M = S @ np.asarray(Hp, dtype=float) @ S
-    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[-1])
+    return float(np.linalg.eigvalsh(symmetrize(M))[-1])
 
 
 @dataclass
@@ -89,15 +89,12 @@ def whiten_factors(z, fishers):
     sigma = fishers.aggregate(z)
     S = inv_sqrt_psd(sigma)
 
-    shift_w = S @ fishers.shift @ S
-    shift_w = 0.5 * (shift_w + shift_w.T)
-
     resid = float(np.abs(S @ sigma @ S - np.eye(len(S))).max())
     if not resid <= WHITEN_RESIDUAL_TOL:
         raise FloatingPointError(
             f"whitening residual {resid:.3e} exceeds {WHITEN_RESIDUAL_TOL:.0e}")
     return WhitenedFactors(
-        shift_w=shift_w,
+        shift_w=symmetrize(S @ fishers.shift @ S),
         # S is symmetric, so each row G_i^T S is (S G_i)^T.
         by_class=fishers.factors @ S,
         identity_residual=resid,

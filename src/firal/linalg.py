@@ -62,8 +62,7 @@ def inv_sqrt_psd(A):
     """Inverse matrix square root ``S = A^{-1/2}`` via symmetric
     eigendecomposition."""
     w, V = eigh_pd(A, "inv_sqrt_psd")
-    S = (V / np.sqrt(w)) @ V.T
-    return 0.5 * (S + S.T)
+    return symmetrize((V / np.sqrt(w)) @ V.T)
 
 
 def inv_psd_eig(A):
@@ -86,7 +85,7 @@ def solve_psd(H, b):
     try:
         cholesky_pd(H, "solve_psd")
     except np.linalg.LinAlgError:
-        w, V = np.linalg.eigh(0.5 * (H + H.T))
+        w, V = np.linalg.eigh(symmetrize(H))
         if w[-1] <= 0:
             return np.zeros_like(b)
         return V @ ((V.T @ b) / np.maximum(w, eig_floor(w[-1])))

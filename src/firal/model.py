@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import solve_psd
+from .linalg import solve_psd, symmetrize
 
 # Probabilities are floored before taking logs so the loss stays finite
 # even for logits of magnitude several hundred.
@@ -159,8 +159,7 @@ class KronFishers:
             for b in range(a, k):
                 # W is symmetric, so block (b, a) equals block (a, b).
                 H[a, :, b, :] = H[b, :, a, :] = (self.X.T * (z * self.W[:, a, b])) @ self.X
-        H = H.reshape(self.shift.shape) + z.sum() * self.shift
-        return 0.5 * (H + H.T)
+        return symmetrize(H.reshape(self.shift.shape) + z.sum() * self.shift)
 
     def inner(self, M):
         """``<F_i, M>`` for every ``i``: one ``X @ M`` GEMM, a batched
@@ -172,13 +171,18 @@ class KronFishers:
         T = (Y @ self.X[:, :, None]).reshape(m, k, k)
         return np.einsum("iab,iab->i", self.W, T) + np.sum(self.shift * M)
 
+    def take(self, idx):
+        """The Fishers of the points ``idx``, with the same shift."""
+        return KronFishers(self.X[idx], self.W[idx], self.shift)
+
     @cached_property
     def factors(self):
         """Tall ``G_i = Q_i kron x_i``, with ``G_i G_i^T = W_i kron x_i x_i^T``
         (no shift), stored class-major as ``(c-1, m, d_tilde)``:
         ``factors[:, i]`` is ``G_i^T``, its columns ordered as ``theta.ravel()``.
-        Computed on first use and kept, since the relaxation and the whitening
-        both read it."""
+        Computed on first use and kept: the whitening and the greedy read
+        the pool's, and each Newton step on a relaxation support that
+        support's."""
         wW, VW = np.linalg.eigh(self.W)
         Q = VW * np.sqrt(np.maximum(wW, 0.0))[:, None, :]
         return np.einsum("iab,ip->biap", Q, self.X).reshape(Q.shape[2:] + self.shape[:2])

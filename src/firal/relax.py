@@ -24,6 +24,11 @@ a gap that certifies a looser solve gets one more round.  It raises
 and ``LinAlgError`` where the whole pool at uniform weights is singular.
 The box ``z_i <= 1`` of the relaxed program is not imposed; entries above
 it are counted on the result.
+
+The candidates are read only through :class:`~firal.model.KronFishers`.
+A support is the pool's ``take`` of its points, and ``sigma`` and the
+gradient are its ``aggregate`` and ``-inner``, as over the whole pool;
+the support's ``factors`` are formed only for a Newton step's Hessian.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import cholesky_pd, solve_psd
+from .linalg import cholesky_pd, solve_psd, symmetrize
 
 GAP_TOL = 1e-8
 MAX_NEWTON_STEPS = 500
@@ -63,7 +68,7 @@ def _inverse_parts(sigma, Hp0):
     S_inv = L_inv.T @ L_inv
     A = S_inv @ Hp0                               # sigma^{-1} Hp0
     M = A @ S_inv                                 # sigma^{-1} Hp0 sigma^{-1}
-    return float(np.trace(A)), 0.5 * (M + M.T), S_inv
+    return float(np.trace(A)), symmetrize(M), S_inv
 
 
 def _inner_tol(f, gap):
@@ -97,28 +102,19 @@ class RelaxResult:
 
 
 class _Support:
-    """The objective restricted to a support, from its tall factors.
+    """The objective restricted to a support, from its
+    :class:`~firal.model.KronFishers`."""
 
-    On the simplex the shift enters ``sigma`` as ``sum(w) * shift``, and in
-    directions summing to zero it drops out of the Hessian.
-    """
-
-    def __init__(self, G, shift, Hp0):
-        self.G, self.shift, self.Hp0 = G, shift, Hp0   # G as KronFishers.factors
+    def __init__(self, fishers, Hp0):
+        self.fishers, self.Hp0 = fishers, Hp0
         self.last = None, None
-
-    def sigma(self, w):
-        sigma = w.sum() * self.shift
-        for Ga in self.G:
-            sigma = sigma + (Ga.T * w) @ Ga
-        return 0.5 * (sigma + sigma.T)
 
     def value(self, w):
         """``f(w)``, or infinity where the aggregate is singular.  The
         inverse parts of the last finite value are kept, since a line
         search accepts the point it evaluated last."""
         try:
-            parts = _inverse_parts(self.sigma(w), self.Hp0)
+            parts = _inverse_parts(self.fishers.aggregate(w), self.Hp0)
         except np.linalg.LinAlgError:
             return np.inf
         self.last = w, parts
@@ -129,23 +125,24 @@ class _Support:
         function that forms the support Hessian by :meth:`hessian` when
         called, and ``M = S^-1 Hp0 S^-1``."""
         last_w, parts = self.last
-        f, M, S_inv = parts if last_w is w else _inverse_parts(self.sigma(w), self.Hp0)
-        k, s, dt = self.G.shape
-        flat = self.G.reshape(-1, dt)
-        MG = (flat @ M).reshape(k, s, dt)             # M is symmetric: rows (M G_i)^T
-        g = -np.einsum("ij,ij->i", flat, MG.reshape(-1, dt)).reshape(k, s).sum(0)
-        return f, g - np.sum(self.shift * M), lambda: self.hessian(S_inv, MG), M
+        f, M, S_inv = parts if last_w is w else _inverse_parts(self.fishers.aggregate(w), self.Hp0)
+        return f, _gradient(self.fishers, M), lambda: self.hessian(S_inv, M), M
 
-    def hessian(self, S_inv, MG):
+    def hessian(self, S_inv, M):
         """``H_ij = 2 sum_ab (G_i^T S^-1 G_j)_ab (G_i^T M G_j)_ab``, summed
-        from ``k^2`` blocks of size ``(s, s)``, with ``MG`` from
-        :meth:`derivatives`."""
-        k, s, dt = self.G.shape
-        Y = (self.G.reshape(-1, dt) @ S_inv).reshape(k, s, dt)   # rows (S^-1 G_i)^T
+        from ``k^2`` blocks of size ``(s, s)`` over the support's
+        ``factors``.  On the simplex the shift drops out: it enters
+        ``sigma`` as ``sum(w) * shift``, constant in directions summing to
+        zero."""
+        G = self.fishers.factors
+        k, s, dt = G.shape
+        flat = G.reshape(-1, dt)
+        Y = (flat @ S_inv).reshape(k, s, dt)          # rows (S^-1 G_i)^T
+        MG = (flat @ M).reshape(k, s, dt)             # rows (M G_i)^T, M symmetric
         H = np.zeros((s, s))
         for a in range(k):
             for b in range(a, k):
-                E = (self.G[a] @ Y[b].T) * (self.G[a] @ MG[b].T)
+                E = (G[a] @ Y[b].T) * (G[a] @ MG[b].T)
                 H += E if a == b else E + E.T
         return 2.0 * H
 
@@ -248,18 +245,16 @@ def relax_solve(budget, Hp0, fishers):
     if not 0 < budget < np.inf:
         raise ValueError(f"budget must be positive and finite, got {budget}")
 
-    f, M, _ = _inverse_parts(fishers.aggregate(np.full(m, 1.0 / m)), Hp0)
-    g = _gradient(fishers, M)
-    G = fishers.factors
-    k, _, dt = G.shape
+    _, g, _, _ = _Support(fishers, Hp0).derivatives(np.full(m, 1.0 / m))
+    k, dt = fishers.W.shape[1], fishers.shape[1]
     order = np.argsort(g, kind="stable")
     size = min(m, max(2 * -(-dt // k), SUPPORT_BLOCK))
     while True:
         support = np.sort(order[:size])
         w = np.full(size, 1.0 / size)
-        state = _Support(G[:, support], fishers.shift, Hp0)
-        # The whole pool is not screened: its first derivatives raise where it is singular.
-        if size == m or np.isfinite(state.value(w)):
+        state = _Support(fishers.take(support), Hp0)
+        # At size m the aggregate is the one just factored, bit for bit.
+        if np.isfinite(state.value(w)):
             break
         size = min(m, 2 * size)
 
@@ -310,7 +305,7 @@ def relax_solve(budget, Hp0, fishers):
                 f"relaxation not certified: an outer round changed neither the "
                 f"support nor the weights, gap {gap:.3e} > {GAP_TOL:g} * f"
             )
-        state = _Support(G[:, support], fishers.shift, Hp0)
+        state = _Support(fishers.take(support), Hp0)
 
     z = budget * kappa
     return RelaxResult(

@@ -218,6 +218,43 @@ class TestLoop:
         assert cli._feature_span(X) is X
 
 
+# (selected, eta) of each round at seeds 0-2, recorded before the
+# relaxation read its supports through KronFishers.take.
+DEFAULT_PICKS = {
+    0: [([1397, 2265, 1110, 1302, 407, 1778, 12, 502, 2583, 1764], 32.0),
+        ([2446, 349, 125, 1361, 2927, 2586, 1278, 2349, 1426, 1225], 16.0),
+        ([480, 2615, 2273, 2883, 246, 770, 1008, 2122, 1901, 2676], 32.0)],
+    1: [([130, 1312, 2910, 260, 1603, 938, 194, 1946, 671, 1669], 16.0),
+        ([2946, 2065, 2517, 2538, 2294, 2514, 668, 151, 1432, 1545], 64.0),
+        ([2943, 620, 2976, 470, 1520, 1953, 2609, 27, 392, 243], 16.0)],
+    2: [([745, 261, 1488, 20, 542, 1243, 1371, 2033, 2614, 233], 32.0),
+        ([1396, 1930, 2880, 968, 2386, 2879, 1845, 2088, 785, 2112], 32.0),
+        ([2759, 2099, 727, 2499, 1888, 1767, 908, 282, 1995, 623], 16.0)],
+}
+WIDE_ETA = 8.0 * np.sqrt(48)
+WIDE_PICKS = {
+    0: [([432, 133], WIDE_ETA), ([231, 1647], WIDE_ETA), ([1154, 2248], WIDE_ETA)],
+    1: [([1565, 2105], WIDE_ETA), ([1304, 2231], WIDE_ETA), ([1312, 834], WIDE_ETA)],
+    2: [([2454, 42], WIDE_ETA), ([576, 1309], WIDE_ETA), ([2143, 330], WIDE_ETA)],
+}
+
+
+class TestPinnedPicks:
+    """The picks and rate of every round of the default run and of the
+    wide fixed-rate run, at three seeds, equal the recorded values."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_default_run(self, seed):
+        records = active_learning_loop(RunConfig(seed=seed))
+        assert [(list(r.selected), r.eta) for r in records[1:]] == DEFAULT_PICKS[seed]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_wide_fixed_rate_run(self, seed):
+        config = RunConfig(seed=seed, classes=4, dim=16, budget=6, rounds=3, eta=WIDE_ETA)
+        records = active_learning_loop(config)
+        assert [(list(r.selected), r.eta) for r in records[1:]] == WIDE_PICKS[seed]
+
+
 class TestEmitResults:
     def test_column_order_and_precision(self, tmp_path):
         recs = active_learning_loop(small_config(budget=4, rounds=1,
@@ -407,7 +444,8 @@ class TestCliCommands:
         for out in outs:
             assert main(["run", "--config", str(path), "--out", str(out)]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
-        rows = list(csv.DictReader(outs[0].open()))
+        with outs[0].open() as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 4
         assert all(np.isfinite(float(row["excess_risk"])) for row in rows)
 

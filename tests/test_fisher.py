@@ -138,6 +138,21 @@ class TestKronFishers:
                             lambda *a, **k: pytest.fail("factors recomputed"))
         assert kf.factors is first
 
+    @pytest.mark.parametrize("c", [2, 3, 5])
+    def test_take_is_the_restricted_pool(self, c):
+        X, theta, shift = kron_instance(45 + c, c, m=30)
+        kf = KronFishers.at(X, theta, shift)
+        rng = np.random.default_rng(c)
+        idx = np.sort(rng.choice(len(X), size=12, replace=False))
+        part = kf.take(idx)
+        assert part.shift is kf.shift
+        assert part.factors.tobytes() == kf.factors[:, idx].tobytes()
+        z = np.zeros(len(X))
+        z[idx] = rng.random(len(idx))
+        near(part.aggregate(z[idx]), kf.aggregate(z))
+        M = random_psd(rng, kf.shape[1])
+        near(part.inner(M), kf.inner(M)[idx])
+
     def test_empty_candidate_set(self):
         X, theta, shift = kron_instance(50, 3, empty=True)
         kf = KronFishers.at(X, theta, shift)

@@ -162,7 +162,7 @@ class TestStep:
         # Uphill and zero directions give None, however small the slope
         # is next to f; a tiny descent direction is still taken unchecked.
         fishers, Hp0 = random_instance(3, m=4)
-        support = _Support(kron(fishers).factors, np.zeros((3, 3)), Hp0)
+        support = _Support(kron(fishers), Hp0)
         w = np.full(4, 0.25)
         f, g, _, _ = support.derivatives(w)
         d = np.array([1.0, -1.0, 0.0, 0.0]) * np.sign(g[0] - g[1])
@@ -179,7 +179,7 @@ class TestStep:
         # The fallback moves the whole weight of the weighted point with the
         # largest gradient to the point with the smallest, weighted or not.
         fishers, Hp0 = random_instance(5, m=5)
-        support = _Support(kron(fishers).factors, np.zeros((3, 3)), Hp0)
+        support = _Support(kron(fishers), Hp0)
         w = np.array([0.4, 0.3, 0.3, 0.0, 0.0])
         f, g, _, _ = support.derivatives(w)
         away, toward = np.argmax(np.where(w > 0, g, -np.inf)), np.argmin(g)
@@ -327,14 +327,20 @@ class TestRelaxSolve:
         # f = 1 / kappa_1 + 1e-6 / kappa_2 is least at kappa_2 = 1e-3 / 1.001.
         assert res.z[30:].sum() == pytest.approx(1e-3 / 1.001, rel=1e-6)
 
-    def test_first_support_singular_up_to_the_whole_pool_raises(self, monkeypatch):
-        # With a uniform aggregate that passes, the first support doubles
-        # to the whole pool, whose own sum is singular: the solve raises.
-        fishers = KronFishers(np.ones((30, 1)), np.stack([np.diag([1.0, 0.0])] * 30),
-                              np.zeros((2, 2)))
-        monkeypatch.setattr(KronFishers, "aggregate", lambda self, kappa: np.eye(2))
-        with pytest.raises(np.linalg.LinAlgError, match="^relaxed aggregate: "):
-            relax_solve(1, np.eye(2), fishers)
+    def test_whole_pool_support_is_the_pool_bit_for_bit(self):
+        # The first support doubles at most to the whole pool, whose
+        # aggregate at uniform weights is the one the start factored; and
+        # the solve reads its supports' factors, never the pool's.
+        for seed in range(4):
+            rng = np.random.default_rng(40 + seed)
+            m, d, c = int(rng.integers(30, 400)), int(rng.integers(1, 8)), int(rng.integers(2, 6))
+            Hp0, fishers = wide_instance(seed, m, d, c)
+            u = np.full(m, 1.0 / m)
+            whole = fishers.take(np.arange(m)).aggregate(u)
+            assert whole.tobytes() == fishers.aggregate(u).tobytes()
+            res = relax_solve(2, Hp0, fishers)
+            assert res.gap <= GAP_TOL * res.objective
+            assert "factors" not in fishers.__dict__
 
     def test_singular_whole_pool_raises(self):
         # Four points at scale 30 saturate the softmax: the Cholesky of the
@@ -425,9 +431,9 @@ class TestInexactInnerSolves:
             evaluated.append(len(w))
             return derivatives(self, w)
 
-        def counted_hessian(self, S_inv, MG):
-            formed.append(MG.shape[1])
-            return hessian(self, S_inv, MG)
+        def counted_hessian(self, S_inv, M):
+            formed.append(self.fishers.shape[0])
+            return hessian(self, S_inv, M)
 
         def counted_newton_direction(w, g, H):
             directions.append(len(w))
