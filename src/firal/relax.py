@@ -5,21 +5,26 @@ the budget, ``z = budget * kappa`` with ``kappa`` on the simplex, and
 ``f(kappa) = tr(Sigma(kappa)^{-1} Hp0)`` is minimized to a certificate.
 
 The solver is the active-set scheme of Yang, Biedermann & Tang (JASA
-2013).  Projected Newton steps move the weights of a small support; one
-full-pool gradient per outer round then adds the candidates whose
-gradient is below ``<g, kappa>``, at most ``max(SUPPORT_BLOCK, half the
-weighted points)`` of them, most negative first.  A support is solved
-until its gradient spread is at most ``INNER_GAP_FRAC`` times the
-full-pool gap the last round measured, or ``0.1 * GAP_TOL * f`` if that
-is larger: an intermediate support need not be solved exactly, since the
-next full gradient grows it.  Where a near-singular reduced Hessian
-gives a Newton move that cannot descend, one pairwise Frank-Wolfe step
-(Lacoste-Julien & Jaggi, NeurIPS 2015) moves weight from the weighted
-point with the largest gradient to the point with the smallest.  The
-solve stops when the Frank-Wolfe gap ``<g, kappa> - min_i g_i``, an
-upper bound on ``f - f*`` for this convex objective (Jaggi 2013), is at
-most ``GAP_TOL * f`` after a support solved to ``0.1 * GAP_TOL * f``;
-a gap that certifies a looser solve gets one more round.  It raises
+2013).  Projected Newton steps (Bertsekas, SIAM J. Control Optim. 1982)
+move the weights of a small support: one reduced Newton solve over the
+weighted points and the zero-weight points whose gradient is below
+``<g, w>``, then an Armijo search along the projected arc
+``clip(w + t d, 0) / sum``, which holds at zero every point the move
+drives below it.  One full-pool gradient per outer round then adds the
+candidates whose gradient is below ``<g, kappa>``, at most
+``max(SUPPORT_BLOCK, half the weighted points)`` of them, most negative
+first.  A support is solved until its gradient spread is at most
+``INNER_GAP_FRAC`` times the full-pool gap the last round measured, or
+``0.1 * GAP_TOL * f`` if that is larger: an intermediate support need
+not be solved exactly, since the next full gradient grows it.  Where a
+near-singular reduced Hessian gives a Newton arc that cannot descend,
+one pairwise Frank-Wolfe step (Lacoste-Julien & Jaggi, NeurIPS 2015)
+moves weight from the weighted point with the largest gradient to the
+point with the smallest, along the same arc.  The solve stops when the
+Frank-Wolfe gap ``<g, kappa> - min_i g_i``, an upper bound on ``f - f*``
+for this convex objective (Jaggi 2013), is at most ``GAP_TOL * f`` after
+a support solved to ``0.1 * GAP_TOL * f``; a gap that certifies a
+looser solve gets one more round.  It raises
 ``FloatingPointError`` when it cannot get there within ``MAX_NEWTON_STEPS``,
 and ``LinAlgError`` where the whole pool at uniform weights is singular.
 The box ``z_i <= 1`` of the relaxed program is not imposed; entries above
@@ -55,8 +60,8 @@ SUPPORT_BLOCK = 20
 # longer; 0 (exact inner solves) took 45% longer.
 INNER_GAP_FRAC = 0.1
 ARMIJO = 1e-4
-# A descent step whose predicted decrease is at most this fraction of f is
-# below what f can resolve: it is taken up to its blocking point unchecked.
+# A trial step whose predicted decrease is at most this fraction of f is
+# below what f can resolve: it is taken unchecked.
 RESOLVE_REL = 1e-12
 
 
@@ -121,12 +126,12 @@ class _Support:
         return parts[0]
 
     def derivatives(self, w):
-        """``(f, g, hessian, M)`` at ``w``: value, support gradient, a
-        function that forms the support Hessian by :meth:`hessian` when
-        called, and ``M = S^-1 Hp0 S^-1``."""
+        """``(f, g, S_inv, M)`` at ``w``: value, support gradient,
+        ``S^-1`` and ``M = S^-1 Hp0 S^-1``, the two inputs of
+        :meth:`hessian`."""
         last_w, parts = self.last
         f, M, S_inv = parts if last_w is w else _inverse_parts(self.fishers.aggregate(w), self.Hp0)
-        return f, _gradient(self.fishers, M), lambda: self.hessian(S_inv, M), M
+        return f, _gradient(self.fishers, M), S_inv, M
 
     def hessian(self, S_inv, M):
         """``H_ij = 2 sum_ab (G_i^T S^-1 G_j)_ab (G_i^T M G_j)_ab``, summed
@@ -148,30 +153,26 @@ class _Support:
 
 
 def _newton_direction(w, g, H):
-    """Newton move on ``sum(d) = 0`` over the free points.
+    """Newton move on ``sum(d) = 0`` over the free points: the weighted
+    points and the zero-weight points whose gradient is below ``<g, w>``.
 
-    A zero-weight point is held at zero when its gradient is at or above
-    ``<g, w>``, or when its move is negative.  One coordinate, the
-    heaviest, is eliminated by the constraint.
+    The reduced system, the heaviest coordinate eliminated by the
+    constraint, is solved once; the projected arc of :func:`_step` clips
+    a zero-weight point whose move is negative (Bertsekas 1982).
     """
-    free = (w > 0) | (g < g @ w)
-    while True:
-        idx = np.flatnonzero(free)
-        d = np.zeros_like(w)
-        if len(idx) < 2:
-            return d
-        r = idx[np.argmax(w[idx])]
-        rest = idx[idx != r]
-        Hr = H[np.ix_(rest, rest)]
-        Hr -= H[rest, r][:, None]
-        Hr -= H[r, rest][None, :]
-        Hr += H[r, r]
-        d[rest] = solve_psd(Hr, g[r] - g[rest])
-        d[r] = -d[rest].sum()
-        enter = (w == 0) & (d < 0)
-        if not enter.any():
-            return d
-        free &= ~enter
+    idx = np.flatnonzero((w > 0) | (g < g @ w))
+    d = np.zeros_like(w)
+    if len(idx) < 2:
+        return d
+    r = idx[np.argmax(w[idx])]
+    rest = idx[idx != r]
+    Hr = H[np.ix_(rest, rest)]
+    Hr -= H[rest, r][:, None]
+    Hr -= H[r, rest][None, :]
+    Hr += H[r, r]
+    d[rest] = solve_psd(Hr, g[r] - g[rest])
+    d[r] = -d[rest].sum()
+    return d
 
 
 def _pairwise_direction(w, g):
@@ -184,38 +185,24 @@ def _pairwise_direction(w, g):
 
 
 def _step(support, w, f, g, d):
-    """Next support weights along ``d``, or ``None`` if no step decreases f.
+    """Next support weights on the projected arc ``w(t) = clip(w + t d, 0) /
+    sum`` (Bertsekas 1982), or ``None`` if no step decreases f.
 
-    A direction that does not descend (``g @ d >= 0``, the zero direction
-    included) gives ``None``.  A projected arc (clip, renormalize) is tried
-    first; otherwise the step stops at the first point it drives to zero,
-    which is dropped, and backtracks from there.
+    ``t`` backtracks from 1 by halves down to ``2^-40``.  A trial is
+    accepted when ``f(w(t)) <= f + ARMIJO * g @ (w(t) - w)``, or unchecked
+    when its predicted decrease ``-g @ (w(t) - w)`` is at most
+    ``RESOLVE_REL * f``.  A trial whose move does not descend (the zero
+    direction's included) gives ``None``.
     """
-    slope = float(g @ d)
-    if slope >= 0:
-        return None
-    ratios = np.full_like(w, np.inf)
-    ratios[d < 0] = w[d < 0] / -d[d < 0]
-    block = int(np.argmin(ratios))
-    t_max = min(1.0, ratios[block])
-
-    def at(t):
-        trial = np.maximum(w + t * d, 0.0)
-        if t == ratios[block]:
-            trial[block] = 0.0
-        return trial / trial.sum()
-
-    if -slope <= RESOLVE_REL * f:
-        return at(t_max)
-    arc = np.maximum(w + d, 0.0)
-    arc /= arc.sum()
-    if support.value(arc) < f:
-        return arc
-    t = t_max
+    t = 1.0
     while t >= 2.0**-40:
-        trial = at(t)
-        if support.value(trial) <= f + ARMIJO * t * slope:
-            return trial
+        arc = np.maximum(w + t * d, 0.0)
+        arc /= arc.sum()
+        move = float(g @ (arc - w))
+        if move >= 0:
+            return None
+        if -move <= RESOLVE_REL * f or support.value(arc) <= f + ARMIJO * move:
+            return arc
         t *= 0.5
     return None
 
@@ -262,12 +249,12 @@ def relax_solve(budget, Hp0, fishers):
     while True:
         start = support, w, gap
         while True:
-            f, g_s, hessian, M = state.derivatives(w)
+            f, g_s, S_inv, M = state.derivatives(w)
             spread = g_s[w > 0].max() - g_s.min()
             if spread <= _inner_tol(f, start[2]) or steps == MAX_NEWTON_STEPS:
                 break
             steps += 1
-            nxt = _step(state, w, f, g_s, _newton_direction(w, g_s, hessian()))
+            nxt = _step(state, w, f, g_s, _newton_direction(w, g_s, state.hessian(S_inv, M)))
             if nxt is None and steps < MAX_NEWTON_STEPS:
                 steps += 1
                 nxt = _step(state, w, f, g_s, _pairwise_direction(w, g_s))

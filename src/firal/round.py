@@ -12,8 +12,8 @@ from .relax import relax_solve
 from .sparsify import AuditReport, check_budget, select_batch
 
 DEFAULT_ETA_GRID_POWERS = range(-2, 6)
-# Rates that pick one set in different orders score equally in exact
-# arithmetic; a later rate must win by this relative margin, not by rounding.
+# A later rate whose set of picks differs must win by this relative margin,
+# not by rounding.
 ETA_TIE_REL = 1e-12
 
 
@@ -25,19 +25,22 @@ def eta_grid(d_tilde):
 def tune_eta(etas, factors, budget):
     """Pick the rate whose masked selection maximizes the smallest
     eigenvalue of the summed whitened picks.  All rates are rounded in one
-    :func:`select_batch` pass.  Ties, scores within a relative
-    :data:`ETA_TIE_REL`, keep the earlier grid position, so a duplicate
-    grid entry never replaces its first occurrence.
+    :func:`select_batch` pass.  A rate whose picks form a set that an
+    earlier rate picked, in any order, is not scored again: the two score
+    equally in exact arithmetic.  Ties among distinct sets, scores within a
+    relative :data:`ETA_TIE_REL`, keep the earlier grid position.
 
     Returns ``(eta, picks, report)``, the winning rate with the
     :func:`select_batch` result it was scored on.
     """
     etas = [float(e) for e in etas]
     best = best_val = None
+    seen = set()
     for e, (picks, report) in zip(etas, select_batch(budget, etas, factors)):
-        val = report.min_eig
-        if best is None or val > best_val + ETA_TIE_REL * abs(best_val):
+        val, key = report.min_eig, frozenset(picks.tolist())
+        if key not in seen and (best is None or val > best_val + ETA_TIE_REL * abs(best_val)):
             best, best_val = (e, picks, report), val
+        seen.add(key)
     return best
 
 

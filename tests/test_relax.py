@@ -174,6 +174,28 @@ class TestStep:
         np.testing.assert_allclose(_step(support, w, f, g, tiny), w + tiny,
                                    rtol=0, atol=1e-16)
 
+    def test_step_is_on_the_clipped_arc(self):
+        # A long steepest-descent move: the zero-weight point 3 moves down and
+        # is clipped at 0.  The step is a point of the arc at some t = 2^-j,
+        # and it passes the Armijo test on its own move, w(t) - w.
+        fishers, Hp0 = random_instance(0, m=5)
+        support = _Support(kron(fishers), Hp0)
+        w = np.array([0.4, 0.3, 0.3, 0.0, 0.0])
+        f, g, _, _ = support.derivatives(w)
+        d = -100.0 * (g - g.mean()) / np.abs(g).max()
+        assert d[3] < 0 < d[4]
+        nxt = _step(support, w, f, g, d)
+
+        def arc(t):
+            trial = np.maximum(w + t * d, 0.0)
+            return trial / trial.sum()
+
+        assert any(np.array_equal(nxt, arc(t)) for t in 2.0 ** -np.arange(41))
+        assert nxt.sum() == pytest.approx(1.0, abs=1e-15)
+        assert nxt[3] == 0.0
+        move = g @ (nxt - w)
+        assert -move > relax.RESOLVE_REL * f
+        assert support.value(nxt) <= f + relax.ARMIJO * move
 
     def test_pairwise_direction_descends(self):
         # The fallback moves the whole weight of the weighted point with the
@@ -423,9 +445,9 @@ class TestInexactInnerSolves:
         # The last evaluation of every support's solve takes no Newton step,
         # so it forms no Hessian.
         Hp0, fishers = wide_instance(7, m=600, d=16, c=4)
-        evaluated, formed, directions = [], [], []
+        evaluated, formed, directions, solves = [], [], [], []
         derivatives, hessian = _Support.derivatives, _Support.hessian
-        newton_direction = relax._newton_direction
+        newton_direction, solve_psd = relax._newton_direction, relax.solve_psd
 
         def counted_derivatives(self, w):
             evaluated.append(len(w))
@@ -437,11 +459,20 @@ class TestInexactInnerSolves:
 
         def counted_newton_direction(w, g, H):
             directions.append(len(w))
+            solves.append(0)
             return newton_direction(w, g, H)
+
+        def counted_solve_psd(A, b):
+            solves[-1] += 1
+            return solve_psd(A, b)
 
         monkeypatch.setattr(_Support, "derivatives", counted_derivatives)
         monkeypatch.setattr(_Support, "hessian", counted_hessian)
         monkeypatch.setattr(relax, "_newton_direction", counted_newton_direction)
+        monkeypatch.setattr(relax, "solve_psd", counted_solve_psd)
         relax_solve(3, Hp0, fishers)
         assert formed == directions
         assert 0 < len(formed) < len(evaluated)
+        # One reduced solve per Newton direction: no re-solve for points
+        # the projection clips.
+        assert solves == [1] * len(directions)

@@ -62,6 +62,21 @@ class TestTuneEta:
         assert eta == winner
         assert picks.tolist() == [int(winner)]
 
+    def test_same_set_in_another_order_is_not_rescored(self, monkeypatch):
+        # The later rate picks the earlier rate's set in another order; its
+        # higher score is rounding, so the earlier rate is kept.
+        v = 0.37
+        runs = {1.0: ([0, 1], v), 2.0: ([1, 0], v * (1 + 1e-9))}
+
+        def scored(budget, etas, factors):
+            return [(np.array(runs[e][0]), SimpleNamespace(min_eig=runs[e][1])) for e in etas]
+
+        monkeypatch.setattr(firal_round, "select_batch", scored)
+        eta, picks, report = tune_eta([1.0, 2.0], None, 2)
+        assert eta == 1.0
+        assert picks.tolist() == [0, 1]
+        assert report.min_eig == v
+
 
 def inject_report(monkeypatch, name, report):
     """Make ``firal.round.<name>`` (``select_batch`` or ``tune_eta``) keep its
