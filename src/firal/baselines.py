@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import inv_psd
-from .model import class_probabilities
+from .linalg import check_hp, inv_psd
+from .model import PROB_FLOOR, class_probabilities
 from .sparsify import check_budget, woodbury_scores
 
 
@@ -79,9 +79,8 @@ def select_kmeans(X, budget, seed):
 
 def _entropy_scores(X, theta):
     P = class_probabilities(X, theta)
-    # p log p with the 0 * log 0 = 0 convention.
-    logp = np.where(P > 0, np.log(np.maximum(P, 1e-300)), 0.0)
-    return np.sum(P * logp, axis=1)
+    # p log p, 0 where p = 0: the floor keeps the log finite.
+    return np.sum(P * np.log(np.maximum(P, PROB_FLOOR)), axis=1)
 
 
 def select_entropy(X, theta, budget):
@@ -113,10 +112,12 @@ def select_greedy_fb(budget, Hp, fishers):
     leaves at least the start, so each step scores every candidate exactly,
     ``tr(A^{-1} Hp) -+ woodbury_scores(P, A^{-1}, +-1, Hp)`` for an add or
     a removal, from one inverse of ``A``.  Raises ``LinAlgError`` for a
-    singular start, as a zero ridge with too few labeled points gives.
+    singular start, as a zero ridge with too few labeled points gives, and
+    ``ValueError`` for an ``Hp`` that fails :func:`~firal.linalg.check_hp`.
     """
     m = fishers.shape[0]
     check_budget(budget, m // 2)
+    Hp = check_hp(Hp, fishers.shape[1:])
     P = fishers.factors
     A = budget * fishers.shift
     in_set = np.zeros(m, dtype=bool)

@@ -38,8 +38,6 @@ class RunConfig:
     family: str = "gaussian"
     classes: int = 3
     dim: int = 8
-    variance: float = 100.0
-    dof: float = 5.0
     pool_size: int = 3000
     eta: float | None = None       # fixed FTRL rate; None means grid search
     theory_mode: bool = False
@@ -73,11 +71,6 @@ class RunConfig:
             if self.family not in synth.FAMILIES:
                 raise ValueError(f"family must be one of {synth.FAMILIES}, "
                                  f"got {self.family!r}")
-            if not 0 < self.variance < np.inf:
-                raise ValueError(f"variance must be positive and finite, got {self.variance!r}")
-            if self.family == "student_t" and not 2 < self.dof < np.inf:
-                raise ValueError(f"dof must be finite and above 2 for student_t, "
-                                 f"got {self.dof!r}")
             self.check_room(self.init_per_class * self.classes, self.pool_size)
         return self
 
@@ -311,11 +304,8 @@ def active_learning_loop(config: RunConfig):
 
 
 def _family_spec(config: RunConfig):
-    return synth.DesignSpec(
-        config.family, np.zeros(config.dim),
-        config.variance * np.eye(config.dim),
-        dof=config.dof if config.family == "student_t" else None,
-    )
+    return synth.DesignSpec(config.family, np.zeros(config.dim),
+                            synth.BASE_VARIANCE * np.eye(config.dim))
 
 
 def load_config(path):

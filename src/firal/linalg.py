@@ -4,8 +4,9 @@ smallest eigenvalue is at most :func:`eig_floor` of its largest.
 :func:`eigh_pd` and the inverses built on it raise for such a matrix.
 :func:`cholesky_pd` applies the rule to the squared Cholesky pivots: the
 relaxation factors its aggregates with it, and :func:`solve_psd` floors
-the eigenvalues of a matrix it rejects.  Imports nothing from the rest of
-the package.
+the eigenvalues of a matrix it rejects; :func:`check_hp` applies it to the
+search selectors' pool Hessian.  Imports nothing from the rest of the
+package.
 """
 
 from __future__ import annotations
@@ -19,6 +20,24 @@ def eig_floor(lam_max):
     """``EIG_FLOOR_REL`` times the largest eigenvalue ``lam_max``, or zero
     where it is not positive.  Broadcasts."""
     return EIG_FLOOR_REL * np.maximum(lam_max, 0.0)
+
+
+def check_hp(Hp, shape):
+    """``Hp`` as a float array, checked to be a finite, symmetric, positive
+    semidefinite matrix of ``shape`` to the working precision of
+    :func:`eig_floor`: the search selectors' check of their pool Hessian.
+    Raises ``ValueError`` naming ``Hp`` otherwise."""
+    Hp = np.asarray(Hp, dtype=float)
+    if Hp.shape != shape:
+        raise ValueError(f"Hp must be {shape}, got shape {Hp.shape}")
+    if not np.all(np.isfinite(Hp)):
+        raise ValueError("Hp must be finite")
+    if np.abs(Hp - Hp.T).max() > eig_floor(np.abs(Hp).max()):
+        raise ValueError("Hp must be symmetric")
+    lam = np.linalg.eigvalsh(Hp)
+    if lam[0] < -eig_floor(lam[-1]):
+        raise ValueError(f"Hp must be positive semidefinite, got eigenvalue {lam[0]:.3e}")
+    return Hp
 
 
 def symmetrize(A):

@@ -1,5 +1,5 @@
 """Multinomial logistic regression: class probabilities, the empirical loss
-and its gradient, the per-point Fisher information in Kronecker form, and
+with its gradient, the per-point Fisher information in Kronecker form, and
 Newton ERM.
 
 The parameter matrix ``theta`` has shape ``(c - 1, d)`` for a ``c``-class
@@ -97,29 +97,30 @@ def row_sums(A):
     return total
 
 
-def empirical_loss(X, y, theta, ridge=0.0):
-    """Mean negative log-likelihood plus ``ridge/2 * ||theta||_F^2``."""
-    P = class_probabilities(X, theta)
-    y = np.asarray(y, dtype=int)
-    pk = np.maximum(P[np.arange(len(y)), y - 1], PROB_FLOOR)
-    loss = -np.mean(np.log(pk))
-    if ridge > 0:
-        loss += 0.5 * ridge * float(np.sum(theta**2))
-    return loss
-
-
-def empirical_gradient(X, y, theta, ridge=0.0):
-    """Gradient of :func:`empirical_loss`, shape ``(c-1, d)``."""
+def empirical_objective(X, y, theta, ridge=0.0):
+    """``(loss, grad, P)`` at ``theta`` from one :func:`class_probabilities`
+    call: the mean negative log-likelihood plus ``ridge/2 * ||theta||_F^2``,
+    its gradient, shape ``(c-1, d)``, and the ``(n, c)`` probabilities."""
     theta = _as_theta(theta)
-    P = class_probabilities(X, theta)
-    B = P[:, :-1].copy()
+    X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
+    P = class_probabilities(X, theta)
+    loss = -np.mean(np.log(np.maximum(P[np.arange(len(y)), y - 1], PROB_FLOOR)))
+    B = P[:, :-1].copy()
     in_free = y <= theta.shape[0]
     B[np.nonzero(in_free)[0], y[in_free] - 1] -= 1.0
-    g = B.T @ np.asarray(X, dtype=float) / len(y)
+    grad = B.T @ X / len(y)
     if ridge > 0:
-        g = g + ridge * theta
-    return g
+        loss += 0.5 * ridge * float(np.sum(theta**2))
+        grad = grad + ridge * theta
+    return loss, grad, P
+
+
+def _fisher_weights(P):
+    """``W_i = diag(h_i) - h_i h_i^T``, ``(n, c-1, c-1)``, from ``(n, c)``
+    probabilities, ``h_i`` their first ``c - 1`` columns."""
+    h = P[:, :-1, None]
+    return h * np.eye(h.shape[1]) - h * h.transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -137,8 +138,7 @@ class KronFishers:
     def at(cls, X, theta, shift=None):
         """``W_i = diag(h_i) - h_i h_i^T`` at ``theta``; zero shift by default."""
         dt = np.size(theta)
-        h = class_probabilities(X, theta)[:, :-1, None]
-        W = h * np.eye(h.shape[1]) - h * h.transpose(0, 2, 1)
+        W = _fisher_weights(class_probabilities(X, theta))
         shift = np.zeros((dt, dt)) if shift is None else np.asarray(shift, dtype=float)
         if shift.shape != (dt, dt):
             raise ValueError(f"shift shape {shift.shape} != fisher shape {(dt, dt)}")
@@ -208,7 +208,8 @@ FIT_MAX_ITER = 100
 
 
 def fit_erm(X, y, n_classes, *, ridge):
-    """Damped Newton minimization of :func:`empirical_loss` with ``ridge``.
+    """Damped Newton minimization of the loss of :func:`empirical_objective`
+    with ``ridge``.
 
     Full-Hessian Newton with Armijo backtracking (c = 1e-4, step halving).
     The Newton system is solved by :func:`~firal.linalg.solve_psd`, which
@@ -234,34 +235,33 @@ def fit_erm(X, y, n_classes, *, ridge):
 
     k, d = n_classes - 1, X.shape[1]
     theta = np.zeros((k, d))
-    loss = empirical_loss(X, y, theta, ridge)
-    grad = empirical_gradient(X, y, theta, ridge)
+    loss, grad, P = empirical_objective(X, y, theta, ridge)
     gnorm = float(np.abs(grad).max())
+    no_shift = np.zeros((k * d, k * d))
     n_iter = 0
 
     for n_iter in range(1, FIT_MAX_ITER + 1):
         if gnorm <= FIT_TOL:
             return FitResult(theta, True, n_iter - 1, gnorm)
-        H = KronFishers.at(X, theta).aggregate(np.full(len(X), 1 / len(X)))
+        # The Hessian at theta, from the probabilities its loss was taken at.
+        H = KronFishers(X, _fisher_weights(P), no_shift).aggregate(np.full(len(X), 1 / len(X)))
         step = solve_psd(H + ridge * np.eye(k * d), -grad.ravel()).reshape(k, d)
 
-        # Armijo backtracking; reject any step that fails to decrease.
+        # Armijo backtracking; reject any step that fails to decrease.  The
+        # accepted trial's loss, gradient and probabilities are kept.
         slope = float(np.sum(grad * step))
         t = 1.0
-        accepted = False
         while t >= 2.0**-40:
             cand = theta + t * step
-            cand_loss = empirical_loss(X, y, cand, ridge)
-            if not np.isfinite(cand_loss):
+            trial = empirical_objective(X, y, cand, ridge)
+            if not np.isfinite(trial[0]):
                 raise ValueError("non-finite loss encountered during fit")
-            if cand_loss <= loss + 1e-4 * t * slope:
-                theta, loss = cand, cand_loss
-                accepted = True
+            if trial[0] <= loss + 1e-4 * t * slope:
                 break
             t *= 0.5
-        if not accepted:
+        else:
             break
-        grad = empirical_gradient(X, y, theta, ridge)
+        theta, (loss, grad, P) = cand, trial
         gnorm = float(np.abs(grad).max())
 
     converged = gnorm <= FIT_TOL

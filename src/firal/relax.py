@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import cholesky_pd, solve_psd, symmetrize
+from .linalg import check_hp, cholesky_pd, solve_psd, symmetrize
 
 GAP_TOL = 1e-8
 MAX_NEWTON_STEPS = 500
@@ -222,10 +222,11 @@ def relax_solve(budget, Hp0, fishers):
     solve returns only a gap at most ``GAP_TOL * f`` measured after a
     round whose tolerance was ``0.1 * GAP_TOL * f``, or whose spread
     reached it.  Returns the certified weights, scaled by the budget;
-    raises ``ValueError`` on an empty pool or a budget outside ``(0, inf)``,
-    and ``LinAlgError`` where the whole pool at uniform weights is singular.
+    raises ``ValueError`` on an ``Hp0`` :func:`~firal.linalg.check_hp`
+    rejects, an empty pool or a budget outside ``(0, inf)``, and
+    ``LinAlgError`` where the whole pool at uniform weights is singular.
     """
-    Hp0 = np.asarray(Hp0, dtype=float)
+    Hp0 = check_hp(Hp0, fishers.shape[1:])
     m = fishers.shape[0]
     if m < 1:
         raise ValueError("need at least one candidate")

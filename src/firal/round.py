@@ -6,7 +6,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fisher import whiten_factors
-from .linalg import eig_floor
 from .model import KronFishers
 from .relax import relax_solve
 from .sparsify import AuditReport, check_budget, select_batch
@@ -99,23 +98,12 @@ def select_firal(budget, Hp, fishers, *, eta=None, repeats=False):
     ``fishers``.  With ``repeats`` a candidate may be picked again.
     ``eta=None`` tunes the rate over :func:`eta_grid`, or uses
     ``8 sqrt(d_tilde)`` with repeats.  ``budget`` must be an integer of at
-    least 1 and ``Hp`` a finite, symmetric, positive semidefinite
-    ``(d_tilde, d_tilde)`` matrix, to the working precision of
-    :func:`~firal.linalg.eig_floor`; each raises a ``ValueError`` naming
-    the argument.  Raises ``FloatingPointError``, naming both worst
-    margins, when the rounding breaks its regret guarantees.
+    least 1 and ``Hp`` pass :func:`~firal.linalg.check_hp`; each raises
+    a ``ValueError`` naming the argument.  Raises ``FloatingPointError``,
+    naming both worst margins, when the rounding breaks its regret
+    guarantees.
     """
     check_budget(budget)
-    Hp = np.asarray(Hp, dtype=float)
-    if Hp.shape != fishers.shape[1:]:
-        raise ValueError(f"Hp must be {fishers.shape[1:]}, got shape {Hp.shape}")
-    if not np.all(np.isfinite(Hp)):
-        raise ValueError("Hp must be finite")
-    if np.abs(Hp - Hp.T).max() > eig_floor(np.abs(Hp).max()):
-        raise ValueError("Hp must be symmetric")
-    lam = np.linalg.eigvalsh(Hp)
-    if lam[0] < -eig_floor(lam[-1]):
-        raise ValueError(f"Hp must be positive semidefinite, got eigenvalue {lam[0]:.3e}")
     relaxed = relax_solve(budget, Hp, fishers)
     factors = whiten_factors(relaxed.z, fishers)
     if eta is None and not repeats:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fisher import fir, pool_hessian, sigma_max
-from .model import class_probabilities, fit_erm, reference_softmax, row_sums
+from .model import PROB_FLOOR, class_probabilities, fit_erm, reference_softmax, row_sums
 
 FAMILIES = ("gaussian", "laplace", "student_t")
 BASE_VARIANCE = 100.0
@@ -65,9 +65,9 @@ class DesignSpec:
         return self.mean.size
 
 
-def gaussian_design(dim, variance=BASE_VARIANCE, dilation=1.0):
-    """Centred isotropic Gaussian spec, optionally dilated."""
-    return DesignSpec("gaussian", np.zeros(dim), dilation * variance * np.eye(dim))
+def gaussian_design(dim, dilation=1.0):
+    """Centred isotropic Gaussian spec, variance ``dilation * BASE_VARIANCE``."""
+    return DesignSpec("gaussian", np.zeros(dim), dilation * BASE_VARIANCE * np.eye(dim))
 
 
 def translation_direction(dim):
@@ -247,9 +247,9 @@ def mc_excess_risk(thetas, theta_star, spec_p: DesignSpec, n_points=50_000, seed
     for rows in _row_blocks(n_points):
         block = X[rows]
         P_star = class_probabilities(block, theta_star)
-        log_star = np.log(np.maximum(P_star, 1e-300))
+        log_star = np.log(np.maximum(P_star, PROB_FLOOR))
         for kl, theta_n in zip(per_point, thetas):
-            log_n = np.log(np.maximum(class_probabilities(block, theta_n), 1e-300))
+            log_n = np.log(np.maximum(class_probabilities(block, theta_n), PROB_FLOOR))
             kl[rows] = row_sums(P_star * (log_star - log_n))
     return [(float(kl.mean()), float(kl.std(ddof=1) / np.sqrt(n_points)))
             for kl in per_point]

@@ -4,7 +4,8 @@ Single-point probabilities, loss, gradient and the ``np.kron`` Fisher
 matrix :func:`point_fisher`; the dense candidate stack built from it
 point by point, independently of the factored
 :class:`firal.model.KronFishers` the selectors read; the design objective
-on such a stack; the per-candidate Woodbury score; the exact
+on such a stack, and its exact optimum over every subset of a small
+round, :func:`best_subset`; the per-candidate Woodbury score; the exact
 relaxation gradient; the random round that the selection tests share,
 built by :func:`firal.round_fishers` and taken through the relaxation and
 the whitening; and the rounding at one rate that scores every candidate,
@@ -13,6 +14,9 @@ with its scalar trace-normalizing root, which the lockstep pass of
 three sampling layers of :mod:`firal.synth` computed on whole arrays, which
 its row-block versions must reproduce byte for byte.
 """
+
+import itertools
+import math
 
 import numpy as np
 
@@ -95,6 +99,34 @@ def f_objective(weights_or_indices, fishers, Hp0):
             raise ValueError("weights must have one entry per candidate")
     sigma = np.einsum("i,ijk->jk", z, fishers)
     return fir(sigma, Hp0)
+
+
+BEST_SUBSET_MAX = 150_000
+
+
+def subset_values(fishers, Hp, subsets):
+    """``tr((sum_{i in S} F_i)^{-1} Hp)`` for each row ``S`` of the integer
+    array ``subsets``, over the dense stack of the
+    :class:`firal.model.KronFishers` ``fishers``, shift included, in blocks
+    of subsets."""
+    F = np.array([np.kron(W, np.outer(x, x)) for W, x in zip(fishers.W, fishers.X)])
+    F += fishers.shift
+    values, block = np.empty(len(subsets)), 8192
+    for start in range(0, len(subsets), block):
+        sigma = F[subsets[start:start + block]].sum(axis=1)
+        values[start:start + block] = np.trace(np.linalg.solve(sigma, Hp), axis1=1, axis2=2)
+    return values
+
+
+def best_subset(fishers, Hp, b):
+    """``f(opt)``, the least :func:`subset_values` over every ``b``-subset
+    of the candidates, by exhaustive search of at most
+    :data:`BEST_SUBSET_MAX` subsets."""
+    m = fishers.shape[0]
+    if math.comb(m, b) > BEST_SUBSET_MAX:
+        raise ValueError(f"C({m}, {b}) = {math.comb(m, b)} subsets exceed {BEST_SUBSET_MAX}")
+    subsets = np.array(list(itertools.combinations(range(m), b)), dtype=int)
+    return float(subset_values(fishers, Hp, subsets).min())
 
 
 def score_candidate(B_sqrt, B, P_i, eta):

@@ -422,18 +422,21 @@ class TestCliCommands:
         assert main(["run", "--config", str(path)]) == 2
         assert "theory_mode" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("lines, key", [
-        ("family = cauchy", "family"),
-        ("variance = -1", "variance"),
-        ("variance = nan", "variance"),
-        ("family = student_t\ndof = 2", "dof"),
+    # The design's variance and dof are fixed (synth.BASE_VARIANCE and
+    # DesignSpec's default dof), so a config naming either is rejected as
+    # an unknown key.
+    @pytest.mark.parametrize("lines, message", [
+        ("family = cauchy", "error: family must"),
+        ("variance = -1", "run.cfg:1: unknown config key 'variance'"),
+        ("variance = nan", "run.cfg:1: unknown config key 'variance'"),
+        ("family = student_t\ndof = 2", "run.cfg:2: unknown config key 'dof'"),
     ], ids=["family", "variance_negative", "variance_nan", "dof"])
-    def test_design_checked_before_any_work(self, monkeypatch, tmp_path, capsys, lines, key):
+    def test_design_checked_before_any_work(self, monkeypatch, tmp_path, capsys, lines, message):
         monkeypatch.setattr(cli, "active_learning_loop", pytest.fail)
         path = tmp_path / "run.cfg"
         path.write_text(f"{lines}\n")
         assert main(["run", "--config", str(path)]) == 2
-        assert f"error: {key} must" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("family", ["laplace", "student_t"])
     def test_heavy_tailed_family_runs(self, tmp_path, family):

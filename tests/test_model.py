@@ -12,7 +12,7 @@ from firal.model import (
     FIT_TOL,
     accuracy,
     class_probabilities,
-    empirical_loss,
+    empirical_objective,
     fit_erm,
     reference_softmax,
     row_sums,
@@ -282,7 +282,7 @@ class TestFitErm:
         # short of convergence warns once; the full fit does not.
         n_steps = fit_erm(X, y, 3, ridge=1e-8).n_iter
         assert n_steps >= 3
-        losses = [empirical_loss(X, y, np.zeros((2, 3)), 1e-8)]
+        losses = [empirical_objective(X, y, np.zeros((2, 3)), 1e-8)[0]]
         for n in range(1, n_steps + 1):
             monkeypatch.setattr(model, "FIT_MAX_ITER", n)
             if n < n_steps:
@@ -294,8 +294,29 @@ class TestFitErm:
                     warnings.simplefilter("error")
                     res = fit_erm(X, y, 3, ridge=1e-8)
                 assert res.converged
-            losses.append(empirical_loss(X, y, res.theta, 1e-8))
+            losses.append(empirical_objective(X, y, res.theta, 1e-8)[0])
         assert np.all(np.diff(losses) <= 1e-14)
+
+    def test_one_softmax_per_loss_evaluation(self, monkeypatch):
+        # The loss, its gradient and the next Hessian at an iterate share one
+        # class_probabilities call, so no parameter is evaluated twice: there
+        # is one call at the start and one per line-search trial.  This
+        # heavy-tailed draw rejects some trials, so there are more calls
+        # than Newton steps plus one.
+        rng = np.random.default_rng(19)
+        X = rng.standard_cauchy(size=(20, 2))
+        y = rng.integers(1, 5, size=20)
+        thetas, probabilities = [], model.class_probabilities
+
+        def counting(X, theta):
+            thetas.append(np.array(theta))
+            return probabilities(X, theta)
+
+        monkeypatch.setattr(model, "class_probabilities", counting)
+        res = fit_erm(X, y, 4, ridge=1e-6)
+        assert res.converged
+        assert len({t.tobytes() for t in thetas}) == len(thetas) > res.n_iter + 1
+        assert not thetas[0].any() and any(np.array_equal(t, res.theta) for t in thetas)
 
     def test_unconverged_fit_warns(self, monkeypatch):
         # The warning names the step count and the gradient norm the
@@ -345,8 +366,8 @@ class TestFitErm:
         assert len(eighs) >= res.n_iter
         monkeypatch.undo()
         reduced = fit_erm(X, y, 3, ridge=0.0)
-        assert empirical_loss(Xs, y, res.theta) == pytest.approx(
-            empirical_loss(X, y, reduced.theta), rel=0, abs=1e-12)
+        assert empirical_objective(Xs, y, res.theta)[0] == pytest.approx(
+            empirical_objective(X, y, reduced.theta)[0], rel=0, abs=1e-12)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -372,4 +393,16 @@ class TestHelpers:
         y = rng.integers(1, 3, size=20)
         theta = rng.normal(size=(1, 2))
         direct = np.mean([nll_loss(x, yy, theta) for x, yy in zip(X, y)])
-        assert empirical_loss(X, y, theta) == pytest.approx(direct, rel=1e-12)
+        assert empirical_objective(X, y, theta)[0] == pytest.approx(direct, rel=1e-12)
+
+    def test_empirical_objective_gradient_and_probabilities(self):
+        # The gradient is the mean per-point gradient plus the ridge term,
+        # and P is the softmax the loss was taken from.
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(20, 3))
+        y = rng.integers(1, 4, size=20)
+        theta = rng.normal(size=(2, 3))
+        _, grad, P = empirical_objective(X, y, theta, ridge=0.5)
+        direct = np.mean([loss_gradient(x, yy, theta) for x, yy in zip(X, y)], axis=0)
+        np.testing.assert_allclose(grad, direct + 0.5 * theta, rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(P, class_probabilities(X, theta))

@@ -17,7 +17,7 @@ from firal.relax import GAP_TOL, relax_solve
 from firal.round import eta_grid, tune_eta
 from firal.sparsify import AuditReport, select_batch
 
-from oracle import pipeline_factors, point_fisher
+from oracle import best_subset, pipeline_factors, point_fisher, subset_values
 
 RIDGE = 1e-6
 
@@ -187,6 +187,22 @@ class TestSelectFiral:
         with pytest.raises(ValueError, match=rf"^{name} must"):
             select_firal(args["budget"], args["Hp"], fishers)
 
+    @pytest.mark.parametrize("bad", [
+        lambda Hp: Hp[:3, :3],
+        lambda Hp: Hp + np.triu(Hp, 1),
+        lambda Hp: np.full_like(Hp, np.nan),
+        lambda Hp: -Hp,
+    ], ids=["Hp-3x3", "Hp-asymmetric", "Hp-nan", "Hp-negated"])
+    @pytest.mark.parametrize("select", [relax_solve, select_greedy_fb],
+                             ids=["relax_solve", "greedy_fb"])
+    def test_search_selectors_check_hp(self, select, bad):
+        # Each search selector applies select_firal's Hp checks itself.
+        X, theta, labeled = firal_problem()
+        unlabeled = np.setdiff1d(np.arange(len(X)), labeled)
+        fishers = round_fishers(X, labeled, unlabeled, theta, 4, ridge=RIDGE)
+        with pytest.raises(ValueError, match=r"^Hp must"):
+            select(4, bad(pool_hessian(X, theta)), fishers)
+
     def test_violated_guarantee_raises(self, monkeypatch):
         # A library call is stopped where the margins are computed.
         inject_report(monkeypatch, "select_batch",
@@ -294,6 +310,27 @@ def check_firal(budget, m, masked, picks, diag):
     assert np.isfinite(diag.eta) and diag.relax_gap <= GAP_TOL and report.holds()
     assert len(picks) == budget and np.all((0 <= picks) & (picks < m))
     assert not masked or len(set(picks.tolist())) == budget
+
+
+class TestExactOptimum:
+    @pytest.mark.parametrize("d, m, budget, seed", [
+        (2, 30, 4, 0), (3, 24, 6, 1), (4, 20, 5, 2), (2, 16, 3, 3), (3, 30, 3, 4), (4, 14, 6, 5),
+        (2, 24, 5, 6), (3, 20, 4, 7),
+    ])
+    def test_certificate_and_selectors_against_best_subset(self, d, m, budget, seed):
+        # The exact optimum over every budget-subset of a small drawn round
+        # lies above the relaxation's certified lower bound, and neither
+        # search selector's picks beat it.  A relative 1e-12 allows for the
+        # relaxation's own summation order.
+        budget, Hp, fishers = drawn_round(c=3, d=d, m=m, n=2, rows="random", scale=3.0,
+                                          budget=budget, ridge=RIDGE, seed=seed)
+        f_opt = best_subset(fishers, Hp, budget)
+        relaxed = relax_solve(budget, Hp, fishers)
+        assert f_opt >= (relaxed.objective - relaxed.gap) * (1 - 1e-12)
+        firal_picks, _ = select_firal(budget, Hp, fishers)
+        greedy_picks = select_greedy_fb(budget, Hp, fishers)
+        f_picks = subset_values(fishers, Hp, np.sort([firal_picks, greedy_picks], axis=1))
+        assert np.all(f_picks >= f_opt)
 
 
 class TestDrawnRounds:
