@@ -16,14 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fisher import fir, pool_hessian, sigma_max
-from .model import PROB_FLOOR, class_probabilities, fit_erm, reference_softmax, row_sums
+from .model import (PROB_FLOOR, KronFishers, class_probabilities, fit_erm, reference_softmax,
+                    row_sums)
 
 FAMILIES = ("gaussian", "laplace", "student_t")
 BASE_VARIANCE = 100.0
 SWEEP_RIDGE = 1e-8  # the ridge of the sweep's fits; changing it changes its output
 BALANCE_SAMPLES = 100_000
 BALANCE_ATTEMPTS = 100
-BLOCK = 8192  # rows per block of the sampling layers, a power of two; no output depends on it
+# Rows per block of the sampling layers and of the ratio calibration, a
+# power of two; no output depends on it.
+BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -107,20 +110,30 @@ def sample_pool(spec: DesignSpec, n, seed):
     """Draw ``n`` i.i.d. points from a design spec, reproducibly.
 
     Holds one ``(n, d)`` array: the standard normals are drawn whole, then
-    the family's per-row scalars, and each block of rows is mapped to its
-    points in place (``@ L.T``, the scalar, ``+ mean``), the same values as
-    the whole-array expressions.
+    the family's per-row scalars, and :func:`_map_normals` turns them into
+    the points in place.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     rng = np.random.default_rng(seed)
-    L = np.linalg.cholesky(spec.scale)
     X = rng.standard_normal((n, spec.dim))
+    root = None
     if spec.family == "laplace":
         root = np.sqrt(rng.exponential(1.0, size=n))
     elif spec.family == "student_t":
         root = np.sqrt(rng.chisquare(spec.dof, size=n) / spec.dof)
-    for rows in _row_blocks(n):
+    return _map_normals(X, spec, root)
+
+
+def _map_normals(X, spec: DesignSpec, root=None):
+    """Map standard normals ``X`` to points of ``spec`` in place and return
+    ``X``; ``root`` holds the per-row scalars of a heavy-tailed family.
+
+    Each block of rows is mapped in turn (``@ L.T``, the scalar, ``+
+    mean``), the same values as the whole-array expressions.
+    """
+    L = np.linalg.cholesky(spec.scale)
+    for rows in _row_blocks(len(X)):
         block = X[rows]
         block[...] = block @ L.T
         if spec.family == "laplace":
@@ -278,6 +291,20 @@ def _bisect(ratio, target, lo, hi, mid, rising):
     return float(mid(lo, hi))
 
 
+def _blocked_fisher(base, theta_star, design=None, knob=None):
+    """``pool_hessian`` of ``design(base, knob)``, or of ``base`` without a
+    design, as a sum over the row blocks of ``base``: a block's design
+    points, probabilities and weighted copy are all that is held at once.
+    The sum differs from the whole-array one at rounding level.
+    """
+    n = len(base)
+    H = 0.0
+    for rows in _row_blocks(n):
+        X = base[rows] if design is None else design(base[rows], knob)
+        H += KronFishers.at(X, theta_star).aggregate(np.full(len(X), 1.0 / n))
+    return H
+
+
 def _calibrate(targets, theta_star, dim, n_mc, seed, grid, design, mid):
     """The smallest knob of ``grid``, per target, at which the ratio of
     ``design(base, knob)`` to one base draw of the reference design reaches it.
@@ -287,14 +314,17 @@ def _calibrate(targets, theta_star, dim, n_mc, seed, grid, design, mid):
     knob's design Fisher matrix is singular, which ends the walk.  A
     target within :data:`RATIO_TOL` of the first ratio takes the first
     knob; any other is bisected, split by ``mid``, in the first grid
-    interval whose end ratios straddle it (ends included).  Returns the
-    knobs, None where a target is not reached, and the ratios walked.
+    interval whose end ratios straddle it (ends included).  Both Fisher
+    matrices are :func:`_blocked_fisher` sums; the walk and the bisection
+    read the ratios only through comparisons.  Returns the knobs, None
+    where a target is not reached, and the ratios walked.
     """
-    base = np.sqrt(BASE_VARIANCE) * np.random.default_rng(seed).standard_normal((n_mc, dim))
-    Hp = pool_hessian(base, theta_star)
+    base = np.random.default_rng(seed).standard_normal((n_mc, dim))
+    base *= np.sqrt(BASE_VARIANCE)
+    Hp = _blocked_fisher(base, theta_star)
 
     def ratio(knob):
-        return fir(pool_hessian(design(base, knob), theta_star), Hp)
+        return fir(_blocked_fisher(base, theta_star, design, knob), Hp)
 
     vals = [ratio(grid[0])]
     knobs = [float(grid[0]) if abs(vals[0] - t) <= RATIO_TOL * t else None
@@ -359,6 +389,20 @@ def translation_for_fir(targets, theta_star, dim, n_mc=100_000, seed=0):
                                           lambda lo, hi: 0.5 * (lo + hi)))
 
 
+def _realized_hessians(specs, theta_star, n_mc):
+    """``pool_hessian(sample_pool(spec, n_mc, 10_001), theta_star)`` for
+    each Gaussian spec.  Those draws share their standard normals, so they
+    are drawn once and mapped into one buffer per spec.
+    """
+    normals = np.random.default_rng(10_001).standard_normal((n_mc, specs[0].dim))
+    X = np.empty_like(normals)
+    hessians = []
+    for spec in specs:
+        X[...] = normals
+        hessians.append(pool_hessian(_map_normals(X, spec), theta_star))
+    return hessians
+
+
 @dataclass
 class SweepPoint:
     """One measured setting of the risk-versus-ratio sweep."""
@@ -395,10 +439,9 @@ def risk_ratio_sweep(n_classes, dim, targets, n, seeds, mode="dilation",
         raise ValueError(f"unknown sweep mode {mode!r}")
 
     spec_p = gaussian_design(dim)
-    Hp = pool_hessian(sample_pool(spec_p, n_mc, 10_001), theta_star)
+    Hp, *Hqs = _realized_hessians([spec_p] + specs, theta_star, n_mc)
     designs = []  # the SweepPoint fields that all rows of a target share
-    for target, knob, spec_q in zip(targets, knobs, specs):
-        Hq = pool_hessian(sample_pool(spec_q, n_mc, 10_001), theta_star)
+    for target, knob, Hq in zip(targets, knobs, Hqs):
         designs.append(dict(mode=mode, target_fir=float(target), scale_param=float(knob),
                             realized_fir=float(fir(Hq, Hp)),
                             sigma=float(sigma_max(Hq, Hp)), n=int(n)))

@@ -1,7 +1,8 @@
 """Synthetic protocol tests: parameter construction, samplers, label laws,
 Monte-Carlo risk estimation, the row blocks of the sampling layers (byte
 for byte against whole-array references, and their traced peak memory),
-and the ratio calibration helpers."""
+and the ratio calibration helpers, with the knobs of the default sweeps
+pinned and the calibration's traced peak memory bounded."""
 
 import tracemalloc
 
@@ -400,6 +401,15 @@ class TestSamplingMemory:
     def test_make_theta_star_peak(self):
         assert traced_peak(lambda: make_theta_star(4, 16, 0)) <= 8e6
 
+    def test_calibration_holds_one_base_draw(self):
+        # The knobs' design Fishers are summed over row blocks; a
+        # whole-array Fisher per knob peaks at 3.4 times the base draw.
+        n_mc, d = 100_000, 8
+        theta = make_theta_star(2, d, 0)
+        targets = np.geomspace(1.6, 80.0, 5).tolist()
+        peak = traced_peak(lambda: dilation_for_fir(targets, theta, d, n_mc=n_mc))
+        assert peak <= 1.5 * n_mc * d * 8
+
 
 def calibration_ratio(theta, dim, n_mc, seed, design):
     """The ratio the calibration walks, rebuilt from the public pieces: the
@@ -456,6 +466,40 @@ class TestRatioCalibration:
                                           synth.NU_GRID[i + 1],
                                           lambda lo, hi: np.sqrt(lo * hi), rising=False))
         assert dilation_for_fir(targets, theta, 8, n_mc=20_000) == expected
+
+    # The knobs of the default `firal sweep` (c = 2, d = 8, n_mc = 100_000,
+    # theta seed = --seed) and of `sweep --mode translation --seeds 2
+    # --n-targets 3`, as whole-array Fisher matrices gave them; they hold at
+    # one and at two BLAS threads.
+    PINNED_DILATION_KNOBS = {
+        0: [7.498942093324558, 7.498942093324558, 0.4552009135705047,
+            0.07635060803383345, 0.018938420273308883],
+        1: [7.498942093324558, 7.498942093324558, 0.4531583637600818,
+            0.07566695371401164, 0.018768842935762187],
+        2: [7.498942093324558, 7.498942093324558, 0.45112497915474453,
+            0.07532742556862294, 0.01872668638766867],
+    }
+
+    @pytest.mark.parametrize("theta_seed", [0, 1, 2])
+    def test_default_sweep_dilation_knobs_are_pinned(self, theta_seed):
+        theta = make_theta_star(2, 8, seed=theta_seed)
+        targets = np.geomspace(1.6, 80.0, 5).tolist()
+        assert (dilation_for_fir(targets, theta, 8, n_mc=100_000)
+                == self.PINNED_DILATION_KNOBS[theta_seed])
+
+    def test_translation_sweep_knobs_are_pinned(self):
+        theta = make_theta_star(2, 8, seed=0)
+        targets = np.geomspace(8.0, 80.0, 3).tolist()
+        assert translation_for_fir(targets, theta, 8, n_mc=100_000) == [0.0, 6696.0, 9236.0]
+
+    def test_dilation_knobs_do_not_move_with_the_block(self, monkeypatch):
+        # 5000 rows are one block at BLOCK, 78 at 64.
+        theta = make_theta_star(2, 8, seed=0)
+        targets = np.geomspace(1.6, 80.0, 5).tolist()
+        monkeypatch.setattr(synth, "BLOCK", 64)
+        assert dilation_for_fir(targets, theta, 8, n_mc=5000) == [
+            7.498942093324558, 7.498942093324558, 0.4572526698969311,
+            0.07704043920109091, 0.019109529749704406]
 
     def test_translation_hits_target(self):
         theta = make_theta_star(2, 4, seed=32)
@@ -523,16 +567,16 @@ class TestRatioCalibration:
         # 2, 4, ...; bisection midpoints are never 0 or powers of two at or
         # above 1.
         theta = make_theta_star(2, 4, seed=29)
-        a = translation_direction(4)
-        rows = []
+        taus = []
+        blocked_fisher = synth._blocked_fisher
 
-        def recording(X, theta_star):
-            rows.append(X[0].copy())
-            return pool_hessian(X, theta_star)
+        def recording(base, theta_star, design=None, knob=None):
+            if design is not None:
+                taus.append(float(knob))
+            return blocked_fisher(base, theta_star, design, knob)
 
-        monkeypatch.setattr(synth, "pool_hessian", recording)
+        monkeypatch.setattr(synth, "_blocked_fisher", recording)
         translation_for_fir([12.0, 5.0, 40.0], theta, 4, n_mc=5000, seed=33)
-        taus = [round(float((row - rows[0]) @ a), 9) for row in rows[1:]]
         grid = [t for t in taus if t == 0 or t >= 1 and np.log2(t).is_integer()]
         assert grid == [0.0] + [2.0**j for j in range(len(grid) - 1)]
 
