@@ -62,36 +62,49 @@ def reference_softmax(logits):
     """Softmax of ``(n, c-1)`` logits and the zero logit of the reference
     class, ``(n, c)`` with the reference class last.
 
-    The only place the softmax is written.  Each row is shifted by its max
-    for overflow safety; the max is a running ``np.maximum`` over the
-    logit columns from 0, and the row sum is :func:`row_sums`, since numpy
-    reduces along a short contiguous axis far more slowly.  ``exp`` runs in
-    place on the whole array.  The result equals, bit for bit,
-    ``concatenate`` with a zero column, ``max(axis=1)``, ``exp`` and
-    ``sum(axis=1)``.
+    The only place the softmax is written; its shift and ``exp`` are
+    :func:`shifted_exp`, which the reference-class share of
+    :func:`firal.synth.make_theta_star` calls too.  The row sum is
+    :func:`row_sums`, since numpy reduces along a short contiguous axis far
+    more slowly.  The result equals, bit for bit, ``concatenate`` with a
+    zero column, ``max(axis=1)``, ``exp`` and ``sum(axis=1)``.
     """
     logits = np.asarray(logits, dtype=float)
     n, k = logits.shape
     p = np.empty((n, k + 1))
     p[:, :k] = logits
     p[:, k] = 0.0
-    top = np.zeros(n)
-    for j in range(k):
-        np.maximum(top, p[:, j], out=top)
-    p -= top[:, None]
-    np.exp(p, out=p)
+    shifted_exp(p, np.empty(n))
     p /= row_sums(p)[:, None]
     return p
 
 
-def row_sums(A):
-    """``A.sum(axis=1)`` of an ``(n, c)`` array, bit for bit.  Below eight
-    columns numpy adds a row left to right from 0, which a running add of
-    the columns repeats without the cost of reducing a short axis; from
-    eight columns numpy pairs the terms, so its own sum is used."""
+def shifted_exp(p, top):
+    """In place, ``exp`` of the ``(n, c)`` logits ``p``, the reference
+    class's zero last, each row shifted by its max for overflow safety.
+
+    The max goes into the ``(n,)`` buffer ``top``: a running
+    ``np.maximum`` over the first ``c - 1`` columns from 0, which equals
+    ``max(axis=1)`` in any order.  ``exp`` runs on the whole array.
+    """
+    top[...] = 0.0
+    for j in range(p.shape[1] - 1):
+        np.maximum(top, p[:, j], out=top)
+    p -= top[:, None]
+    np.exp(p, out=p)
+
+
+def row_sums(A, out=None):
+    """``A.sum(axis=1)`` of an ``(n, c)`` array in C order, bit for bit,
+    whatever the layout of ``A``; into the ``(n,)`` buffer ``out`` if it is
+    given.  Below eight columns numpy adds a row left to right from 0,
+    which a running add of the columns repeats without the cost of
+    reducing a short axis; from eight columns numpy pairs the terms, so
+    its own sum is used, on a C-order copy if ``A`` is in another layout."""
     if A.shape[1] >= 8:
-        return A.sum(axis=1)
-    total = np.zeros(len(A))
+        return np.ascontiguousarray(A).sum(axis=1, out=out)
+    total = np.empty(len(A)) if out is None else out
+    total[...] = 0.0
     for j in range(A.shape[1]):
         total += A[:, j]
     return total

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fisher import fir, pool_hessian, sigma_max
-from .model import (PROB_FLOOR, KronFishers, class_probabilities, fit_erm, reference_softmax,
-                    row_sums)
+from .model import (PROB_FLOOR, KronFishers, class_probabilities, fit_erm, row_sums,
+                    shifted_exp)
 
 FAMILIES = ("gaussian", "laplace", "student_t")
 BASE_VARIANCE = 100.0
@@ -166,12 +166,54 @@ def _equicorrelated_rows(n_rows, dim, gamma, rng):
     return L @ Q.T
 
 
-def _reference_share(gamma, w, logit_scale):
-    """Mean probability of the reference class for equicorrelated logits."""
-    k = w.shape[1]
-    G = (1.0 - gamma) * np.eye(k) + gamma * np.ones((k, k))
-    p = reference_softmax(logit_scale * (w @ np.linalg.cholesky(G).T))
-    return float(p[:, -1].mean())
+def _reference_shares(w, logit_scale):
+    """``share(gamma)``: the mean probability of the reference class at the
+    logits ``logit_scale * (w @ cholesky(G).T)``, ``G`` the ``(k, k)``
+    matrix with unit diagonal and ``gamma`` elsewhere, ``k`` the columns of
+    ``w``.
+
+    Every call writes into one ``(n, k + 1)`` buffer, which holds the
+    logits and then their exps, and two ``(n,)`` ones, allocated here; only
+    the reference column is divided by the row sum.  The buffer is in
+    Fortran order, so each column is contiguous; the product written into
+    it has the bits of ``w @ cholesky(G).T``.  The share equals, bit for
+    bit, the mean of the last column of :func:`reference_softmax`.
+    """
+    n, k = w.shape
+    p = np.empty((k + 1, n)).T
+    top, total = np.empty(n), np.empty(n)
+
+    def share(gamma):
+        G = (1.0 - gamma) * np.eye(k) + gamma * np.ones((k, k))
+        np.matmul(w, np.linalg.cholesky(G).T, out=p[:, :k])
+        p[:, k] = 0.0
+        np.multiply(logit_scale, p, out=p)
+        shifted_exp(p, top)
+        ref = p[:, k]
+        np.divide(ref, row_sums(p, out=total), out=ref)
+        return float(ref.mean())
+
+    return share
+
+
+def _balanced_gamma(c, rng):
+    """Common correlation of the rows at which the reference class takes
+    ``1/c`` of the mass of the isotropic variance-100 Gaussian: 40 steps of
+    bisection on 50,000 standard normals of ``rng``, drawn only if
+    ``c > 2``.  The share grows with the correlation; at ``c = 2`` it is
+    ``1/2`` at any, and the correlation is 0."""
+    k = c - 1
+    if k == 1:
+        return 0.0
+    share = _reference_shares(rng.standard_normal((50_000, k)), np.sqrt(BASE_VARIANCE))
+    lo, hi = 0.0, 1.0 - 1e-6
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if share(mid) < 1.0 / c:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _class_frequencies(theta, rng):
@@ -208,22 +250,8 @@ def make_theta_star(n_classes, dim, seed):
         raise ValueError("need n_classes - 1 <= dim for unit rows")
     balance_tol = 0.25 / c
     k = c - 1
-    logit_scale = np.sqrt(BASE_VARIANCE)
     rng = np.random.default_rng(seed)
-
-    if k == 1:
-        gamma = 0.0
-    else:
-        w = rng.standard_normal((50_000, k))
-        lo, hi = 0.0, 1.0 - 1e-6
-        # Reference share grows with the common correlation; bisect to 1/c.
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if _reference_share(mid, w, logit_scale) < 1.0 / c:
-                lo = mid
-            else:
-                hi = mid
-        gamma = 0.5 * (lo + hi)
+    gamma = _balanced_gamma(c, rng)  # its buffers are freed before the attempts
 
     best_theta, best_dev = None, np.inf
     for _ in range(BALANCE_ATTEMPTS):

@@ -22,7 +22,7 @@ import numpy as np
 
 from firal import round_fishers, synth
 from firal.fisher import fir, pool_hessian, whiten_factors
-from firal.model import PROB_FLOOR, _as_theta, class_probabilities, row_sums
+from firal.model import PROB_FLOOR, _as_theta, class_probabilities, reference_softmax, row_sums
 from firal.linalg import inv_psd
 from firal.relax import _inverse_parts, relax_solve
 from firal.sparsify import NU_MAX_ITER, NU_RESIDUAL_TOL, AuditReport, woodbury_scores
@@ -288,9 +288,17 @@ def class_frequencies(theta, rng):
     return class_probabilities(X, theta).mean(axis=0)
 
 
+def reference_share(gamma, w, logit_scale):
+    """The share that :func:`firal.synth.make_theta_star` bisects on, from
+    the whole :func:`firal.model.reference_softmax` of fresh logits."""
+    k = w.shape[1]
+    G = (1.0 - gamma) * np.eye(k) + gamma * np.ones((k, k))
+    return float(reference_softmax(logit_scale * (w @ np.linalg.cholesky(G).T))[:, -1].mean())
+
+
 def make_theta_star(n_classes, dim, seed):
-    """:func:`firal.synth.make_theta_star` on :func:`class_frequencies`;
-    None where no attempt balances."""
+    """:func:`firal.synth.make_theta_star` on :func:`reference_share` and
+    :func:`class_frequencies`; None where no attempt balances."""
     c, k = n_classes, n_classes - 1
     logit_scale = np.sqrt(synth.BASE_VARIANCE)
     rng = np.random.default_rng(seed)
@@ -300,7 +308,7 @@ def make_theta_star(n_classes, dim, seed):
         lo, hi = 0.0, 1.0 - 1e-6
         for _ in range(40):
             mid = 0.5 * (lo + hi)
-            if synth._reference_share(mid, w, logit_scale) < 1.0 / c:
+            if reference_share(mid, w, logit_scale) < 1.0 / c:
                 lo = mid
             else:
                 hi = mid

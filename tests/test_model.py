@@ -135,6 +135,18 @@ class TestReferenceSoftmax:
         np.testing.assert_array_equal(row_sums(A), np.sum(A, axis=1))
         assert np.signbit(row_sums(A)[0]) == np.signbit(np.sum(A, axis=1)[0])
 
+    @pytest.mark.parametrize("c", [7, 8, 10])
+    def test_row_sums_read_any_layout_in_c_order(self, c):
+        # numpy sums an F-order array's rows left to right even from eight
+        # columns; row_sums pairs them as in C order.  ``out`` holds the same.
+        A = np.random.default_rng(c).normal(size=(3000, c)) * 10.0 ** np.arange(c)
+        want = np.sum(A, axis=1)
+        F = np.asfortranarray(A)
+        np.testing.assert_array_equal(row_sums(F), want)
+        out = np.full(len(A), np.nan)
+        assert row_sums(F, out=out) is out
+        np.testing.assert_array_equal(out, want)
+
 
 class TestNllLoss:
     def test_zero_parameters(self):

@@ -270,16 +270,20 @@ class TestMcExcessRisk:
 
 
 def test_reference_share_bitwise_equal_to_axis_reductions():
+    # From k + 1 = 8 columns the row sum pairs its terms.  One share's
+    # calls reuse its buffers; each equals a fresh whole-array share.
     rng = np.random.default_rng(30)
-    for k in (1, 2, 4, 6):
+    for k in (1, 2, 4, 6, 7, 8, 9):
         w = rng.standard_normal((5000, k))
-        G = 0.7 * np.eye(k) + 0.3 * np.ones((k, k))
-        z = 10.0 * (w @ np.linalg.cholesky(G).T)
-        z = np.concatenate([z, np.zeros((len(z), 1))], axis=1)
-        z -= z.max(axis=1, keepdims=True)
-        p = np.exp(z)
-        p /= p.sum(axis=1, keepdims=True)
-        assert synth._reference_share(0.3, w, 10.0) == float(p[:, -1].mean())
+        share = synth._reference_shares(w, 10.0)
+        for gamma in (0.3, 0.0, 0.3, 1 - 1e-6, 0.0):
+            G = (1.0 - gamma) * np.eye(k) + gamma * np.ones((k, k))
+            z = 10.0 * (w @ np.linalg.cholesky(G).T)
+            z = np.concatenate([z, np.zeros((len(z), 1))], axis=1)
+            z -= z.max(axis=1, keepdims=True)
+            p = np.exp(z)
+            p /= p.sum(axis=1, keepdims=True)
+            assert share(gamma) == float(p[:, -1].mean())
 
 
 SMALL_BLOCK = 8
@@ -365,7 +369,8 @@ class TestRowBlocks:
         want = oracle.class_frequencies(theta, np.random.default_rng(samples))
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("c, d, seed", [(2, 2, 0), (3, 8, 1), (4, 16, 0), (10, 9, 2)])
+    @pytest.mark.parametrize("c, d, seed", [(2, 2, 0), (3, 8, 1), (4, 16, 0), (8, 8, 0),
+                                            (10, 9, 2)])
     @pytest.mark.parametrize("block, samples", [(SMALL_BLOCK, 3 * SMALL_BLOCK + 5),
                                                 (SMALL_BLOCK, 50 * SMALL_BLOCK + 7),
                                                 (4096, synth.BALANCE_SAMPLES)])
@@ -400,6 +405,12 @@ class TestSamplingMemory:
 
     def test_make_theta_star_peak(self):
         assert traced_peak(lambda: make_theta_star(4, 16, 0)) <= 8e6
+
+    def test_bisection_frees_its_buffers(self):
+        # The bisection holds its normals, one (n, c) buffer and two (n,)
+        # ones, 3.6 MB at c = 4, and frees them before the balance
+        # attempts; fresh arrays at each step peak at 4.87 MB.
+        assert traced_peak(lambda: make_theta_star(4, 16, 0)) <= 4.5e6
 
     def test_calibration_holds_one_base_draw(self):
         # The knobs' design Fishers are summed over row blocks; a
