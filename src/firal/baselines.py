@@ -124,10 +124,16 @@ def select_greedy_fb(budget, Hp, fishers):
     for add, steps in ((True, 2 * budget), (False, budget)):
         sign = 1.0 if add else -1.0
         for _ in range(steps):
-            idx = np.flatnonzero(in_set != add)
             A_inv = inv_psd(A)
-            values = np.sum(A_inv * Hp) - sign * woodbury_scores(P[:, idx], A_inv, sign, Hp)
-            best_i = idx[int(np.argmin(values))]
+            trace = np.sum(A_inv * Hp)
+            if add:
+                # All of P is scored in place; a point in the set is barred.
+                values = trace - woodbury_scores(P, A_inv, sign, Hp)
+                values[in_set] = np.inf
+                best_i = int(np.argmin(values))
+            else:
+                idx = np.flatnonzero(in_set)
+                best_i = idx[int(np.argmin(trace + woodbury_scores(P[:, idx], A_inv, sign, Hp)))]
             in_set[best_i] = add
             G = P[:, best_i]
             A = A + sign * (G.T @ G)

@@ -68,6 +68,11 @@ class RunConfig:
         if self.data == "synthetic":
             if self.classes < 2 or self.dim < 2:
                 raise ValueError("synthetic runs need classes >= 2, dim >= 2")
+            if self.classes - 1 > self.dim:
+                # The truth's classes - 1 rows are unit vectors at one
+                # common inner product, which needs that many dimensions.
+                raise ValueError(f"synthetic runs need classes - 1 <= dim, "
+                                 f"got classes={self.classes}, dim={self.dim}")
             if self.family not in synth.FAMILIES:
                 raise ValueError(f"family must be one of {synth.FAMILIES}, "
                                  f"got {self.family!r}")
@@ -91,7 +96,9 @@ class ExperimentRecord:
     """One row of the run output (round-level summary).
 
     ``wall_time`` is observability only and is never serialized; the
-    emitted CSV must be byte-identical across same-seed reruns.
+    emitted CSV must be byte-identical across same-seed reruns.  It times
+    the round's selection, fit and diagnostics, not the risk scoring,
+    which runs once per run after the last round.
     """
 
     round: int
@@ -234,7 +241,9 @@ def active_learning_loop(config: RunConfig):
 
     Round 0 is the fit on the initial labels.  Each later round selects
     with the previous round's parameters, queries the oracle, refits, and
-    records diagnostics.  Deterministic for a fixed seed.
+    records diagnostics.  After the last round, one Monte-Carlo test set
+    scores every round's fit for ``excess_risk`` and ``risk_stderr``
+    (``nan`` on a dataset).  Deterministic for a fixed seed.
     """
     config.validate()
     X_pool, hidden, theta_star, labeled_idx, rounds_ss, risk_ss = _draw_problem(config)
@@ -242,14 +251,12 @@ def active_learning_loop(config: RunConfig):
     labeled_y = hidden[labeled_idx]
     config.check_room(len(labeled_idx), len(X_pool))
     if theta_star is not None:
-        spec_p = _family_spec(config)
         # Spawned before the selection streams: the spawn order fixes both.
         label_streams = rounds_ss.spawn(config.rounds + 1)
 
-    risk_streams = risk_ss.spawn(config.rounds + 1)
     select_streams = rounds_ss.spawn(config.rounds + 1)
     round_budget = config.budget // config.rounds if config.rounds else 0
-    records = []
+    records, thetas = [], []
     theta = Hp = None
 
     for rnd in range(config.rounds + 1):
@@ -280,26 +287,28 @@ def active_learning_loop(config: RunConfig):
         result = fit_erm(X_pool[labeled_idx], labeled_y, n_classes,
                          ridge=config.ridge)
         theta = result.theta
+        thetas.append(theta)
         # The next round's selection reads this same pool Hessian.
         Hp = pool_hessian(X_pool, theta)
 
         fir_val, sigma_val = _spectral_diagnostics(Hp, X_pool[labeled_idx], theta)
         acc = _pool_accuracy(X_pool, theta, theta_star, hidden)
-        if theta_star is not None:
-            [(risk, risk_se)] = synth.mc_excess_risk(
-                [theta], theta_star, spec_p, n_points=config.risk_points,
-                seed=risk_streams[rnd],
-            )
-        else:
-            risk, risk_se = float("nan"), float("nan")
 
         records.append(ExperimentRecord(
             round=rnd, n_labeled=len(labeled_idx), fir=fir_val, sigma=sigma_val,
-            excess_risk=risk, risk_stderr=risk_se, accuracy=acc, eta=eta_used,
-            margin_min_eig=margin1, margin_trace=margin2, selected=picked,
-            wall_time=time.perf_counter() - t0,
+            excess_risk=float("nan"), risk_stderr=float("nan"), accuracy=acc,
+            eta=eta_used, margin_min_eig=margin1, margin_trace=margin2,
+            selected=picked, wall_time=time.perf_counter() - t0,
         ))
 
+    if theta_star is not None:
+        # One test set, drawn from the risk stream's first child, scores
+        # every round's fit.
+        risks = synth.mc_excess_risk(thetas, theta_star, _family_spec(config),
+                                     n_points=config.risk_points,
+                                     seed=risk_ss.spawn(1)[0])
+        for rec, (risk, risk_se) in zip(records, risks):
+            rec.excess_risk, rec.risk_stderr = risk, risk_se
     return records
 
 

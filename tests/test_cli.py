@@ -85,6 +85,10 @@ class TestConfig:
         # No round selects, so the pool needs room for the initial labels only.
         RunConfig(pool_size=20, rounds=0).validate()
         RunConfig(selector="greedy_fb", pool_size=20, rounds=0).validate()
+        # The truth's classes - 1 unit rows need classes - 1 <= dim.
+        with pytest.raises(ValueError, match="classes - 1 <= dim, got classes=5, dim=3"):
+            RunConfig(classes=5, dim=3).validate()
+        RunConfig(classes=4, dim=3).validate()
 
 
 class TestLoop:
@@ -127,6 +131,38 @@ class TestLoop:
         per_round = cfg.budget // cfg.rounds
         for k, rec in enumerate(recs):
             assert rec.n_labeled == init + k * per_round
+
+    def test_one_risk_draw_scores_every_round(self, monkeypatch):
+        fits, calls = [], []
+        real_fit, real_risk = cli.fit_erm, cli.synth.mc_excess_risk
+
+        def fit(*args, **kwargs):
+            fits.append(real_fit(*args, **kwargs))
+            return fits[-1]
+
+        def risk(thetas, *args, **kwargs):
+            calls.append(list(thetas))
+            return real_risk(thetas, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "fit_erm", fit)
+        monkeypatch.setattr(cli.synth, "mc_excess_risk", risk)
+        config = small_config()
+        recs = active_learning_loop(config)
+        assert len(calls) == 1
+        assert len(calls[0]) == config.rounds + 1 == len(fits)
+        assert all(a is b.theta for a, b in zip(calls[0], fits))
+        assert all(np.isfinite(r.excess_risk) and r.risk_stderr > 0 for r in recs)
+
+    def test_round_zero_risk_equals_a_one_parameter_call(self):
+        # On round 0's fit, seeded with the risk stream's first child.
+        config = small_config()
+        X, hidden, theta_star, init, _, risk_ss = cli._draw_problem(config)
+        theta0 = cli.fit_erm(X[init], hidden[init], config.classes, ridge=config.ridge).theta
+        [want] = cli.synth.mc_excess_risk([theta0], theta_star, cli._family_spec(config),
+                                          n_points=config.risk_points,
+                                          seed=risk_ss.spawn(1)[0])
+        rec = active_learning_loop(config)[0]
+        assert (rec.excess_risk, rec.risk_stderr) == want
 
     def test_deterministic_records(self):
         a = active_learning_loop(small_config())
@@ -174,7 +210,7 @@ class TestLoop:
             seed=0, data=str(path), selector="entropy", budget=4, rounds=2,
         ))
         assert len(recs) == 3
-        assert np.isnan(recs[0].excess_risk)
+        assert all(np.isnan(r.excess_risk) and np.isnan(r.risk_stderr) for r in recs)
         assert recs[-1].accuracy > 0.5
 
     @pytest.mark.parametrize("case", ["zero", "duplicate", "two_constants"])
@@ -237,11 +273,24 @@ WIDE_PICKS = {
     1: [([1565, 2105], WIDE_ETA), ([1304, 2231], WIDE_ETA), ([1312, 834], WIDE_ETA)],
     2: [([2454, 42], WIDE_ETA), ([576, 1309], WIDE_ETA), ([2143, 330], WIDE_ETA)],
 }
+# selected of each round of the greedy_fb run at seeds 0-2; it reports no rate.
+GREEDY_PICKS = {
+    0: [[195, 407, 502, 1302, 1389, 1397, 1754, 2265, 2276, 2507],
+        [197, 1172, 1557, 1901, 2008, 2108, 2217, 2625, 2872, 2933],
+        [133, 190, 224, 405, 741, 944, 950, 2105, 2687, 2769]],
+    1: [[224, 309, 901, 1223, 1500, 2104, 2227, 2301, 2447, 2910],
+        [58, 74, 251, 396, 1173, 1326, 1914, 2001, 2186, 2723],
+        [13, 389, 564, 1115, 1496, 1691, 2160, 2391, 2590, 2683]],
+    2: [[20, 277, 542, 654, 708, 872, 943, 1650, 1839, 2152],
+        [336, 380, 454, 1100, 1194, 1670, 1746, 1847, 1898, 2569],
+        [581, 728, 748, 929, 1303, 1582, 2273, 2324, 2338, 2661]],
+}
 
 
 class TestPinnedPicks:
     """The picks and rate of every round of the default run and of the
-    wide fixed-rate run, at three seeds, equal the recorded values."""
+    wide fixed-rate run, and the picks of the greedy run, at three seeds,
+    equal the recorded values."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_default_run(self, seed):
@@ -253,6 +302,11 @@ class TestPinnedPicks:
         config = RunConfig(seed=seed, classes=4, dim=16, budget=6, rounds=3, eta=WIDE_ETA)
         records = active_learning_loop(config)
         assert [(list(r.selected), r.eta) for r in records[1:]] == WIDE_PICKS[seed]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_greedy_run(self, seed):
+        records = active_learning_loop(RunConfig(seed=seed, selector="greedy_fb"))
+        assert [list(r.selected) for r in records[1:]] == GREEDY_PICKS[seed]
 
 
 class TestEmitResults:
@@ -355,6 +409,7 @@ class TestCliCommands:
         ["run", "--ridge", "-0.5"],
         ["run", "--selector", "greedy_fb", "--pool-size", "40", "--rounds", "3"],
         ["run", "--selector", "greedy_fb", "--ridge", "0"],
+        ["run", "--classes", "5", "--dim", "3"],
         ["audit", "--eta", "nan"],
         ["audit", "--eta", "inf"],
         ["audit", "--eta", "0"],
