@@ -377,8 +377,10 @@ def _cmd_run(args):
 
 
 def _cmd_sweep(args):
-    if args.classes < 2 or args.dim < 2:
-        raise ValueError("sweep needs --classes >= 2 and --dim >= 2")
+    if args.classes < 2 or args.dim < 2 or args.classes - 1 > args.dim:
+        # The truth's classes - 1 unit rows need that many dimensions.
+        raise ValueError(f"sweep needs --classes >= 2, --dim >= 2 and --classes - 1 "
+                         f"<= --dim, got --classes {args.classes}, --dim {args.dim}")
     if args.n < 1 or args.n_targets < 1 or args.seeds < 1 or args.risk_points < 2:
         raise ValueError("sweep needs --n >= 1, --n-targets >= 1, --seeds >= 1 "
                          "and --risk-points >= 2")
@@ -424,8 +426,10 @@ def _cmd_embed(args):
 def _cmd_audit(args):
     # Repeats are allowed in the audited mode, so the budget may exceed
     # the pool size; no RunConfig pool constraint applies here.
-    if args.classes < 2 or args.dim < 2 or args.budget < 1:
-        raise ValueError("audit needs classes >= 2, dim >= 2, budget >= 1")
+    if args.classes < 2 or args.dim < 2 or args.classes - 1 > args.dim or args.budget < 1:
+        raise ValueError(f"audit needs --classes >= 2, --dim >= 2, --classes - 1 <= --dim "
+                         f"and --budget >= 1, got --classes {args.classes}, "
+                         f"--dim {args.dim}, --budget {args.budget}")
     if args.eta is not None and not 0 < args.eta < np.inf:
         raise ValueError("audit needs a positive, finite --eta")
     if args.pool_size < 2 * args.classes:

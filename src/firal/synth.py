@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fisher import fir, pool_hessian, sigma_max
+from .fisher import fir, sigma_max
 from .model import (PROB_FLOOR, KronFishers, class_probabilities, fit_erm, row_sums,
                     shifted_exp)
 
@@ -24,8 +24,8 @@ BASE_VARIANCE = 100.0
 SWEEP_RIDGE = 1e-8  # the ridge of the sweep's fits; changing it changes its output
 BALANCE_SAMPLES = 100_000
 BALANCE_ATTEMPTS = 100
-# Rows per block of the sampling layers and of the ratio calibration, a
-# power of two; no output depends on it.
+# Rows per block of the sampling layers and of the sweep's Fisher sums, a
+# power of two; only the rounding of those sums depends on it.
 BLOCK = 8192
 
 
@@ -323,7 +323,8 @@ def _blocked_fisher(base, theta_star, design=None, knob=None):
     """``pool_hessian`` of ``design(base, knob)``, or of ``base`` without a
     design, as a sum over the row blocks of ``base``: a block's design
     points, probabilities and weighted copy are all that is held at once.
-    The sum differs from the whole-array one at rounding level.
+    Over one block (fewer than 1.5 :data:`BLOCK` rows) the sum is the
+    whole-array value bit for bit; over more it differs at rounding level.
     """
     n = len(base)
     H = 0.0
@@ -347,8 +348,7 @@ def _calibrate(targets, theta_star, dim, n_mc, seed, grid, design, mid):
     read the ratios only through comparisons.  Returns the knobs, None
     where a target is not reached, and the ratios walked.
     """
-    base = np.random.default_rng(seed).standard_normal((n_mc, dim))
-    base *= np.sqrt(BASE_VARIANCE)
+    base = sample_pool(gaussian_design(dim), n_mc, seed)
     Hp = _blocked_fisher(base, theta_star)
 
     def ratio(knob):
@@ -417,20 +417,6 @@ def translation_for_fir(targets, theta_star, dim, n_mc=100_000, seed=0):
                                           lambda lo, hi: 0.5 * (lo + hi)))
 
 
-def _realized_hessians(specs, theta_star, n_mc):
-    """``pool_hessian(sample_pool(spec, n_mc, 10_001), theta_star)`` for
-    each Gaussian spec.  Those draws share their standard normals, so they
-    are drawn once and mapped into one buffer per spec.
-    """
-    normals = np.random.default_rng(10_001).standard_normal((n_mc, specs[0].dim))
-    X = np.empty_like(normals)
-    hessians = []
-    for spec in specs:
-        X[...] = normals
-        hessians.append(pool_hessian(_map_normals(X, spec), theta_star))
-    return hessians
-
-
 @dataclass
 class SweepPoint:
     """One measured setting of the risk-versus-ratio sweep."""
@@ -454,6 +440,9 @@ def risk_ratio_sweep(n_classes, dim, targets, n, seeds, mode="dilation",
     each seed and target: draw ``n`` labeled samples from the design and
     fit them with ridge :data:`SWEEP_RIDGE`; and for each seed, estimate
     the excess risk of every target's fit on one reference-design draw.
+    The realized ratio and ``sigma`` of a target compare the
+    :func:`_blocked_fisher` sums of its design and of the reference design
+    over ``n_mc`` points.
     Returns a list of :class:`SweepPoint`, target by target, seeds in order.
     """
     theta_star = make_theta_star(n_classes, dim, theta_seed)
@@ -466,8 +455,15 @@ def risk_ratio_sweep(n_classes, dim, targets, n, seeds, mode="dilation",
     else:
         raise ValueError(f"unknown sweep mode {mode!r}")
 
+    # sample_pool(spec, n_mc, 10_001) for every spec: the Gaussian specs
+    # share their standard normals, so these are drawn once, and each block
+    # is mapped from a copy.
     spec_p = gaussian_design(dim)
-    Hp, *Hqs = _realized_hessians([spec_p] + specs, theta_star, n_mc)
+    normals = np.random.default_rng(10_001).standard_normal((n_mc, dim))
+    Hp, *Hqs = [_blocked_fisher(normals, theta_star,
+                                lambda block, spec: _map_normals(block.copy(), spec), spec)
+                for spec in [spec_p] + specs]
+    del normals  # freed before the fits and the risk draws
     designs = []  # the SweepPoint fields that all rows of a target share
     for target, knob, Hq in zip(targets, knobs, Hqs):
         designs.append(dict(mode=mode, target_fir=float(target), scale_param=float(knob),

@@ -426,13 +426,19 @@ class TestCliCommands:
         ["audit", "--pool-size", "0"],
         ["audit", "--budget", "0"],
         ["audit", "--classes", "1"],
+        ["audit", "--classes", "5", "--dim", "3"],
+        ["sweep", "--classes", "5", "--dim", "3"],
     ])
-    def test_degenerate_input_exit_code(self, monkeypatch, args):
+    def test_degenerate_input_exit_code(self, monkeypatch, capsys, args):
         # Rejected where the input enters, before any fit or calibration.
         monkeypatch.setattr(cli, "active_learning_loop", pytest.fail)
         monkeypatch.setattr(cli.synth, "risk_ratio_sweep", pytest.fail)
         monkeypatch.setattr(cli.synth, "make_theta_star", pytest.fail)
         assert main(args) == 2
+        if args[0] != "run" and {"--classes", "--dim"} & set(args):
+            # A bad class count or dimension names both flags.
+            err = capsys.readouterr().err
+            assert "--classes" in err and "--dim" in err
 
     @pytest.mark.parametrize("flag, value", [
         ("--targets", "-5"), ("--targets", "nan"), ("--targets", "6,x"),

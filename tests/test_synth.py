@@ -421,6 +421,16 @@ class TestSamplingMemory:
         peak = traced_peak(lambda: dilation_for_fir(targets, theta, d, n_mc=n_mc))
         assert peak <= 1.5 * n_mc * d * 8
 
+    def test_sweep_holds_one_draw_of_normals(self):
+        # The realized Fishers are row-block sums over one draw of the
+        # shared normals, 8.97 MB in all; a whole-array Fisher of a mapped
+        # copy of the draw peaks at 22.4 MB.
+        n_mc, d = 100_000, 8
+        targets = np.geomspace(1.6, 80.0, 5).tolist()
+        peak = traced_peak(lambda: risk_ratio_sweep(2, d, targets, 50, seeds=[0], n_mc=n_mc,
+                                                    risk_points=2000))
+        assert peak <= 1.5 * n_mc * d * 8
+
 
 def calibration_ratio(theta, dim, n_mc, seed, design):
     """The ratio the calibration walks, rebuilt from the public pieces: the
@@ -634,3 +644,23 @@ class TestRiskRatioSweep:
         assert points == expected
         # One risk draw per seed, shared by both targets.
         assert calls == [len(targets)] * len(seeds)
+
+    @pytest.mark.parametrize("mode, targets", [("dilation", [4.0, 16.0]),
+                                               ("translation", [8.0, 16.0])])
+    def test_realized_ratios_summed_over_row_blocks(self, mode, targets):
+        # Over four row blocks the realized Fishers are sums that differ
+        # from whole-array ones at rounding level: the ratios and sigmas
+        # moved at most 1.3e-12 relative here, at one and two BLAS threads.
+        c, d, n_mc = 3, 4, 30_000
+        assert len(synth._row_blocks(n_mc)) == 4
+        theta_star = make_theta_star(c, d, 0)
+        points = risk_ratio_sweep(c, d, targets, 60, seeds=[0], mode=mode, n_mc=n_mc,
+                                  risk_points=200)
+        Hp = pool_hessian(sample_pool(gaussian_design(d), n_mc, 10_001), theta_star)
+        for point in points:
+            knob = point.scale_param
+            spec_q = (gaussian_design(d, dilation=knob) if mode == "dilation"
+                      else translated_design(d, knob))
+            Hq = pool_hessian(sample_pool(spec_q, n_mc, 10_001), theta_star)
+            assert point.realized_fir == pytest.approx(fir(Hq, Hp), rel=1e-10)
+            assert point.sigma == pytest.approx(sigma_max(Hq, Hp), rel=1e-10)
